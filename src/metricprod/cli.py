@@ -409,11 +409,18 @@ def _run_uniqueness(ctx, params):
 
 
 def _run_busemann(ctx, params):
+    tau = params.get("tau")
+    if tau is not None:
+        try:
+            tau = float(tau)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad busemann tolerance: {exc}") from exc
+        if not math.isfinite(tau):
+            raise ConfigError(f"busemann tolerance must be finite, got {tau}")
     space = ctx.space(params["space"])
     g1 = _geodesic_from_params(ctx, space, params["g1"])
     g2 = _geodesic_from_params(ctx, space, params["g2"])
-    rep = busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)),
-                                   tau=params.get("tau"))
+    rep = busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)), tau=tau)
     return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
 
 
@@ -610,37 +617,34 @@ def emit(records: list[dict], fmt: str, out) -> None:
 # -- built-in demos ------------------------------------------------------------
 
 
+_PLANE_SUM = {"type": "product", "factors": [{"type": "real-line"}, {"type": "real-line"}],
+              "phi": {"type": "sum", "dim": 2}}
+
+#: The built-in demos, in listing order: name -> check(depth, seed).
+DEMOS = {
+    "counterexample": lambda depth, seed: {
+        "check": "rank-counterexample", "T": 10.0, "grid": 101, "expect": "pass"},
+    "non-length-space": lambda depth, seed: {
+        "check": "non-length-space", "depth": depth, "seed": seed, "expect": "pass"},
+    "L1-non-uniqueness": lambda depth, seed: {
+        "check": "unique-geodesic", "product": "plane", "start": [0, 0], "end": [1, 1],
+        "seed": seed, "expect": "non-unique"},
+    "CAT0-failure": lambda depth, seed: {
+        "check": "cat0-four-point", "space": "plane",
+        "triangles": [[[0, 0], [2, 0], [0, 2]]], "expect": "fail"},
+}
+
+
+def _list_demos() -> int:
+    sys.stdout.write("".join(name + "\n" for name in DEMOS))
+    return EXIT_OK
+
+
 def _demo_config(name: str, depth: int, seed: int) -> dict:
-    sum2 = {"type": "sum", "dim": 2}
-    plane_sum = {"type": "product", "factors": [{"type": "real-line"},
-                                                {"type": "real-line"}],
-                 "phi": sum2}
-    demos = {
-        "counterexample": {
-            "checks": [{"check": "rank-counterexample", "T": 10.0, "grid": 101,
-                        "expect": "pass", "name": "counterexample"}]},
-        "non-length-space": {
-            "checks": [{"check": "non-length-space", "depth": depth, "seed": seed,
-                        "expect": "pass", "name": "non-length-space"}]},
-        "L1-non-uniqueness": {
-            "spaces": {"plane": plane_sum},
-            "checks": [{"check": "unique-geodesic", "product": "plane",
-                        "start": [0, 0], "end": [1, 1], "seed": seed,
-                        "expect": "non-unique", "name": "L1-non-uniqueness"}]},
-        "CAT0-failure": {
-            "spaces": {"plane": plane_sum},
-            "checks": [{"check": "cat0-four-point", "space": "plane",
-                        "triangles": [[[0, 0], [2, 0], [0, 2]]],
-                        "expect": "fail", "name": "CAT0-failure"}]},
-    }
-    if name not in demos:
-        raise ConfigError(f"unknown demo {name!r}; available: {', '.join(sorted(demos))}")
-    cfg = {"version": 1}
-    cfg.update(demos[name])
-    return cfg
-
-
-DEMO_NAMES = ("counterexample", "non-length-space", "L1-non-uniqueness", "CAT0-failure")
+    if name not in DEMOS:
+        raise ConfigError(f"unknown demo {name!r}; available: {', '.join(sorted(DEMOS))}")
+    return {"version": 1, "spaces": {"plane": _PLANE_SUM},
+            "checks": [dict(DEMOS[name](depth, seed), name=name)]}
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -735,116 +739,84 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> int:
-    fmt = getattr(args, "format", "text")
-    timings = getattr(args, "timings", False)
-    tolerances = _parse_tolerances(getattr(args, "tolerance", None))
+def _validate_phi_config(args) -> dict:
+    if args.kind:
+        defn = {"type": args.kind, "dim": args.dim}
+        if args.p is not None:
+            defn["p"] = args.p
+        if args.weights:
+            defn["weights"] = [float(w) for w in args.weights.split(",")]
+    elif args.config and args.phi:
+        try:
+            defn = json.loads(args.phi)
+        except json.JSONDecodeError:
+            defn = args.phi
+    else:
+        raise ConfigError("validate-phi needs --kind or --config with --phi")
+    config = {"version": 1,
+              "checks": [{"check": "classify", "phi": defn},
+                         {"check": "definiteness", "phi": defn},
+                         {"check": "quadrant-triangle", "phi": defn},
+                         {"check": "norm-conditions", "phi": defn},
+                         {"check": "strict-convexity", "phi": defn},
+                         {"check": "axis-pythagoras", "phi": defn}]}
+    if args.config:
+        base = _load_config(args.config)
+        config["phis"] = base.get("phis", {})
+    for chk in config["checks"][1:]:
+        chk["informational"] = True
+    return config
 
-    def context(config):
-        return RunContext(config, seed=args.seed, samples=args.samples,
-                          depth=args.depth, tolerances=tolerances)
 
-    if args.command == "run":
-        ctx = context(_load_config(args.config))
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
+def _rank_check(args, config) -> dict:
+    space_def = config.get("spaces", {}).get(args.space)
+    check = "product-rank" if isinstance(space_def, dict) and \
+        space_def.get("type") == "product" else "declared-rank"
+    return {"check": check, "space": args.space, "assert_kleiner": args.assert_kleiner}
 
+
+#: Subcommands that run one check against the objects of a config file.
+_ONE_CHECK = {
+    "check-product": lambda args, config: {"check": "metric-axioms", "product": args.product},
+    "length": lambda args, config: {"check": "curve-length", "space": args.space,
+                                    "curve": args.curve},
+    "geodesic": lambda args, config: {"check": "geodesy", "space": args.space,
+                                      "start": json.loads(args.start),
+                                      "end": json.loads(args.end),
+                                      "grid": args.grid, "selector": args.selector},
+    "rank": _rank_check,
+}
+
+
+def _command_config(args) -> dict:
+    """The config a subcommand runs."""
     if args.command == "validate-phi":
-        if args.kind:
-            defn = {"type": args.kind, "dim": args.dim}
-            if args.p is not None:
-                defn["p"] = args.p
-            if args.weights:
-                defn["weights"] = [float(w) for w in args.weights.split(",")]
-        elif args.config and args.phi:
-            try:
-                defn = json.loads(args.phi)
-            except json.JSONDecodeError:
-                defn = args.phi
-        else:
-            raise ConfigError("validate-phi needs --kind or --config with --phi")
-        config = {"version": 1,
-                  "checks": [{"check": "classify", "phi": defn},
-                             {"check": "definiteness", "phi": defn},
-                             {"check": "quadrant-triangle", "phi": defn},
-                             {"check": "norm-conditions", "phi": defn},
-                             {"check": "strict-convexity", "phi": defn},
-                             {"check": "axis-pythagoras", "phi": defn}]}
-        if args.config:
-            base = _load_config(args.config)
-            config["phis"] = base.get("phis", {})
-        for chk in config["checks"][1:]:
-            chk["informational"] = True
-        ctx = context(config)
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
-
-    if args.command == "check-product":
-        config = _load_config(args.config)
-        config.setdefault("checks", [])
-        config["checks"] = [{"check": "metric-axioms", "product": args.product}]
-        ctx = context(config)
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
-
-    if args.command == "length":
-        config = _load_config(args.config)
-        config["checks"] = [{"check": "curve-length", "space": args.space,
-                             "curve": args.curve}]
-        ctx = context(config)
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
-
-    if args.command == "geodesic":
-        config = _load_config(args.config)
-        config["checks"] = [{"check": "geodesy", "space": args.space,
-                             "start": json.loads(args.start),
-                             "end": json.loads(args.end),
-                             "grid": args.grid,
-                             "selector": args.selector}]
-        ctx = context(config)
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
-
-    if args.command == "rank":
-        config = _load_config(args.config)
-        space_def = config.get("spaces", {}).get(args.space)
-        check = "product-rank" if isinstance(space_def, dict) and \
-            space_def.get("type") == "product" else "declared-rank"
-        config["checks"] = [{"check": check, "space": args.space,
-                             "assert_kleiner": args.assert_kleiner}]
-        ctx = context(config)
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
-
+        return _validate_phi_config(args)
     if args.command == "demo":
-        if args.list or not args.demo_name:
-            for name in DEMO_NAMES:
-                sys.stdout.write(name + "\n")
-            return EXIT_OK
-        depth = args.depth if args.depth is not None else 8
-        seed = args.seed if args.seed is not None else 0
-        ctx = context(_demo_config(args.demo_name, depth, seed))
-        records, code = run_checks(ctx, timings)
-        emit(records, fmt, sys.stdout)
-        return code
+        return _demo_config(args.demo_name, 8 if args.depth is None else args.depth,
+                            0 if args.seed is None else args.seed)
+    config = _load_config(args.config)
+    if args.command in _ONE_CHECK:
+        config["checks"] = [_ONE_CHECK[args.command](args, config)]
+    return config
 
-    return EXIT_CONFIG
+
+def _dispatch(args) -> int:
+    tolerances = _parse_tolerances(args.tolerance)
+    if args.command == "demo" and (args.list or not args.demo_name):
+        return _list_demos()
+    ctx = RunContext(_command_config(args), seed=args.seed, samples=args.samples,
+                     depth=args.depth, tolerances=tolerances)
+    records, code = run_checks(ctx, args.timings)
+    emit(records, args.format, sys.stdout)
+    return code
 
 
 def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     if args.list_demos:
-        for name in DEMO_NAMES:
-            sys.stdout.write(name + "\n")
-        return EXIT_OK
+        return _list_demos()
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG

@@ -9,13 +9,14 @@ subdivisions for continuous curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .reports import FAIL, PASS, TAU_METRIC, UNDETERMINED, ValidationReport
 from .sampling import rng_stream
+from .spaces import lerp, point_at, stack
 
 LEN_FLOOR = 1e-6
 DIVERGENCE_FACTOR = 1e6
@@ -27,76 +28,31 @@ def tau_len(depth: int, first_level: float) -> float:
     return max(LEN_FLOOR, float(first_level) / 2**depth)
 
 
-# -- point-structure helpers (floats, vectors, and tuples thereof) -------------
-
-def _lerp(x, y, u: np.ndarray):
-    if isinstance(x, tuple):
-        return tuple(_lerp(a, b, u) for a, b in zip(x, y))
-    xa = np.asarray(x, float)
-    ya = np.asarray(y, float)
-    if xa.ndim == 0:
-        return float(xa) + u * (float(ya) - float(xa))
-    return xa[None, :] + u[:, None] * (ya - xa)[None, :]
-
-
-def _stack_points(points: list):
-    first = points[0]
-    if isinstance(first, tuple):
-        return tuple(_stack_points([p[i] for p in points]) for i in range(len(first)))
-    return np.asarray(points, float)
-
-
-def _indexed_lerp(stacked, seg: np.ndarray, u: np.ndarray):
-    if isinstance(stacked, tuple):
-        return tuple(_indexed_lerp(s, seg, u) for s in stacked)
-    a = stacked[seg]
-    b = stacked[seg + 1]
-    if stacked.ndim == 1:
-        return a + u * (b - a)
-    return a + u[:, None] * (b - a)
-
-
-def _first_point(batch):
-    if isinstance(batch, tuple):
-        return tuple(_first_point(b) for b in batch)
-    arr = np.asarray(batch)
-    return float(arr[0]) if arr.ndim == 1 else np.array(arr[0])
-
-
-@dataclass
 class Curve:
-    """Parameterized path on [0, 1] into some metric space.
+    """Parameterized path into some metric space.
 
     The evaluator is vectorized: it maps an array of parameters to a batch
-    of points (tuple-of-batches for product spaces).
+    of points (see :mod:`metricprod.spaces` for the batch format).  Curves
+    built here run over [0, 1]; geodesics run over [0, length].
     """
 
-    kind: str
-    evaluator: Callable[[np.ndarray], Any]
-    start: Any = None
-    end: Any = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.start is None:
-            self.start = self.at(0.0)
-        if self.end is None:
-            self.end = self.at(1.0)
+    def __init__(self, evaluator: Callable[[np.ndarray], Any]):
+        self.evaluator = evaluator
 
     def at_many(self, ts) -> Any:
         return self.evaluator(np.asarray(ts, float))
 
     def at(self, t: float):
-        return _first_point(self.at_many(np.array([float(t)])))
+        return point_at(self.at_many(np.array([float(t)])), 0)
 
     def subcurve(self, s: float, t: float) -> "Curve":
-        return Curve(self.kind, lambda u, s=s, t=t: self.evaluator(s + u * (t - s)))
+        return Curve(lambda u, s=s, t=t: self.evaluator(s + u * (t - s)))
 
 
 def segment(x, y) -> Curve:
     """Affine segment between two coordinate (or tuple) points."""
-    return Curve("polyline", lambda ts: _lerp(x, y, ts), start=x, end=y,
-                 meta={"breakpoints": [x, y]})
+    a, b = stack([x]), stack([y])
+    return Curve(lambda ts: lerp(a, b, ts))
 
 
 def polyline(space, points, constant_speed: bool = True) -> Curve:
@@ -114,27 +70,21 @@ def polyline(space, points, constant_speed: bool = True) -> Curve:
         seglens = np.array([space.distance(a, b) for a, b in zip(pts[:-1], pts[1:])])
         keep = seglens > 0
         if not keep.any():
-            p0 = pts[0]
-            return Curve("polyline", lambda ts: _lerp(p0, p0, ts), start=p0, end=p0,
-                         meta={"breakpoints": [p0, pts[-1]], "length": 0.0})
-        pruned = [pts[0]] + [b for b, k in zip(pts[1:], keep) if k]
+            return segment(pts[0], pts[0])
+        pts = [pts[0]] + [b for b, k in zip(pts[1:], keep) if k]
         seglens = seglens[keep]
         knots = np.concatenate([[0.0], np.cumsum(seglens)]) / seglens.sum()
-        pts = pruned
-        total = float(seglens.sum())
     else:
         knots = np.linspace(0.0, 1.0, len(pts))
-        total = None
-    stacked = _stack_points(pts)
+    stacked = space.stack(pts)
 
-    def evaluator(ts, knots=knots, stacked=stacked, nseg=len(pts) - 1):
-        ts = np.clip(np.asarray(ts, float), 0.0, 1.0)
+    def evaluator(ts, nseg=len(pts) - 1):
+        ts = np.clip(ts, 0.0, 1.0)
         seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, nseg - 1)
         u = (ts - knots[seg]) / (knots[seg + 1] - knots[seg])
-        return _indexed_lerp(stacked, seg, u)
+        return space.lerp(space.take(stacked, seg), space.take(stacked, seg + 1), u)
 
-    return Curve("polyline", evaluator, start=pts[0], end=pts[-1],
-                 meta={"breakpoints": pts, "knots": knots, "length": total})
+    return Curve(evaluator)
 
 
 def circle_arc(center, radius: float, angle_start: float, angle_end: float) -> Curve:
@@ -145,20 +95,18 @@ def circle_arc(center, radius: float, angle_start: float, angle_end: float) -> C
         theta = angle_start + np.asarray(ts, float) * (angle_end - angle_start)
         return np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
 
-    return Curve("analytic", evaluator)
+    return Curve(evaluator)
 
 
 def product_curve(components: list[Curve]) -> Curve:
     """Synchronized tuple of component curves over the shared parameter."""
     comps = list(components)
-    return Curve("product", lambda ts: tuple(c.at_many(ts) for c in comps),
-                 start=tuple(c.start for c in comps), end=tuple(c.end for c in comps),
-                 meta={"components": comps})
+    return Curve(lambda ts: tuple(c.at_many(ts) for c in comps))
 
 
 def warped(curve: Curve, warp: Callable[[np.ndarray], np.ndarray]) -> Curve:
     """Reparameterize a curve by a (vectorized) warp of [0, 1]."""
-    return Curve("analytic", lambda ts: curve.at_many(warp(np.asarray(ts, float))))
+    return Curve(lambda ts: curve.at_many(warp(ts)))
 
 
 @dataclass
@@ -198,7 +146,7 @@ def curve_length(space, curve: Curve, depth: int = 12,
     chord = trace[0]
     # the chord scale degenerates for closed curves; fall back to the
     # two-segment sum so closed rectifiable curves are not flagged
-    scale = max(chord, 0.5 * trace[1]) if depth >= 1 else chord
+    scale = max(chord, 0.5 * trace[1])
     diverged = scale > 0 and trace[-1] > divergence_factor * scale
     return LengthResult(trace[-1], trace, diverged, chord)
 

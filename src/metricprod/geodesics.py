@@ -21,14 +21,13 @@ from .gluing import GluingClass
 from .product import ProductSpace
 from .reports import FAIL, PASS, TAU_METRIC, ValidationReport, metric_tol
 from .sampling import rng_stream
-from .spaces import HalfLine, LpSpace, MetricSpace, RealLine
-
-INF = math.inf
+from .spaces import MetricSpace
 
 
 @dataclass
-class Geodesic:
-    """Unit-speed path realizing the distance between its endpoints."""
+class Geodesic(Curve):
+    """Unit-speed curve on [0, length] realizing the distance between its
+    endpoints; ``descriptor`` names the route."""
 
     space: MetricSpace
     start: Any
@@ -36,25 +35,6 @@ class Geodesic:
     length: float
     evaluator: Callable[[np.ndarray], Any]
     descriptor: str = "affine"
-    components: list | None = None
-
-    def at_many(self, ts) -> Any:
-        return self.evaluator(np.asarray(ts, float))
-
-    def at(self, t: float):
-        from .curves import _first_point
-        return _first_point(self.at_many(np.array([float(t)])))
-
-    def as_curve(self) -> Curve:
-        d = self.length
-        return Curve("analytic", lambda u: self.evaluator(np.asarray(u, float) * d),
-                     start=self.start, end=self.end)
-
-
-def _constant(space, x) -> Geodesic:
-    from .curves import _lerp
-    return Geodesic(space, x, x, 0.0, lambda ts: _lerp(x, x, np.asarray(ts, float)),
-                    descriptor="constant")
 
 
 def _parse_selector(selector):
@@ -77,74 +57,7 @@ def factor_geodesic(space: MetricSpace, x, y, selector="affine") -> Geodesic:
     one coordinate for the sup norm.
     """
     kind, idx = _parse_selector(selector)
-    if isinstance(space, (RealLine, HalfLine)):
-        if kind != "affine":
-            raise ValueError("one-dimensional factors have only the affine geodesic")
-        x, y = float(x), float(y)
-        d = space.distance(x, y)
-        if d == 0:
-            return _constant(space, x)
-        return Geodesic(space, x, y, d,
-                        lambda ts: x + (np.asarray(ts, float) / d) * (y - x))
-    if isinstance(space, LpSpace):
-        return _lp_geodesic(space, x, y, kind, idx)
-    raise ValueError(f"{space.name} is not a geodesic space in the catalog")
-
-
-def _lp_geodesic(space: LpSpace, x, y, kind: str, idx) -> Geodesic:
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    d = space.distance(x, y)
-    if d == 0:
-        return _constant(space, x.copy())
-
-    def affine(ts):
-        ts = np.asarray(ts, float)
-        return x[None, :] + (ts / d)[:, None] * (y - x)[None, :]
-
-    if kind == "affine":
-        return Geodesic(space, x, y, d, affine)
-    if not 0 <= idx < space.dim:
-        raise ValueError("corner coordinate out of range")
-    if space.p == 1.0:
-        corner = x.copy()
-        corner[idx] = y[idx]
-        s1 = float(space.weights[idx] * abs(y[idx] - x[idx]))
-        if s1 <= 0 or s1 >= d:
-            return Geodesic(space, x, y, d, affine, descriptor="affine")
-
-        def corner_eval(ts, s1=s1):
-            ts = np.asarray(ts, float)
-            u1 = np.clip(ts / s1, 0.0, 1.0)
-            u2 = np.clip((ts - s1) / (d - s1), 0.0, 1.0)
-            first = x[None, :] + u1[:, None] * (corner - x)[None, :]
-            second = corner[None, :] + u2[:, None] * (y - corner)[None, :]
-            return np.where((ts <= s1)[:, None], first, second)
-
-        return Geodesic(space, x, y, d, corner_eval, descriptor=f"corner({idx})")
-    if space.p == INF:
-        # wander the chosen coordinate within its unused speed budget
-        budget = 1.0 / space.weights[idx] - abs(y[idx] - x[idx]) / d
-        if budget <= TAU_METRIC:
-            return Geodesic(space, x, y, d, affine, descriptor="affine")
-        beta = 0.5 * budget
-
-        def wander_eval(ts, beta=beta):
-            ts = np.asarray(ts, float)
-            pts = x[None, :] + (ts / d)[:, None] * (y - x)[None, :]
-            pts[:, idx] += beta * np.minimum(ts, d - ts)
-            return pts
-
-        return Geodesic(space, x, y, d, wander_eval, descriptor=f"wander({idx})")
-    raise ValueError(f"p={space.p:g} factors are uniquely geodesic; corner selector invalid")
-
-
-def _select_structure(mask: np.ndarray, a, b):
-    if isinstance(a, tuple):
-        return tuple(_select_structure(mask, ai, bi) for ai, bi in zip(a, b))
-    a = np.asarray(a, float)
-    m = mask if a.ndim == 1 else mask[:, None]
-    return np.where(m, a, b)
+    return Geodesic(space, x, y, *space.geodesic_route(x, y, kind, idx))
 
 
 def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=None) -> Geodesic:
@@ -164,7 +77,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
             raise ValueError(f"factor {f.name} is not geodesic")
     d = prod.distance(x, y)
     if d == 0:
-        return _constant(prod, x)
+        return Geodesic(prod, x, y, *prod.affine_route(x, y, d))
 
     if via is not None:
         d1 = prod.distance(x, via)
@@ -175,10 +88,9 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
         g2 = product_geodesic(prod, via, y, selectors, cfg=cfg)
 
         def via_eval(ts, d1=d1):
-            ts = np.asarray(ts, float)
             first = g1.at_many(np.clip(ts, 0.0, max(d1, 0.0)))
             second = g2.at_many(np.clip(ts - d1, 0.0, g2.length))
-            return _select_structure(ts <= d1, first, second)
+            return prod.where(ts <= d1, first, second)
 
         return Geodesic(prod, x, y, d, via_eval,
                         descriptor=f"via({prod.point_to_json(via)})")
@@ -189,12 +101,10 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
              for f, xi, yi, sel in zip(prod.factors, x, y, selectors)]
 
     def sync_eval(ts):
-        ts = np.asarray(ts, float)
         return tuple(c.at_many(ts * (c.length / d)) for c in comps)
 
     desc = ",".join(c.descriptor for c in comps)
-    return Geodesic(prod, x, y, d, sync_eval, descriptor=f"sync[{desc}]",
-                    components=comps)
+    return Geodesic(prod, x, y, d, sync_eval, descriptor=f"sync[{desc}]")
 
 
 def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> Geodesic:
@@ -259,17 +169,11 @@ def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
                             {"length": d, "tolerance": tol})
 
 
-def _coordinate_directions(prod: ProductSpace):
+def _coordinate_directions(dims: list) -> list:
     """Structured product-space offsets: single coordinates and signed
     cross-factor pairs (the flat directions of the p=1 ball live here)."""
-    dims = []
-    for f in prod.factors:
-        if isinstance(f, (RealLine, HalfLine)):
-            dims.append(1)
-        elif isinstance(f, LpSpace):
-            dims.append(f.dim)
-        else:
-            return []
+    if None in dims:
+        return []
     coords = [(fi, ci) for fi, dim in enumerate(dims) for ci in range(dim)]
     dirs = []
     for fi, ci in coords:
@@ -288,16 +192,7 @@ def _coordinate_directions(prod: ProductSpace):
 
 
 def _offset_point(prod: ProductSpace, point, offsets, scale: float):
-    out = []
-    for f, p, off in zip(prod.factors, point, offsets):
-        if isinstance(f, (RealLine, HalfLine)):
-            q = float(p) + scale * float(off[0])
-            if isinstance(f, HalfLine):
-                q = max(q, 0.0)
-            out.append(q)
-        else:
-            out.append(np.asarray(p, float) + scale * np.asarray(off, float))
-    return tuple(out)
+    return tuple(f.offset(p, off, scale) for f, p, off in zip(prod.factors, point, offsets))
 
 
 def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 64,
@@ -339,19 +234,14 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
 
     # midpoint perturbation search
     mid = base.at(d / 2.0)
-    directions = _coordinate_directions(prod)
+    dims = [f.coord_dim for f in prod.factors]
+    directions = _coordinate_directions(dims)
     rng = rng_stream(seed, 41)
     accepted = 0
     if directions:
-        ndim_total = sum(len(np.atleast_1d(v)) for v in directions[0])
+        cuts = np.cumsum(dims)[:-1]
         while len(directions) < perturbations:
-            raw = rng.normal(size=ndim_total)
-            vec, k = [], 0
-            for f in prod.factors:
-                w = 1 if isinstance(f, (RealLine, HalfLine)) else f.dim
-                vec.append(raw[k:k + w])
-                k += w
-            directions.append(vec)
+            directions.append(np.split(rng.normal(size=sum(dims)), cuts))
         for vec in directions[:perturbations]:
             probe = _offset_point(prod, mid, vec, 1.0)
             width = prod.distance(mid, probe)

@@ -102,16 +102,10 @@ class ProductSpace(MetricSpace):
         )
 
     def stack(self, points):
+        # the factors fix the arity, so an empty list still stacks to a tuple
         return tuple(
             f.stack([p[i] for p in points]) for i, f in enumerate(self.factors)
         )
-
-    def unstack(self, batch) -> list:
-        parts = [f.unstack(b) for f, b in zip(self.factors, batch)]
-        return [tuple(p[i] for p in parts) for i in range(len(parts[0]))]
-
-    def take(self, batch, idx):
-        return tuple(f.take(b, idx) for f, b in zip(self.factors, batch))
 
     # -- (de)serialization -------------------------------------------------------
 
@@ -156,12 +150,12 @@ def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
     min_distinct = float(dxy[distinct].min()) if distinct.any() else np.inf
     bad = worst_self > tau or min_distinct <= tau
     i = int(np.argmax(self_d))
-    witness = {"point": _point_at(prod, xs, i), "self_distance": worst_self}
+    witness = {"point": prod.point_at(xs, i), "self_distance": worst_self}
     if min_distinct <= tau:
         j = int(np.argmin(np.where(distinct, dxy, np.inf)))
         witness = {
-            "x": _point_at(prod, xs, j),
-            "y": _point_at(prod, ys, j),
+            "x": prod.point_at(xs, j),
+            "y": prod.point_at(ys, j),
             "distance": float(dxy[j]),
         }
     reports.append(ValidationReport(
@@ -176,7 +170,7 @@ def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
     tol = metric_tol(float(dxy.max(initial=0.0)), tau=tau)
     reports.append(ValidationReport(
         "symmetry", FAIL if diffs[i] > tol else PASS, count, float(diffs[i]),
-        {"x": _point_at(prod, xs, i), "y": _point_at(prod, ys, i)}, {}))
+        {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i)}, {}))
 
     # triangle inequality
     dyz = prod.distance_batch(ys, zs)
@@ -187,12 +181,8 @@ def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
     reports.append(ValidationReport(
         "triangle-inequality", FAIL if margins[i] > tol else PASS, count,
         float(margins[i]),
-        {"x": _point_at(prod, xs, i), "y": _point_at(prod, ys, i),
-         "z": _point_at(prod, zs, i),
+        {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i),
+         "z": prod.point_at(zs, i),
          "distances": [float(dxz[i]), float(dxy[i]), float(dyz[i])]},
         {"tolerance": tol}))
     return reports
-
-
-def _point_at(prod: ProductSpace, batch, i: int):
-    return prod.unstack(prod.take(batch, np.array([i])))[0]

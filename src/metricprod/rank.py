@@ -189,14 +189,14 @@ def finite_embedding_oracle(pattern, target_points: list, space: MetricSpace,
     first mismatched pair, so the result is the lexicographically first
     assignment independent of any parallel schedule.
     """
-    raw = pattern.matrix if isinstance(pattern, FiniteMetricSpace) else np.asarray(pattern, float)
+    raw = np.asarray(getattr(pattern, "matrix", pattern), float)
     k = raw.shape[0]
     m = len(target_points)
     if k > MAX_PATTERN:
         raise BudgetExceededError(f"pattern size {k} exceeds budget {MAX_PATTERN}")
     if m > MAX_TARGET:
         raise BudgetExceededError(f"target sample size {m} exceeds budget {MAX_TARGET}")
-    dpat = raw if isinstance(pattern, FiniteMetricSpace) else FiniteMetricSpace(raw).matrix
+    dpat = FiniteMetricSpace(raw).matrix
     batch = space.stack(target_points)
     ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     dtar = space.distance_batch(

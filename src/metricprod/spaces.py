@@ -1,9 +1,18 @@
-"""Catalog of factor metric spaces.
+"""Catalog of factor metric spaces, and the point/batch format they share.
 
 Points are plain floats for the one-dimensional spaces, numpy vectors for
-coordinate spaces, and integer indices for discrete/finite spaces.  A batch
-of points is a numpy array with a leading sample axis; product spaces use a
-tuple of factor batches (see :mod:`metricprod.product`).
+coordinate spaces, integer indices for discrete/finite spaces, and tuples
+of factor points for products (see :mod:`metricprod.product`).  A batch of
+points is a 1-D array (floats or indices), a 2-D array with one vector per
+row, or a tuple of factor batches.  The batch functions of this module
+(``stack``, ``take``, ``unstack``, ``point_at``, ``lerp``, ``where``) are the
+only code that reads that structure.  Every space carries them as methods;
+callers without a space at hand (``curves.segment``, ``Curve.at``) use the
+functions directly.
+
+Each space also owns the geometry the catalog knows in closed form: its
+coordinate count (``coord_dim``), moves along coordinate directions
+(``offset``) and its geodesic routes (``geodesic_route``).
 
 Spaces are immutable after construction and every operation is a pure
 function of its arguments, so instances are safe to share between threads.
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import metric_tol
+from .reports import TAU_METRIC, metric_tol
 from .sampling import rng_stream
 
 INFINITY = math.inf
@@ -28,6 +37,54 @@ INFINITY = math.inf
 CATALOG_NOTE = (
     "catalog restricted to spaces with closed-form geodesics and known rank"
 )
+
+
+# -- the point/batch format ------------------------------------------------------
+
+
+def stack(points: list):
+    """Batch holding the given points, in order."""
+    if points and isinstance(points[0], tuple):
+        return tuple(stack([p[i] for p in points]) for i in range(len(points[0])))
+    return np.asarray(points)
+
+
+def take(batch, idx):
+    """The rows ``idx`` of a batch."""
+    if isinstance(batch, tuple):
+        return tuple(take(b, idx) for b in batch)
+    return np.asarray(batch)[idx]
+
+
+def unstack(batch) -> list:
+    """The points of a batch, in order."""
+    if isinstance(batch, tuple):
+        return list(zip(*map(unstack, batch)))
+    arr = np.asarray(batch)
+    return arr.tolist() if arr.ndim == 1 else [np.array(row) for row in arr]
+
+
+def point_at(batch, i: int):
+    """Point ``i`` of a batch."""
+    if isinstance(batch, tuple):
+        return tuple(point_at(b, i) for b in batch)
+    arr = np.asarray(batch)
+    return arr[i].item() if arr.ndim == 1 else np.array(arr[i])
+
+
+def lerp(a, b, u: np.ndarray):
+    """Row-wise ``a + u*(b - a)`` between two batches; one-row batches
+    broadcast against the parameters ``u``."""
+    if isinstance(a, tuple):
+        return tuple(lerp(ai, bi, u) for ai, bi in zip(a, b))
+    return a + (u if np.ndim(a) == 1 else u[:, None]) * (b - a)
+
+
+def where(mask: np.ndarray, a, b):
+    """Row-wise choice: the rows of ``a`` where ``mask`` holds, of ``b`` elsewhere."""
+    if isinstance(a, tuple):
+        return tuple(where(mask, ai, bi) for ai, bi in zip(a, b))
+    return np.where(mask if np.ndim(a) == 1 else mask[:, None], a, b)
 
 
 @dataclass(frozen=True)
@@ -85,16 +142,39 @@ class MetricSpace:
             raise ValueError("radius must be > 0")
         return self.unstack(self.sample_batch(count, seed, radius))
 
-    # -- batch plumbing ----------------------------------------------------
+    # -- batch plumbing: the format functions above ----------------------------
 
-    def stack(self, points: list):
-        return np.asarray(points)
+    stack = staticmethod(stack)
+    take = staticmethod(take)
+    unstack = staticmethod(unstack)
+    point_at = staticmethod(point_at)
+    lerp = staticmethod(lerp)
+    where = staticmethod(where)
 
-    def unstack(self, batch) -> list:
+    # -- closed-form geometry ----------------------------------------------------
+
+    #: Number of coordinates of a point; None unless points are coordinate vectors.
+    coord_dim: int | None = None
+
+    def offset(self, point, direction, scale: float):
+        """``point`` moved by ``scale`` times a coordinate direction."""
         raise NotImplementedError
 
-    def take(self, batch, idx):
-        return np.asarray(batch)[idx]
+    def geodesic_route(self, x, y, kind: str, idx):
+        """Closed-form unit-speed geodesic from ``x`` to ``y``.
+
+        ``kind`` is ``"affine"`` or ``"corner"`` (with coordinate ``idx``).
+        Returns ``(d, evaluator, descriptor)``: the distance, a map from
+        parameters in [0, d] to a batch, and the route's name.
+        """
+        raise ValueError(f"{self.name} is not a geodesic space in the catalog")
+
+    def affine_route(self, x, y, d: float):
+        """The constant-speed segment as a route: ``a + u*(b - a)``, u = ts/d."""
+        a, b = self.stack([x]), self.stack([y])
+        if d == 0:
+            return 0.0, lambda ts: lerp(a, a, ts), "constant"
+        return d, lambda ts: lerp(a, b, ts / d), "affine"
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -115,6 +195,7 @@ class _Line1D(MetricSpace):
     """Shared plumbing for the one-dimensional coordinate spaces."""
 
     supports_interpolation = True
+    coord_dim = 1
 
     def distance(self, x, y) -> float:
         return abs(self._check(x) - self._check(y))
@@ -122,8 +203,14 @@ class _Line1D(MetricSpace):
     def distance_batch(self, xs, ys) -> np.ndarray:
         return np.abs(np.asarray(xs, float) - np.asarray(ys, float))
 
-    def unstack(self, batch) -> list:
-        return [float(v) for v in np.asarray(batch, float)]
+    def offset(self, point, direction, scale):
+        return float(point) + scale * float(direction[0])
+
+    def geodesic_route(self, x, y, kind, idx):
+        if kind != "affine":
+            raise ValueError("one-dimensional factors have only the affine geodesic")
+        x, y = float(x), float(y)
+        return self.affine_route(x, y, self.distance(x, y))
 
     def point_from_json(self, obj):
         return self._check(float(obj))
@@ -180,6 +267,9 @@ class HalfLine(_Line1D):
     def descriptor(self):
         return {"type": "half-line"}
 
+    def offset(self, point, direction, scale):
+        return max(super().offset(point, direction, scale), 0.0)
+
     def _check(self, x) -> float:
         x = float(x)
         if x < 0:
@@ -202,7 +292,7 @@ class LpSpace(MetricSpace):
             raise ValueError("dimension must be >= 1")
         if p < 1:
             raise ValueError("exponent must satisfy p >= 1")
-        self.dim = int(dim)
+        self.dim = self.coord_dim = int(dim)
         self.p = float(p)
         w = np.ones(dim) if weights is None else np.asarray(weights, float)
         if w.shape != (dim,) or (w <= 0).any():
@@ -240,8 +330,49 @@ class LpSpace(MetricSpace):
     def sample_batch(self, count, seed=0, radius=1.0):
         return rng_stream(seed, 13).uniform(-radius, radius, (count, self.dim))
 
-    def unstack(self, batch) -> list:
-        return [np.array(row) for row in np.asarray(batch, float)]
+    def offset(self, point, direction, scale):
+        return np.asarray(point, float) + scale * np.asarray(direction, float)
+
+    def geodesic_route(self, x, y, kind, idx):
+        """Affine everywhere; with ``corner`` an axis-first route for p=1 and
+        a bounded wander of one coordinate for p=oo."""
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        d = self.distance(x, y)
+        affine = self.affine_route(x, y, d)
+        if d == 0 or kind == "affine":
+            return affine
+        if not 0 <= idx < self.dim:
+            raise ValueError("corner coordinate out of range")
+        if self.p == 1.0:
+            corner = x.copy()
+            corner[idx] = y[idx]
+            s1 = float(self.weights[idx] * abs(y[idx] - x[idx]))
+            if s1 <= 0 or s1 >= d:
+                return affine
+            a, c, b = x[None, :], corner[None, :], y[None, :]
+
+            def corner_eval(ts):
+                first = lerp(a, c, np.clip(ts / s1, 0.0, 1.0))
+                second = lerp(c, b, np.clip((ts - s1) / (d - s1), 0.0, 1.0))
+                return where(ts <= s1, first, second)
+
+            return d, corner_eval, f"corner({idx})"
+        if self.p == INFINITY:
+            # wander the chosen coordinate within its unused speed budget
+            budget = 1.0 / self.weights[idx] - abs(y[idx] - x[idx]) / d
+            if budget <= TAU_METRIC:
+                return affine
+            beta = 0.5 * budget
+            line = affine[1]
+
+            def wander_eval(ts):
+                pts = line(ts)
+                pts[:, idx] += beta * np.minimum(ts, d - ts)
+                return pts
+
+            return d, wander_eval, f"wander({idx})"
+        raise ValueError(f"p={self.p:g} factors are uniquely geodesic; corner selector invalid")
 
     def descriptor(self):
         return {
@@ -274,9 +405,6 @@ class _IndexSpace(MetricSpace):
 
     def sample_batch(self, count, seed=0, radius=1.0):
         return rng_stream(seed, 14).integers(0, self.size, count)
-
-    def unstack(self, batch) -> list:
-        return [int(v) for v in np.asarray(batch)]
 
     def point_from_json(self, obj):
         return self._check(obj)

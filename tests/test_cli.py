@@ -240,3 +240,27 @@ def test_condition_ids_map_to_operations(tmp_path, capsys):
                       "strict-convexity", "axis-pythagoras",
                       "scalar-product-weights", "non-length-space-demo",
                       "rank-counterexample"]
+
+
+def busemann_config(tau):
+    return config_with_checks([
+        {"check": "busemann-convexity", "space": "plane", "grid": 8, "tau": tau,
+         "g1": {"start": [0, 0], "end": [1, 0]}, "g2": {"start": [0, 1], "end": [1, 2]}}])
+
+
+def test_busemann_tolerance_string_is_parsed(tmp_path, capsys):
+    path = write_config(tmp_path, busemann_config("1e-6"))
+    code, out = run_cli(capsys, "run", path, "--format", "json")
+    assert code == EXIT_OK
+    rec = json.loads(out.strip())
+    assert rec["details"]["tolerance"] == 1e-6 and rec["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("tau", ["loose", "nan", [1]])
+def test_bad_busemann_tolerance_is_config_error(tmp_path, capsys, tau):
+    path = write_config(tmp_path, busemann_config(tau))
+    code = main(["run", path, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metricprod import (
+    Curve,
     GluingFunction,
     LpSpace,
     ProductSpace,
@@ -200,3 +201,14 @@ def test_subcurve_and_endpoints():
     sub = seg.subcurve(0.25, 0.75)
     assert sub.at(0.0) == pytest.approx((0.5, 0.5))
     assert sub.at(1.0) == pytest.approx((1.5, 1.5))
+
+
+def test_curve_construction_evaluates_nothing():
+    calls = []
+    seg = segment(0.0, 2.0)
+    curve = Curve(lambda ts: calls.append(len(ts)) or seg.at_many(ts))
+    sub = curve.subcurve(0.25, 0.75)
+    assert calls == []
+    res = curve_length(RealLine(), sub, depth=4)
+    assert calls == [17]
+    assert res.length == pytest.approx(1.0)
