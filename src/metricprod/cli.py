@@ -77,31 +77,34 @@ class ConfigError(ValueError):
 # -- object construction -------------------------------------------------------
 
 
+#: Norm-type gluing types, and whether each reads ``weights``.  ``sum``,
+#: ``max`` and ``weighted-euclidean`` are the weighted-lp gluings at p = 1, oo
+#: and 2 (``GluingFunction`` fixes p); ``sum`` and ``max`` are unweighted.
+_LP_TYPES = {"weighted-lp": True, "weighted-euclidean": True, "sum": False, "max": False}
+
+
 def build_phi(defn) -> GluingFunction:
     if not isinstance(defn, dict) or "type" not in defn:
         raise ConfigError("gluing definition needs a 'type' field")
     kind = defn["type"]
     dim = defn.get("dim")
-    weights = defn.get("weights")
     try:
-        if kind == "weighted-euclidean":
-            if weights is None:
-                raise ConfigError("weighted-euclidean needs 'weights'")
-            return GluingFunction.euclidean(weights)
-        if kind == "weighted-lp":
-            p = defn.get("p")
-            p = math.inf if p in ("inf", "oo") else float(p)
+        if kind in _LP_TYPES:
+            weights = defn.get("weights") if _LP_TYPES[kind] else None
             if dim is None:
                 if weights is None:
-                    raise ConfigError("weighted-lp needs 'dim' or 'weights'")
+                    fields = "'dim' or 'weights'" if _LP_TYPES[kind] else "'dim'"
+                    raise ConfigError(f"{kind} needs {fields}")
                 dim = len(weights)
-            return GluingFunction.lp(int(dim), p, weights)
-        if kind in ("sum", "max", "two-valued"):
+            if kind != "weighted-lp":
+                return GluingFunction(int(dim), kind, weights=weights)
+            p = defn.get("p")
+            return GluingFunction.lp(int(dim), math.inf if p in ("inf", "oo") else float(p),
+                                     weights)
+        if kind == "two-valued":
             if dim is None:
-                raise ConfigError(f"{kind} needs 'dim'")
-            factory = {"sum": GluingFunction.sum, "max": GluingFunction.max,
-                       "two-valued": GluingFunction.two_valued}[kind]
-            return factory(int(dim))
+                raise ConfigError("two-valued needs 'dim'")
+            return GluingFunction.two_valued(int(dim))
         if kind == "coordinate-power":
             return GluingFunction.coordinate_power(
                 int(dim), float(defn["exponent"]), int(defn.get("coordinate", 0)))
@@ -666,11 +669,21 @@ def _parse_tolerances(items) -> dict:
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config root must be a JSON object")
+    return config
+
+
+def _json_point(option: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{option} is not valid JSON: {exc}") from exc
 
 
 def _add_common(parser):
@@ -781,8 +794,8 @@ _ONE_CHECK = {
     "length": lambda args, config: {"check": "curve-length", "space": args.space,
                                     "curve": args.curve},
     "geodesic": lambda args, config: {"check": "geodesy", "space": args.space,
-                                      "start": json.loads(args.start),
-                                      "end": json.loads(args.end),
+                                      "start": _json_point("--start", args.start),
+                                      "end": _json_point("--end", args.end),
                                       "grid": args.grid, "selector": args.selector},
     "rank": _rank_check,
 }

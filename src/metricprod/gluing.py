@@ -34,15 +34,37 @@ from .reports import (
 )
 from .sampling import DEFAULT_SAMPLES, SampleConfig, quadrant_samples, rng_stream, signed_samples
 
-_KINDS = (
-    "weighted-lp",
-    "weighted-euclidean",
-    "sum",
-    "max",
-    "two-valued",
-    "coordinate-power",
-    "custom",
-)
+#: p of the norm-type kinds.  ``sum``, ``max`` and ``weighted-euclidean`` are
+#: weighted-lp gluings at p = 1, oo and 2 that keep their own label and
+#: descriptor; ``sum`` and ``max`` have unit weights.
+_LP_KINDS = {"weighted-lp": None, "weighted-euclidean": 2.0, "sum": 1.0, "max": math.inf}
+_UNWEIGHTED = ("sum", "max")
+_KINDS = (*_LP_KINDS, "two-valued", "coordinate-power", "custom")
+
+
+def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.ndarray:
+    """Weighted p-norm of the nonnegative vectors along the last axis of ``a``.
+
+    (sum_i w_i a_i^p)^(1/p), or max_i w_i a_i for p = oo; ``weights=None``
+    stands for unit weights.  The p = 1, p = oo and unit-weight branches
+    return the same floats as the general formula, without its arithmetic.
+    """
+    if p == math.inf:
+        return (a if weights is None else weights * a).max(axis=-1)
+    if p == 1.0:
+        return (a if weights is None else weights * a).sum(axis=-1)
+    return (a**p if weights is None else weights * a**p).sum(axis=-1) ** (1.0 / p)
+
+
+def pnorm_weights(dim: int, p, weights) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checked weights of a weighted p-norm on R^dim (unit when ``None``),
+    and the weights :func:`weighted_pnorm` takes: ``None`` when all are 1."""
+    if p is None or p < 1:
+        raise ValueError("exponent must satisfy p >= 1")
+    w = np.ones(dim) if weights is None else np.asarray(weights, float)
+    if w.shape != (dim,) or (w <= 0).any():
+        raise ValueError("weights must be positive, one per axis")
+    return w, (None if (w == 1.0).all() else w)
 
 
 class GluingFunction:
@@ -68,19 +90,10 @@ class GluingFunction:
         self.vectorized = bool(vectorized)
         self._class_cache: dict = {}
 
-        if kind in ("weighted-lp", "weighted-euclidean"):
-            if kind == "weighted-euclidean":
-                self.p = 2.0
-            if self.p is None or self.p < 1:
-                raise ValueError("exponent must satisfy p >= 1")
-            w = np.ones(dim) if weights is None else np.asarray(weights, float)
-            if w.shape != (self.dim,) or (w <= 0).any():
-                raise ValueError("weights must be positive, one per axis")
-            self.weights = w
-        elif kind == "sum":
-            self.p = 1.0
-        elif kind == "max":
-            self.p = math.inf
+        if kind in _LP_KINDS:
+            self.p = _LP_KINDS[kind] or self.p
+            self.weights, self._norm_weights = pnorm_weights(
+                self.dim, self.p, None if kind in _UNWEIGHTED else weights)
         elif kind == "coordinate-power":
             if self.exponent is None:
                 raise ValueError("coordinate-power needs an exponent")
@@ -142,14 +155,8 @@ class GluingFunction:
         return float(out) if single else np.asarray(out, float)
 
     def _eval(self, arr: np.ndarray):
-        if self.kind in ("weighted-lp", "weighted-euclidean"):
-            if self.p == math.inf:
-                return (self.weights * arr).max(axis=-1)
-            return ((self.weights * arr**self.p).sum(axis=-1)) ** (1.0 / self.p)
-        if self.kind == "sum":
-            return arr.sum(axis=-1)
-        if self.kind == "max":
-            return arr.max(axis=-1)
+        if self.weights is not None:
+            return weighted_pnorm(arr, self.p, self._norm_weights)
         if self.kind == "two-valued":
             m = arr.max(axis=-1)
             return np.where(m <= 0.0, 0.0, np.where(m <= 1.0, 1.0, 2.0))
@@ -182,7 +189,7 @@ class GluingFunction:
     # -- misc ----------------------------------------------------------------
 
     def _default_label(self):
-        if self.kind in ("weighted-lp", "weighted-euclidean"):
+        if self.weights is not None and self.kind not in _UNWEIGHTED:
             w = ",".join(f"{v:g}" for v in self.weights)
             return f"{self.kind}(p={self.p:g}, w=[{w}])"
         if self.kind == "coordinate-power":
@@ -191,7 +198,7 @@ class GluingFunction:
 
     def descriptor(self) -> dict:
         d = {"type": self.kind, "dim": self.dim}
-        if self.weights is not None:
+        if self.weights is not None and self.kind not in _UNWEIGHTED:
             d["weights"] = [float(w) for w in self.weights]
         if self.kind == "weighted-lp":
             d["p"] = "inf" if self.p == math.inf else self.p
@@ -344,15 +351,23 @@ def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None
                    reading="all permutations with valid hypothesis")
 
 
+def _relabel(report: ValidationReport, condition: str) -> ValidationReport:
+    return _report(condition, report.verdict, report.samples, report.margin,
+                   report.witness, **report.details)
+
+
 def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig | None = None) -> list[ValidationReport]:
     """Positivity, monotonicity, subadditivity, positive homogeneity."""
     cfg = cfg or DEFAULT_SAMPLES
-    dim = phi.dim
-    reports = []
+    return _norm_conditions(phi, cfg, check_definiteness(phi, cfg))
 
-    pos = check_definiteness(phi, cfg)
-    reports.append(_report("positivity", pos.verdict, pos.samples, pos.margin,
-                           pos.witness, **pos.details))
+
+def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
+                     definite: ValidationReport) -> list[ValidationReport]:
+    """:func:`check_norm_conditions` with positivity read off ``definite``:
+    on the quadrant, positivity is definiteness."""
+    dim = phi.dim
+    reports = [_relabel(definite, "positivity")]
 
     # monotonicity: componentwise q <= p must not raise the value
     p = quadrant_samples(dim, cfg, stream=4)
@@ -502,7 +517,7 @@ def classify(phi: GluingFunction, cfg: SampleConfig | None = None) -> Classifica
     cfg = cfg or DEFAULT_SAMPLES
     definite = check_definiteness(phi, cfg)
     triangle = check_quadrant_triangle(phi, cfg)
-    norm = check_norm_conditions(phi, cfg)
+    norm = _norm_conditions(phi, cfg, definite)
     strict = check_strict_convexity(phi, cfg, norm_reports=norm)
     pythagoras = check_axis_pythagoras(phi, cfg)
     reports = {r.condition: r for r in [definite, triangle, *norm, strict, pythagoras]}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gluing import GluingClass, GluingFunction, SymmetrizedNorm
+from .gluing import GluingClass, GluingFunction
 from .reports import FAIL, PASS, TAU_METRIC, ValidationReport, metric_tol
 from .sampling import SampleConfig
 from .spaces import DeclaredProperties, MetricSpace
@@ -123,9 +123,6 @@ class ProductSpace(MetricSpace):
 
     def point_to_json(self, point):
         return [f.point_to_json(p) for f, p in zip(self.factors, self._check(point))]
-
-    def symmetrized_norm(self) -> SymmetrizedNorm:
-        return self.phi.symmetrized()
 
 
 def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,

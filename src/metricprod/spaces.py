@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gluing import pnorm_weights, weighted_pnorm
 from .reports import TAU_METRIC, metric_tol
 from .sampling import rng_stream
 
@@ -282,6 +283,8 @@ class LpSpace(MetricSpace):
 
     Distance is (sum_i w_i |x_i - y_i|^p)^(1/p); for p = oo (use
     ``math.inf``) it is max_i w_i |x_i - y_i|.  Weights must be positive.
+    The space is m real lines glued by the weighted-lp gluing with the same
+    p and weights, and shares its kernel, :func:`gluing.weighted_pnorm`.
     """
 
     name = "lp-space"
@@ -290,14 +293,9 @@ class LpSpace(MetricSpace):
     def __init__(self, dim: int, p: float = 2.0, weights=None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if p < 1:
-            raise ValueError("exponent must satisfy p >= 1")
         self.dim = self.coord_dim = int(dim)
         self.p = float(p)
-        w = np.ones(dim) if weights is None else np.asarray(weights, float)
-        if w.shape != (dim,) or (w <= 0).any():
-            raise ValueError("weights must be positive and match the dimension")
-        self.weights = w
+        self.weights, self._norm_weights = pnorm_weights(self.dim, self.p, weights)
         strictly = 1.0 < self.p < INFINITY
         self._properties = DeclaredProperties(
             is_length_space=True,
@@ -322,10 +320,7 @@ class LpSpace(MetricSpace):
         return self._norm(np.asarray(xs, float) - np.asarray(ys, float))
 
     def _norm(self, delta: np.ndarray) -> np.ndarray:
-        a = np.abs(delta)
-        if self.p == INFINITY:
-            return (self.weights * a).max(axis=-1)
-        return ((self.weights * a**self.p).sum(axis=-1)) ** (1.0 / self.p)
+        return weighted_pnorm(np.abs(delta), self.p, self._norm_weights)
 
     def sample_batch(self, count, seed=0, radius=1.0):
         return rng_stream(seed, 13).uniform(-radius, radius, (count, self.dim))

@@ -32,3 +32,28 @@ def test_no_catalog_isinstance_outside_spaces():
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "spaces.py"
             for line in catalog_isinstance_calls(path)]
     assert hits == []
+
+
+def pnorm_root_functions(path: Path) -> list[str]:
+    """Functions in ``path`` that take a p-norm root, ``... ** (1.0 / p)``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+                and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1):
+            found.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_pnorm_kernel():
+    """The weighted p-norm is written once and shared by gluings and lp spaces."""
+    owners = {owner for path in sorted(PACKAGE.glob("*.py"))
+              for owner in pnorm_root_functions(path)}
+    assert owners == {"gluing.py:weighted_pnorm"}

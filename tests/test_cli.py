@@ -264,3 +264,24 @@ def test_bad_busemann_tolerance_is_config_error(tmp_path, capsys, tau):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{list}"],
+    ["check-product", "{list}", "--product", "plane"],
+    ["length", "{list}", "--curve", "diag", "--space", "plane"],
+    ["geodesic", "{list}", "--space", "plane", "--start", "[0, 0]", "--end", "[1, 2]"],
+    ["rank", "{list}", "--space", "plane"],
+    ["validate-phi", "--config", "{list}", "--phi", "eu"],
+    ["geodesic", "{base}", "--space", "plane", "--start", "x", "--end", "[1, 2]"],
+    ["geodesic", "{base}", "--space", "plane", "--start", "[0, 0]", "--end", "[1,"],
+], ids=["run", "check-product", "length", "geodesic", "rank", "validate-phi",
+        "bad-start", "bad-end"])
+def test_bad_outside_input_is_config_error(tmp_path, capsys, argv):
+    paths = {"{list}": write_config(tmp_path, [BASE], "list.json"),
+             "{base}": write_config(tmp_path, BASE)}
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err
