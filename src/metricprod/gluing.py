@@ -555,15 +555,9 @@ def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None 
     y = signed_samples(phi.dim, cfg, stream=22)
     vx = np.asarray(psi(x), float)
     vy = np.asarray(psi(y), float)
-    reports = []
-
-    nz = np.abs(x).max(axis=1) > 0
-    min_nz = float(vx[nz].min()) if nz.any() else math.inf
-    at_zero = float(psi(np.zeros(phi.dim)))
-    bad = at_zero > TAU_METRIC or min_nz <= TAU_METRIC
-    reports.append(_report("psi-positivity", FAIL if bad else PASS, len(x),
-                           max(at_zero, TAU_METRIC - min_nz), None,
-                           min_nonzero_value=min_nz))
+    # psi(x) = phi(|x|), so psi is positive off the origin exactly when phi
+    # is definite
+    reports = [_relabel(check_definiteness(phi, cfg), "psi-positivity")]
 
     lam = rng_stream(cfg.seed, 707).uniform(-3.0, 3.0, len(x))
     scaled = np.asarray(psi(lam[:, None] * x), float)

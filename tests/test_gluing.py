@@ -253,6 +253,33 @@ def test_symmetrized_norm_axioms_for_norm_catalog():
         assert all(r.passed for r in check_symmetrized_norm_axioms(phi, CFG))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+@pytest.mark.parametrize("exponent", [0.5, 3.0])
+def test_psi_positivity_fails_off_axis_zero(exponent, seed):
+    # psi(x) = |x_0|^e vanishes on the axis x_0 = 0
+    phi = GluingFunction.coordinate_power(2, exponent)
+    reports = {r.condition: r for r in
+               check_symmetrized_norm_axioms(phi, SampleConfig(count=400, seed=seed))}
+    assert reports["psi-positivity"].failed
+    assert reports["psi-positivity"].witness["value"] == 0.0
+
+
+def test_classify_draws_definiteness_once(monkeypatch):
+    import metricprod.gluing as gluing
+
+    calls = []
+    original = gluing.check_definiteness
+
+    def counting(phi, cfg=None):
+        calls.append(phi)
+        return original(phi, cfg)
+
+    monkeypatch.setattr(gluing, "check_definiteness", counting)
+    result = classify(LP15, SampleConfig(count=400, seed=5))
+    assert len(calls) == 1
+    assert result.reports["positivity"].margin == result.reports["definiteness"].margin
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2))
 def test_symmetrization_is_even(x):
