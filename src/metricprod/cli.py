@@ -77,10 +77,11 @@ class ConfigError(ValueError):
 # -- object construction -------------------------------------------------------
 
 
-#: Norm-type gluing types, and whether each reads ``weights``.  ``sum``,
-#: ``max`` and ``weighted-euclidean`` are the weighted-lp gluings at p = 1, oo
-#: and 2 (``GluingFunction`` fixes p); ``sum`` and ``max`` are unweighted.
-_LP_TYPES = {"weighted-lp": True, "weighted-euclidean": True, "sum": False, "max": False}
+#: Gluing types sized by ``dim``, and whether each reads ``weights`` (then ``dim`` may
+#: be left out).  ``sum``, ``max`` and ``weighted-euclidean`` are the weighted-lp
+#: gluings at p = 1, oo and 2; ``GluingFunction`` fixes their p.
+_SIZED_TYPES = {"weighted-lp": True, "weighted-euclidean": True, "sum": False, "max": False,
+                "two-valued": False}
 
 
 def build_phi(defn) -> GluingFunction:
@@ -89,22 +90,16 @@ def build_phi(defn) -> GluingFunction:
     kind = defn["type"]
     dim = defn.get("dim")
     try:
-        if kind in _LP_TYPES:
-            weights = defn.get("weights") if _LP_TYPES[kind] else None
-            if dim is None:
-                if weights is None:
-                    fields = "'dim' or 'weights'" if _LP_TYPES[kind] else "'dim'"
-                    raise ConfigError(f"{kind} needs {fields}")
-                dim = len(weights)
+        if kind in _SIZED_TYPES:
+            weights = defn.get("weights") if _SIZED_TYPES[kind] else None
+            if dim is None and weights is None:
+                fields = "'dim' or 'weights'" if _SIZED_TYPES[kind] else "'dim'"
+                raise ConfigError(f"{kind} needs {fields}")
+            dim = len(weights) if dim is None else int(dim)
             if kind != "weighted-lp":
-                return GluingFunction(int(dim), kind, weights=weights)
+                return GluingFunction(dim, kind, weights=weights)
             p = defn.get("p")
-            return GluingFunction.lp(int(dim), math.inf if p in ("inf", "oo") else float(p),
-                                     weights)
-        if kind == "two-valued":
-            if dim is None:
-                raise ConfigError("two-valued needs 'dim'")
-            return GluingFunction.two_valued(int(dim))
+            return GluingFunction.lp(dim, math.inf if p in ("inf", "oo") else float(p), weights)
         if kind == "coordinate-power":
             return GluingFunction.coordinate_power(
                 int(dim), float(defn["exponent"]), int(defn.get("coordinate", 0)))

@@ -34,20 +34,18 @@ from .reports import (
 )
 from .sampling import DEFAULT_SAMPLES, SampleConfig, quadrant_samples, rng_stream, signed_samples
 
-#: p of the norm-type kinds.  ``sum``, ``max`` and ``weighted-euclidean`` are
-#: weighted-lp gluings at p = 1, oo and 2 that keep their own label and
-#: descriptor; ``sum`` and ``max`` have unit weights.
+#: p of the norm-type kinds: ``sum``, ``max`` and ``weighted-euclidean`` are weighted-lp
+#: gluings at p = 1, oo and 2 with their own label and descriptor (and unit weights).
 _LP_KINDS = {"weighted-lp": None, "weighted-euclidean": 2.0, "sum": 1.0, "max": math.inf}
 _UNWEIGHTED = ("sum", "max")
 _KINDS = (*_LP_KINDS, "two-valued", "coordinate-power", "custom")
 
 
 def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.ndarray:
-    """Weighted p-norm of the nonnegative vectors along the last axis of ``a``.
+    """(sum_i w_i a_i^p)^(1/p) along the last axis of ``a >= 0``, max_i w_i a_i at p = oo.
 
-    (sum_i w_i a_i^p)^(1/p), or max_i w_i a_i for p = oo; ``weights=None``
-    stands for unit weights.  The p = 1, p = oo and unit-weight branches
-    return the same floats as the general formula, without its arithmetic.
+    ``weights=None`` means unit weights.  The p = 1, p = oo and unit-weight
+    branches return the same floats as the general formula, with less arithmetic.
     """
     if p == math.inf:
         return (a if weights is None else weights * a).max(axis=-1)
@@ -108,14 +106,11 @@ class GluingFunction:
 
     @classmethod
     def lp(cls, dim, p, weights=None):
-        if p == 2:
-            return cls(dim, "weighted-euclidean", weights=weights)
-        return cls(dim, "weighted-lp", p=p, weights=weights)
+        return cls(dim, "weighted-euclidean" if p == 2 else "weighted-lp", p=p, weights=weights)
 
     @classmethod
     def euclidean(cls, weights):
-        w = np.asarray(weights, float)
-        return cls(len(w), "weighted-euclidean", weights=w)
+        return cls(len(weights), "weighted-euclidean", weights=weights)
 
     @classmethod
     def sum(cls, dim):
@@ -267,9 +262,6 @@ class Classification:
     def value(self) -> str:
         return self.gluing_class.value
 
-    def report_list(self) -> list[ValidationReport]:
-        return list(self.reports.values())
-
 
 def _report(condition, verdict, samples, margin, witness, **details):
     return ValidationReport(condition, verdict, int(samples), float(margin), witness, dict(details))
@@ -285,9 +277,7 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> 
     min_nz = float(vals[nonzero].min()) if nonzero.any() else math.inf
     bad_zero = at_zero > TAU_METRIC
     bad_nz = min_nz <= TAU_METRIC
-    if bad_nz:
-        witness = {"q": q[nonzero][np.argmin(vals[nonzero])], "value": min_nz}
-    elif bad_zero:
+    if bad_zero and not bad_nz:
         witness = {"q": np.zeros(phi.dim), "value": at_zero}
     else:
         witness = {"q": q[nonzero][np.argmin(vals[nonzero])], "value": min_nz}
@@ -364,8 +354,7 @@ def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig | None = None) 
 
 def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
                      definite: ValidationReport) -> list[ValidationReport]:
-    """:func:`check_norm_conditions` with positivity read off ``definite``:
-    on the quadrant, positivity is definiteness."""
+    """:func:`check_norm_conditions`; positivity on the quadrant is ``definite``."""
     dim = phi.dim
     reports = [_relabel(definite, "positivity")]
 
