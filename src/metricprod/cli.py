@@ -58,7 +58,7 @@ from .rank import (
     finite_embedding_oracle,
     product_rank,
 )
-from .reports import TAU_EMBED, TAU_METRIC, TAU_STRICT, to_jsonable
+from .reports import Tolerances, to_jsonable
 from .sampling import SampleConfig
 from .spaces import DiscreteSpace, FiniteMetricSpace, HalfLine, LpSpace, RealLine
 
@@ -171,10 +171,12 @@ def build_curve(defn, ctx):
 
 
 class RunContext:
-    """Resolved configuration: named objects plus run-wide defaults."""
+    """Resolved configuration: named objects plus run-wide defaults.  ``structure``
+    classifies gluings for geodesics, ranks and decompositions: the default
+    budget with the run's tolerances ``tol``."""
 
     def __init__(self, config: dict, seed=None, samples=None, depth=None,
-                 tolerances=None):
+                 tolerances: Tolerances | None = None):
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
         if config.get("version") != 1:
@@ -182,15 +184,8 @@ class RunContext:
         self.default_seed = 0 if seed is None else int(seed)
         self.default_samples = 10_000 if samples is None else int(samples)
         self.default_depth = 12 if depth is None else int(depth)
-        tol = dict(tolerances or {})
-        for key, val in tol.items():
-            if key not in ("metric", "strict", "embed"):
-                raise ConfigError(f"unknown tolerance key {key!r}")
-            if not (float(val) >= MACHINE_EPS):
-                raise ConfigError(f"tolerance {key} must be >= machine epsilon")
-        self.tau_metric = float(tol.get("metric", TAU_METRIC))
-        self.tau_strict = float(tol.get("strict", TAU_STRICT))
-        self.tau_embed = float(tol.get("embed", TAU_EMBED))
+        self.tol = tolerances or Tolerances()
+        self.structure = SampleConfig(tol=self.tol)
         self.phis = {name: build_phi(d) for name, d in config.get("phis", {}).items()}
         self.spaces = {}
         for name, d in config.get("spaces", {}).items():
@@ -232,6 +227,7 @@ class RunContext:
             count=int(params.get("samples", self.default_samples)),
             seed=int(params.get("seed", self.default_seed)),
             radius=float(params.get("radius", 10.0)),
+            tol=self.tol,
         )
 
 
@@ -263,6 +259,7 @@ _PHI_CHECKS = {
     "definiteness": check_definiteness,
     "quadrant-triangle": check_quadrant_triangle,
     "axis-pythagoras": check_axis_pythagoras,
+    "strict-convexity": check_strict_convexity,
 }
 
 
@@ -270,13 +267,6 @@ def _run_phi_condition(ctx, params):
     phi = ctx.phi(params["phi"])
     fn = _PHI_CHECKS[params["check"]]
     rep = fn(phi, ctx.sample_config(params))
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
-
-
-def _run_strict_convexity(ctx, params):
-    phi = ctx.phi(params["phi"])
-    rep = check_strict_convexity(phi, ctx.sample_config(params),
-                                 tau_strict=ctx.tau_strict)
     return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
 
 
@@ -305,9 +295,7 @@ def _run_scalar_product_weights(ctx, params):
 
 def _run_metric_axioms(ctx, params):
     prod = ctx.product(params["product"])
-    cfg = ctx.sample_config(params)
-    reps = verify_metric_axioms(prod, cfg.count, cfg.seed, cfg.radius,
-                                tau=ctx.tau_metric)
+    reps = verify_metric_axioms(prod, ctx.sample_config(params))
     out = []
     for rep in reps:
         out.append(_expectation(rep.to_record(), params.get("expect"), rep.verdict))
@@ -366,17 +354,17 @@ def _geodesic_from_params(ctx, space, params):
         if not isinstance(space, ProductSpace):
             raise ConfigError("'via' routes need a product space")
         return product_geodesic(space, start, end,
-                                via=space.point_from_json(params["via"]))
+                                via=space.point_from_json(params["via"]), cfg=ctx.structure)
     selector = params.get("selector", "affine")
     if isinstance(space, ProductSpace) and isinstance(selector, list):
-        return product_geodesic(space, start, end, selectors=selector)
-    return geodesic_between(space, start, end, selector)
+        return product_geodesic(space, start, end, selectors=selector, cfg=ctx.structure)
+    return geodesic_between(space, start, end, selector, ctx.structure)
 
 
 def _run_geodesy(ctx, params):
     space = ctx.space(params["space"])
     geo = _geodesic_from_params(ctx, space, params)
-    rep = geodesy_test(space, geo, int(params.get("grid", 64)))
+    rep = geodesy_test(space, geo, int(params.get("grid", 64)), ctx.structure)
     rec = rep.to_record()
     rec["midpoint"] = to_jsonable(space.point_to_json(geo.at(geo.length / 2.0)))
     return [_expectation(rec, params.get("expect"), rep.verdict)]
@@ -385,7 +373,7 @@ def _run_geodesy(ctx, params):
 def _run_component_progress(ctx, params):
     prod = ctx.product(params["space"])
     geo = _geodesic_from_params(ctx, prod, params)
-    rep = component_progress_check(prod, geo, int(params.get("grid", 64)))
+    rep = component_progress_check(prod, geo, int(params.get("grid", 64)), ctx.structure)
     return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
 
 
@@ -397,7 +385,7 @@ def _run_uniqueness(ctx, params):
         prod, start, end,
         grid=int(params.get("grid", 64)),
         perturbations=int(params.get("perturbations", 64)),
-        seed=int(params.get("seed", ctx.default_seed)))
+        seed=int(params.get("seed", ctx.default_seed)), cfg=ctx.structure)
     observed = "unique" if rep.passed else "non-unique"
     rec = rep.to_record()
     expect = params.get("expect")
@@ -418,7 +406,8 @@ def _run_busemann(ctx, params):
     space = ctx.space(params["space"])
     g1 = _geodesic_from_params(ctx, space, params["g1"])
     g2 = _geodesic_from_params(ctx, space, params["g2"])
-    rep = busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)), tau=tau)
+    rep = busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)), tau=tau,
+                                   cfg=ctx.structure)
     return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
 
 
@@ -431,7 +420,7 @@ def _run_cat0(ctx, params):
     rep = cat0_four_point_check(
         space, int(params.get("count", 1000)),
         int(params.get("seed", ctx.default_seed)),
-        float(params.get("radius", 5.0)), triangles)
+        float(params.get("radius", 5.0)), triangles, ctx.structure)
     return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
 
 
@@ -451,7 +440,8 @@ def _run_declared_rank(ctx, params):
 
 def _run_product_rank(ctx, params):
     prod = ctx.product(params["space"])
-    rec = product_rank(prod, bool(params.get("assert_kleiner", False))).to_record()
+    rec = product_rank(prod, bool(params.get("assert_kleiner", False)),
+                       ctx.structure).to_record()
     return [_rank_record_common(rec, params)]
 
 
@@ -471,7 +461,7 @@ def _run_embedding_oracle(ctx, params):
                                      int(sample.get("seed", ctx.default_seed)),
                                      float(sample.get("radius", 5.0)))
     pattern = np.asarray(params["pattern"], float)
-    probe = finite_embedding_oracle(pattern, points, space, tau=ctx.tau_embed)
+    probe = finite_embedding_oracle(pattern, points, space, tau=ctx.tol.embed)
     rec = probe.to_record()
     rec["verdict"] = "pass"
     observed = "found" if probe.found else "none"
@@ -518,7 +508,7 @@ def _run_alpha(ctx, params):
     _, reps = alpha_decompose(embedding, prod,
                               np.atleast_1d(params.get("base_a", 0.0)),
                               np.atleast_1d(params.get("base_b", 1.0)),
-                              vectors)
+                              vectors, cfg=ctx.structure)
     expect = params.get("expect")
     out = []
     for rep in reps:
@@ -537,7 +527,7 @@ CHECK_RUNNERS = {
     "definiteness": _run_phi_condition,
     "quadrant-triangle": _run_phi_condition,
     "axis-pythagoras": _run_phi_condition,
-    "strict-convexity": _run_strict_convexity,
+    "strict-convexity": _run_phi_condition,
     "norm-conditions": _run_norm_conditions,
     "psi-norm-axioms": _run_psi_axioms,
     "scalar-product-weights": _run_scalar_product_weights,
@@ -648,17 +638,21 @@ def _demo_config(name: str, depth: int, seed: int) -> dict:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _parse_tolerances(items) -> dict:
+def _parse_tolerances(items) -> Tolerances:
     out = {}
     for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--tolerance expects KEY=VAL, got {item!r}")
         key, val = item.split("=", 1)
+        if key not in ("metric", "strict", "embed"):
+            raise ConfigError(f"unknown tolerance key {key!r}")
         try:
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value {val!r}") from exc
-    return out
+        if not out[key] >= MACHINE_EPS:
+            raise ConfigError(f"tolerance {key} must be >= machine epsilon")
+    return Tolerances(**out)
 
 
 def _load_config(path: str) -> dict:

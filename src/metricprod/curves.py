@@ -14,8 +14,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .reports import FAIL, PASS, TAU_METRIC, UNDETERMINED, ValidationReport
-from .sampling import rng_stream
+from .reports import FAIL, PASS, UNDETERMINED, ValidationReport
+from .sampling import ZERO_FLOOR, rng_stream
 from .spaces import lerp, point_at, stack
 
 LEN_FLOOR = 1e-6
@@ -249,7 +249,7 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
         return ValidationReport("non-length-space-demo", PASS, 0, 0.0,
                                 {"endpoints": [a, b]},
                                 {"mode": "identical-endpoints", "length": 0.0})
-    if abs(a[0] - b[0]) <= TAU_METRIC:
+    if abs(a[0] - b[0]) <= ZERO_FLOOR:
         return ValidationReport("non-length-space-demo", UNDETERMINED, 0, 0.0,
                                 {"endpoints": [a, b]},
                                 {"reason": "first coordinates not distinct beyond tolerance"})

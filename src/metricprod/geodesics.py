@@ -19,8 +19,8 @@ import numpy as np
 from .curves import Curve
 from .gluing import GluingClass
 from .product import ProductSpace
-from .reports import FAIL, PASS, TAU_METRIC, ValidationReport, metric_tol
-from .sampling import rng_stream
+from .reports import FAIL, PASS, ValidationReport
+from .sampling import DEFAULT_SAMPLES, rng_stream
 from .spaces import MetricSpace
 
 
@@ -68,6 +68,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
     the route is the two-segment concatenation through the given point,
     valid only if that point splits the endpoint distance additively.
     """
+    cfg = cfg or DEFAULT_SAMPLES
     cls = prod.classification(cfg).gluing_class
     if not cls.at_least(GluingClass.NORM_INDUCED):
         raise ValueError(
@@ -82,7 +83,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
     if via is not None:
         d1 = prod.distance(x, via)
         d2 = prod.distance(via, y)
-        if abs(d1 + d2 - d) > metric_tol(d):
+        if abs(d1 + d2 - d) > cfg.tol.scaled(d):
             raise ValueError("via point does not split the distance additively")
         g1 = product_geodesic(prod, x, via, selectors, cfg=cfg)
         g2 = product_geodesic(prod, via, y, selectors, cfg=cfg)
@@ -120,8 +121,9 @@ def midpoint(space: MetricSpace, x, y, cfg=None):
 
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
-                 tau: float | None = None) -> ValidationReport:
+                 cfg=None) -> ValidationReport:
     """Definitional check: distances along the path equal parameter gaps."""
+    cfg = cfg or DEFAULT_SAMPLES
     d = geo.length
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
@@ -130,7 +132,7 @@ def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
     gaps = np.abs(ts[ii] - ts[jj])
     diffs = np.abs(dist - gaps)
     k = int(np.argmax(diffs)) if len(diffs) else 0
-    tol = tau if tau is not None else TAU_METRIC * max(1.0, d)
+    tol = cfg.tol.scaled(d)
     margin = float(diffs[k]) if len(diffs) else 0.0
     witness = None
     if len(diffs):
@@ -143,10 +145,11 @@ def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
 
 
 def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
-                             tau: float | None = None) -> ValidationReport:
+                             cfg=None) -> ValidationReport:
     """Factor distances along a product geodesic grow proportionally: the
     i-th component at parameter t sits at fraction t/D of its factor
     distance."""
+    cfg = cfg or DEFAULT_SAMPLES
     d = geo.length
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
@@ -163,7 +166,7 @@ def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
             worst = float(diffs[k])
             witness = {"factor": i, "t": float(ts[k]),
                        "progress": float(prog[k]), "expected": float(fracs[k] * di)}
-    tol = tau if tau is not None else TAU_METRIC * max(1.0, d)
+    tol = cfg.tol.scaled(d)
     return ValidationReport("component-progress", FAIL if worst > tol else PASS,
                             grid * len(prod.factors), worst, witness,
                             {"length": d, "tolerance": tol})
@@ -206,8 +209,9 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
     induce two-segment geodesics).  The verdict is pass when every
     candidate coincides with the default geodesic on the grid.
     """
+    cfg = cfg or DEFAULT_SAMPLES
     d = prod.distance(x, y)
-    tol = metric_tol(d)
+    tol = cfg.tol.scaled(d)
     threshold = distinct_threshold if distinct_threshold is not None else 1e-6 * max(1.0, d)
     base = product_geodesic(prod, x, y, cfg=cfg)
     if d <= tol:
@@ -279,14 +283,17 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
 
 
 def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
-                             grid: int = 32, tau: float | None = None) -> ValidationReport:
+                             grid: int = 32, tau: float | None = None,
+                             cfg=None) -> ValidationReport:
     """Joint midpoint convexity of the distance between two geodesics.
 
     Both geodesics are renormalized to [0, 1]; the distance is evaluated
     on the refined uniform grid so that every midpoint of grid parameters
     is again a grid parameter.  The check is global on the given
-    geodesics; it does not probe smaller scales.
+    geodesics; it does not probe smaller scales.  ``tau``, when given, is
+    an absolute tolerance in place of the scaled ``cfg.tol``.
     """
+    cfg = cfg or DEFAULT_SAMPLES
     fine = 2 * grid - 1
     u = np.linspace(0.0, 1.0, fine)
     p1 = g1.at_many(u * g1.length)
@@ -303,7 +310,7 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     margins = lhs - rhs
     k = np.unravel_index(int(np.argmax(margins)), margins.shape)
     worst = float(margins[k])
-    tol = tau if tau is not None else metric_tol(float(dmat.max(initial=0.0)))
+    tol = tau if tau is not None else cfg.tol.scaled(float(dmat.max(initial=0.0)))
     step = 1.0 / (grid - 1) if grid > 1 else 1.0
     witness = {"s": k[0] * step, "t": k[1] * step,
                "s2": k[2] * step, "t2": k[3] * step}
@@ -313,8 +320,7 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
 
 
 def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
-                          radius: float = 5.0, triangles=None,
-                          tau: float | None = None, cfg=None) -> ValidationReport:
+                          radius: float = 5.0, triangles=None, cfg=None) -> ValidationReport:
     """Euclidean comparison of geodesic midpoints (the flat case).
 
     For each triangle (p, q, r): the distance from p to the geodesic
@@ -322,6 +328,7 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     Euclidean triangle with the same side lengths.  Curvature comparison
     for nonzero bounds is out of scope.
     """
+    cfg = cfg or DEFAULT_SAMPLES
     if triangles is None:
         ps = space.sample_points(count, [seed, 7], radius)
         qs = space.sample_points(count, [seed, 8], radius)
@@ -336,8 +343,8 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
         b = space.distance(p, r)
         c = space.distance(q, r)
         scale = max(scale, a, b, c)
-        if c > a + b + metric_tol(a, b, c) or a > b + c + metric_tol(a, b, c) \
-                or b > a + c + metric_tol(a, b, c):
+        slack = cfg.tol.scaled(a, b, c)
+        if c > a + b + slack or a > b + c + slack or b > a + c + slack:
             skipped += 1
             continue
         m = midpoint(space, q, r, cfg=cfg)
@@ -349,7 +356,7 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
                        "r": space.point_to_json(r),
                        "midpoint": space.point_to_json(m),
                        "sides": [a, b, c], "comparison": comparison}
-    tol = tau if tau is not None else metric_tol(scale)
+    tol = cfg.tol.scaled(scale)
     checked = len(triangles) - skipped
     return ValidationReport("cat0-four-point", FAIL if worst > tol else PASS,
                             checked, worst if checked else 0.0, witness,

@@ -23,16 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import (
-    FAIL,
-    PASS,
-    TAU_METRIC,
-    TAU_STRICT,
-    UNDETERMINED,
-    ValidationReport,
-    metric_tol,
-)
-from .sampling import DEFAULT_SAMPLES, SampleConfig, quadrant_samples, rng_stream, signed_samples
+from .reports import FAIL, PASS, UNDETERMINED, ValidationReport
+from .sampling import (DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig, quadrant_samples, rng_stream,
+                       signed_samples)
 
 #: p of the norm-type kinds: ``sum``, ``max`` and ``weighted-euclidean`` are weighted-lp
 #: gluings at p = 1, oo and 2 with their own label and descriptor (and unit weights).
@@ -69,7 +62,7 @@ class GluingFunction:
     """Evaluator for a distance-combining function on the quadrant.
 
     Instances are immutable; classification results are memoized per
-    sampling configuration.
+    sampling configuration (tolerances included).
     """
 
     def __init__(self, dim, kind, p=None, weights=None, func=None,
@@ -176,10 +169,9 @@ class GluingFunction:
     def classification(self, cfg: SampleConfig | None = None) -> "Classification":
         """Memoized :func:`classify` for this instance."""
         cfg = cfg or DEFAULT_SAMPLES
-        key = cfg.key()
-        if key not in self._class_cache:
-            self._class_cache[key] = classify(self, cfg)
-        return self._class_cache[key]
+        if cfg not in self._class_cache:
+            self._class_cache[cfg] = classify(self, cfg)
+        return self._class_cache[cfg]
 
     # -- misc ----------------------------------------------------------------
 
@@ -275,13 +267,13 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> 
     at_zero = float(phi(np.zeros(phi.dim)))
     nonzero = q.max(axis=1) > 0
     min_nz = float(vals[nonzero].min()) if nonzero.any() else math.inf
-    bad_zero = at_zero > TAU_METRIC
-    bad_nz = min_nz <= TAU_METRIC
+    bad_zero = at_zero > ZERO_FLOOR
+    bad_nz = min_nz <= ZERO_FLOOR
     if bad_zero and not bad_nz:
         witness = {"q": np.zeros(phi.dim), "value": at_zero}
     else:
         witness = {"q": q[nonzero][np.argmin(vals[nonzero])], "value": min_nz}
-    margin = max(at_zero, TAU_METRIC - min_nz)
+    margin = max(at_zero, ZERO_FLOOR - min_nz)
     verdict = FAIL if (bad_zero or bad_nz) else PASS
     return _report("definiteness", verdict, len(q), margin, witness,
                    value_at_zero=at_zero, min_nonzero_value=min_nz)
@@ -336,7 +328,7 @@ def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None
                     "right": triple[l][i],
                     "values": [float(vals[j][i]), float(vals[k][i]), float(vals[l][i])],
                 }
-    verdict = FAIL if worst > metric_tol(scale) else PASS
+    verdict = FAIL if worst > cfg.tol.scaled(scale) else PASS
     return _report("quadrant-triangle", verdict, checked, worst, witness,
                    reading="all permutations with valid hypothesis")
 
@@ -374,7 +366,7 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     vhi = np.asarray(phi(hi), float)
     margins = vlo - vhi
     i = int(np.argmax(margins))
-    verdict = FAIL if margins[i] > metric_tol(vhi.max(initial=0.0)) else PASS
+    verdict = FAIL if margins[i] > cfg.tol.scaled(vhi.max(initial=0.0)) else PASS
     reports.append(_report("monotonicity", verdict, len(lo), float(margins[i]),
                            {"q": lo[i], "p": hi[i], "values": [float(vlo[i]), float(vhi[i])]}))
 
@@ -392,7 +384,7 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     vsum = np.asarray(phi(a + b), float)
     margins = vsum - va - vb
     i = int(np.argmax(margins))
-    verdict = FAIL if margins[i] > metric_tol(va.max(initial=0.0), vb.max(initial=0.0)) else PASS
+    verdict = FAIL if margins[i] > cfg.tol.scaled(va.max(initial=0.0), vb.max(initial=0.0)) else PASS
     reports.append(_report("subadditivity", verdict, len(a), float(margins[i]),
                            {"p": a[i], "q": b[i], "values": [float(vsum[i]), float(va[i]), float(vb[i])]}))
 
@@ -410,7 +402,7 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     scaled = np.asarray(phi(lam[:, None] * qq), float)
     expected = lam * np.asarray(phi(qq), float)
     diffs = np.abs(scaled - expected)
-    tols = TAU_METRIC * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
+    tols = cfg.tol.metric * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
     rel = diffs - tols
     i = int(np.argmax(rel))
     verdict = FAIL if rel[i] > 0 else PASS
@@ -438,7 +430,7 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
         axis[:, i] = lam[:, i]
         rhs += np.asarray(phi(axis), float) ** 2
     diffs = np.abs(lhs - rhs)
-    tols = TAU_METRIC * np.maximum(1.0, np.maximum(lhs, rhs))
+    tols = cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))
     i = int(np.argmax(diffs - tols))
     verdict = FAIL if (diffs - tols)[i] > 0 else PASS
     margin_at_ones = float(abs(lhs[0] - rhs[0]))
@@ -449,8 +441,7 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
 
 def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
                            norm_reports: list[ValidationReport] | None = None,
-                           separation: float = 0.1,
-                           tau_strict: float = TAU_STRICT) -> ValidationReport:
+                           separation: float = 0.1) -> ValidationReport:
     """Midpoints of distinct unit vectors must drop strictly below norm 1.
 
     Near-parallel pairs are excluded (separation threshold in the
@@ -495,10 +486,10 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
     # exact witnesses beat sampled ones
     i = int(np.argmax(mids >= mids.max() - 1e-12))
     margin = float(mids[i]) - 1.0
-    verdict = FAIL if mids[i] >= 1.0 - tau_strict else PASS
+    verdict = FAIL if mids[i] >= 1.0 - cfg.tol.strict else PASS
     witness = {"x": xu[i], "y": yu[i], "midpoint_norm": float(mids[i])}
     return _report("strict-convexity", verdict, len(xu), margin, witness,
-                   separation=separation, tau_strict=tau_strict)
+                   separation=separation, tau_strict=cfg.tol.strict)
 
 
 def classify(phi: GluingFunction, cfg: SampleConfig | None = None) -> Classification:
@@ -553,7 +544,7 @@ def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None 
     expected = np.abs(lam) * vx
     diffs = np.abs(scaled - expected)
     i = int(np.argmax(diffs))
-    tol = metric_tol(float(expected.max(initial=0.0)))
+    tol = cfg.tol.scaled(float(expected.max(initial=0.0)))
     reports.append(_report("psi-homogeneity", FAIL if diffs[i] > tol else PASS,
                            len(x), float(diffs[i]),
                            {"lambda": float(lam[i]), "x": x[i]}))
@@ -561,7 +552,7 @@ def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None 
     vsum = np.asarray(psi(x + y), float)
     margins = vsum - vx - vy
     i = int(np.argmax(margins))
-    tol = metric_tol(float(vx.max(initial=0.0)), float(vy.max(initial=0.0)))
+    tol = cfg.tol.scaled(float(vx.max(initial=0.0)), float(vy.max(initial=0.0)))
     reports.append(_report("psi-subadditivity", FAIL if margins[i] > tol else PASS,
                            len(x), float(margins[i]), {"x": x[i], "y": y[i]}))
     return reports

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gluing import GluingClass, GluingFunction
-from .reports import FAIL, PASS, TAU_METRIC, ValidationReport, metric_tol
-from .sampling import SampleConfig
+from .reports import FAIL, PASS, ValidationReport
+from .sampling import DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig
 from .spaces import DeclaredProperties, MetricSpace
 
 
@@ -125,17 +125,18 @@ class ProductSpace(MetricSpace):
         return [f.point_to_json(p) for f, p in zip(self.factors, self._check(point))]
 
 
-def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
-                         radius: float = 10.0, tau: float = TAU_METRIC) -> list[ValidationReport]:
+def verify_metric_axioms(prod: ProductSpace,
+                         cfg: SampleConfig | None = None) -> list[ValidationReport]:
     """Sampled metric axioms for a glued product.
 
     Returns three reports: identity of indiscernibles, symmetry, and the
-    triangle inequality over ``count`` sampled point triples.  Margins are
-    reported raw so tightness can be inspected.
+    triangle inequality over ``cfg.count`` sampled point triples.  Margins
+    are reported raw so tightness can be inspected.
     """
-    xs = prod.sample_batch(count, [seed, 1], radius)
-    ys = prod.sample_batch(count, [seed, 2], radius)
-    zs = prod.sample_batch(count, [seed, 3], radius)
+    cfg = cfg or DEFAULT_SAMPLES
+    xs = prod.sample_batch(cfg.count, [cfg.seed, 1], cfg.radius)
+    ys = prod.sample_batch(cfg.count, [cfg.seed, 2], cfg.radius)
+    zs = prod.sample_batch(cfg.count, [cfg.seed, 3], cfg.radius)
     reports = []
 
     # identity of indiscernibles
@@ -145,10 +146,10 @@ def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
     distinct = fd.max(axis=1) > 0
     worst_self = float(self_d.max())
     min_distinct = float(dxy[distinct].min()) if distinct.any() else np.inf
-    bad = worst_self > tau or min_distinct <= tau
+    bad = worst_self > ZERO_FLOOR or min_distinct <= ZERO_FLOOR
     i = int(np.argmax(self_d))
     witness = {"point": prod.point_at(xs, i), "self_distance": worst_self}
-    if min_distinct <= tau:
+    if min_distinct <= ZERO_FLOOR:
         j = int(np.argmin(np.where(distinct, dxy, np.inf)))
         witness = {
             "x": prod.point_at(xs, j),
@@ -156,17 +157,17 @@ def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
             "distance": float(dxy[j]),
         }
     reports.append(ValidationReport(
-        "identity-of-indiscernibles", FAIL if bad else PASS, count,
-        max(worst_self, tau - min_distinct), witness,
+        "identity-of-indiscernibles", FAIL if bad else PASS, cfg.count,
+        max(worst_self, ZERO_FLOOR - min_distinct), witness,
         {"min_distinct_distance": min_distinct}))
 
     # symmetry
     dyx = prod.distance_batch(ys, xs)
     diffs = np.abs(dxy - dyx)
     i = int(np.argmax(diffs))
-    tol = metric_tol(float(dxy.max(initial=0.0)), tau=tau)
+    tol = cfg.tol.scaled(float(dxy.max(initial=0.0)))
     reports.append(ValidationReport(
-        "symmetry", FAIL if diffs[i] > tol else PASS, count, float(diffs[i]),
+        "symmetry", FAIL if diffs[i] > tol else PASS, cfg.count, float(diffs[i]),
         {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i)}, {}))
 
     # triangle inequality
@@ -174,9 +175,9 @@ def verify_metric_axioms(prod: ProductSpace, count: int = 10_000, seed: int = 0,
     dxz = prod.distance_batch(xs, zs)
     margins = dxz - dxy - dyz
     i = int(np.argmax(margins))
-    tol = metric_tol(float(dxz.max(initial=0.0)), tau=tau)
+    tol = cfg.tol.scaled(float(dxz.max(initial=0.0)))
     reports.append(ValidationReport(
-        "triangle-inequality", FAIL if margins[i] > tol else PASS, count,
+        "triangle-inequality", FAIL if margins[i] > tol else PASS, cfg.count,
         float(margins[i]),
         {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i),
          "z": prod.point_at(zs, i),

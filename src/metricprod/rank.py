@@ -18,7 +18,8 @@ import numpy as np
 from .gluing import GluingClass, GluingFunction
 from .geodesics import Geodesic
 from .product import ProductSpace
-from .reports import FAIL, PASS, TAU_EMBED, TAU_METRIC, ValidationReport, metric_tol
+from .reports import FAIL, PASS, Tolerances, ValidationReport
+from .sampling import DEFAULT_SAMPLES
 from .spaces import CATALOG_NOTE, FiniteMetricSpace, HalfLine, MetricSpace
 
 KLEINER_HYPOTHESES = "locally compact, convex, cocompactly acting isometry group"
@@ -159,7 +160,6 @@ class EmbeddingProbe:
     target_size: int
     assignment: tuple | None
     nodes: int
-    tau: float = TAU_EMBED
 
     @property
     def found(self) -> bool:
@@ -181,7 +181,7 @@ MAX_TARGET = 64
 
 
 def finite_embedding_oracle(pattern, target_points: list, space: MetricSpace,
-                            tau: float = TAU_EMBED) -> EmbeddingProbe:
+                            tau: float = Tolerances().embed) -> EmbeddingProbe:
     """Exhaustive search for a distance-preserving placement of a finite
     pattern among sampled target points.
 
@@ -224,7 +224,7 @@ def finite_embedding_oracle(pattern, target_points: list, space: MetricSpace,
         return False
 
     found = extend(0) if k <= m else False
-    return EmbeddingProbe(k, m, tuple(assignment) if found else None, nodes, tau)
+    return EmbeddingProbe(k, m, tuple(assignment) if found else None, nodes)
 
 
 @dataclass
@@ -265,6 +265,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     isometry identity is reported, with the decomposition still returned
     for inspection.
     """
+    cfg = cfg or DEFAULT_SAMPLES
     cls = prod.classification(cfg).gluing_class
     if not cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         raise ValueError(
@@ -289,7 +290,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     rel[nz] = np.abs(glued[nz] - norms[nz]) / norms[nz]
     k = int(np.argmax(rel))
     iso_margin = float(rel[k])
-    iso_ok = iso_margin <= TAU_METRIC
+    iso_ok = iso_margin <= cfg.tol.metric
     details = {"relative": True}
     if not iso_ok:
         details["reason"] = "not an isometric embedding"
@@ -299,7 +300,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
 
     diffs = np.abs(gauges_a - gauges_b)
     k = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-    tol = metric_tol(float(gauges_a.max(initial=0.0)))
+    tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)))
     reports.append(ValidationReport(
         "alpha-base-independence", PASS if diffs[k] <= tol else FAIL,
         vecs.shape[0] * len(prod.factors), float(diffs[k]),
@@ -314,7 +315,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
         if diffs[k] > worst:
             worst = float(diffs[k])
             witness = {"lambda": lam, "v": vecs[k[0]], "factor": int(k[1])}
-    tol = metric_tol(float(gauges_a.max(initial=0.0)) * max(lambdas))
+    tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)) * max(lambdas))
     reports.append(ValidationReport(
         "alpha-homogeneity", PASS if worst <= tol else FAIL,
         vecs.shape[0] * len(lambdas) * len(prod.factors), worst, witness,
@@ -331,7 +332,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
         if margins[k] > worst:
             worst = float(margins[k])
             witness = {"v": sub[r], "w": sub[k[0]], "factor": int(k[1])}
-    tol = metric_tol(float(gsub.max(initial=0.0)))
+    tol = cfg.tol.scaled(float(gsub.max(initial=0.0)))
     reports.append(ValidationReport(
         "alpha-triangle", PASS if worst <= tol else FAIL,
         len(sub) ** 2 * len(prod.factors), worst, witness, {"tolerance": tol}))

@@ -1,4 +1,4 @@
-"""Shared verdict records and tolerance conventions.
+"""Shared verdict records and the tolerance record.
 
 Every validator in this package returns a :class:`ValidationReport`.  The
 ``margin`` field is the worst signed violation observed over the sample
@@ -14,31 +14,28 @@ from typing import Any
 
 import numpy as np
 
-# Relative tolerance for distance-level comparisons.  Catalog distances are
-# closed forms with at most a few dozen arithmetic operations.
-TAU_METRIC = 1e-9
-
-# Absolute threshold on the midpoint norm in strict-convexity probes.  The
-# catalog failures are exact (midpoint norm equals 1), so anything below
-# 1e-3 separates cleanly.
-TAU_STRICT = 1e-6
-
-# Absolute tolerance when matching pairwise distances in embedding search.
-TAU_EMBED = 1e-9
-
 PASS = "pass"
 FAIL = "fail"
 UNDETERMINED = "undetermined"
 
 
-def metric_tol(*values: float, tau: float = TAU_METRIC) -> float:
-    """Tolerance that is relative for large magnitudes, absolute near 1."""
-    scale = 1.0
-    for v in values:
-        a = abs(float(v))
-        if a > scale:
-            scale = a
-    return tau * scale
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances every check of a run compares against.
+
+    ``metric``: relative, for distance-level comparisons of closed forms.
+    ``strict``: absolute, on the midpoint norm in strict-convexity probes.
+    ``embed``: absolute, on pairwise distances in embedding search.
+    """
+
+    metric: float = 1e-9
+    strict: float = 1e-6
+    embed: float = 1e-9
+
+    def scaled(self, *values: float) -> float:
+        """``metric`` relative to the largest magnitude among ``values``,
+        absolute below magnitude 1."""
+        return self.metric * max(1.0, *(abs(float(v)) for v in values))
 
 
 def to_jsonable(obj: Any) -> Any:

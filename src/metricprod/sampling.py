@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reports import Tolerances
+
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Sampling budget for one check."""
+    """Sampling budget and tolerances for one check."""
 
     count: int = 10_000
     seed: int = 0
     radius: float = 10.0
-
-    def key(self) -> tuple:
-        return (int(self.count), int(self.seed), float(self.radius))
+    tol: Tolerances = Tolerances()
 
 
 DEFAULT_SAMPLES = SampleConfig()
@@ -38,6 +38,12 @@ def rng_stream(seed, *stream: int) -> np.random.Generator:
         entropy = [int(seed) % _MOD]
     entropy += [int(s) % _MOD for s in stream]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+#: Value at or below which a gluing value or a distance counts as zero.  It is
+#: fixed, not a run tolerance: the corner probes below sit at 1e-6, and a floor
+#: that followed a ``metric`` override there would read them as zero.
+ZERO_FLOOR = 1e-9
 
 
 def quadrant_corners(dim: int, radius: float) -> np.ndarray:

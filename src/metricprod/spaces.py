@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gluing import pnorm_weights, weighted_pnorm
-from .reports import TAU_METRIC, metric_tol
-from .sampling import rng_stream
+from .reports import Tolerances
+from .sampling import ZERO_FLOOR, rng_stream
 
 INFINITY = math.inf
 
@@ -356,7 +356,7 @@ class LpSpace(MetricSpace):
         if self.p == INFINITY:
             # wander the chosen coordinate within its unused speed budget
             budget = 1.0 / self.weights[idx] - abs(y[idx] - x[idx]) / d
-            if budget <= TAU_METRIC:
+            if budget <= ZERO_FLOOR:
                 return affine
             beta = 0.5 * budget
             line = affine[1]
@@ -458,7 +458,7 @@ class FiniteMetricSpace(_IndexSpace):
         # triangle check over every (i, j, k): d_ij <= d_ik + d_kj
         viol = m[:, :, None] - m[:, None, :] - (m.T)[None, :, :]
         worst = float(viol.max())
-        if worst > metric_tol(float(m.max()) if m.size else 1.0):
+        if worst > Tolerances().scaled(float(m.max()) if m.size else 1.0):
             raise ValueError(f"triangle inequality fails by {worst}")
         self.matrix = m
         self._properties = DeclaredProperties(

@@ -20,6 +20,7 @@ from metricprod import (
     RealLine,
     SampleConfig,
     SymmetrizedNorm,
+    Tolerances,
     alpha_decompose,
     busemann_convexity_check,
     cat0_four_point_check,
@@ -76,10 +77,12 @@ def test_criterion_1_metric_axiom_suite():
     for phi_name, phi in catalog_gluings().items():
         for combo_name, factors in factor_combinations().items():
             prod = ProductSpace(factors, phi)
-            reports = verify_metric_axioms(prod, count=10_000, seed=0, tau=1e-9)
+            reports = verify_metric_axioms(
+                prod, SampleConfig(count=10_000, seed=0, tol=Tolerances(metric=1e-9)))
             assert all(r.passed for r in reports), (phi_name, combo_name)
     broken = ProductSpace((RealLine(),), GluingFunction.coordinate_power(1, 2.0))
-    reports = verify_metric_axioms(broken, count=10_000, seed=0, tau=1e-9)
+    reports = verify_metric_axioms(
+        broken, SampleConfig(count=10_000, seed=0, tol=Tolerances(metric=1e-9)))
     triangle = reports[2]
     assert triangle.failed and triangle.witness is not None
     d = triangle.witness["distances"]
@@ -177,10 +180,10 @@ def test_criterion_5_geodesics():
                 d = geo.length
                 if d == 0.0:
                     continue
-                rep = geodesy_test(prod, geo, grid=64, tau=1e-9 * d)
+                rep = geodesy_test(prod, geo, grid=64, cfg=SampleConfig(
+                    tol=Tolerances(metric=1e-9 * min(d, 1.0))))
                 assert rep.passed, (phi.label, factors, rep.margin)
-                rep = component_progress_check(prod, geo, grid=64,
-                                               tau=1e-9 * max(1.0, d))
+                rep = component_progress_check(prod, geo, grid=64)
                 assert rep.passed, (phi.label, factors, rep.margin)
 
     taxi = ProductSpace((RealLine(), RealLine()), GluingFunction.sum(2))

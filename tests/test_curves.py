@@ -9,10 +9,10 @@ from metricprod import (
     LpSpace,
     ProductSpace,
     RealLine,
+    Tolerances,
     arclength_check,
     circle_arc,
     curve_length,
-    metric_tol,
     non_length_space_demo,
     polyline,
     product_curve,
@@ -59,9 +59,9 @@ def test_refinement_trace_monotone_and_bounded_below_by_chord():
         res = curve_length(prod, path, depth=8)
         chord = prod.distance(pts[0], pts[-1])
         for a, b in zip(res.trace, res.trace[1:]):
-            assert b >= a - metric_tol(a)
+            assert b >= a - Tolerances().scaled(a)
         for level in res.trace:
-            assert level >= chord - metric_tol(chord)
+            assert level >= chord - Tolerances().scaled(chord)
 
 
 def test_divergence_flag():

@@ -67,7 +67,7 @@ def test_nested_products():
 
 def test_metric_axioms_pass_for_two_valued():
     prod = plane(GluingFunction.two_valued(2))
-    reports = verify_metric_axioms(prod, count=3000, seed=0)
+    reports = verify_metric_axioms(prod, SampleConfig(count=3000, seed=0))
     assert [r.condition for r in reports] == [
         "identity-of-indiscernibles", "symmetry", "triangle-inequality"]
     assert all(r.passed for r in reports)
@@ -78,7 +78,7 @@ def test_metric_axioms_fail_for_square_gluing():
     prod = ProductSpace((RealLine(),), GluingFunction.coordinate_power(1, 2.0))
     assert prod.distance((0.0,), (2.0,)) == 4.0
     assert prod.distance((0.0,), (1.0,)) + prod.distance((1.0,), (2.0,)) == 2.0
-    reports = verify_metric_axioms(prod, count=3000, seed=0)
+    reports = verify_metric_axioms(prod, SampleConfig(count=3000, seed=0))
     tri = reports[2]
     assert tri.failed
     d = tri.witness["distances"]
@@ -87,7 +87,7 @@ def test_metric_axioms_fail_for_square_gluing():
 
 def test_metric_axioms_pass_for_lp3_with_discrete_factor():
     prod = ProductSpace((RealLine(), DiscreteSpace(4)), GluingFunction.lp(2, 3.0))
-    reports = verify_metric_axioms(prod, count=3000, seed=0)
+    reports = verify_metric_axioms(prod, SampleConfig(count=3000, seed=0))
     assert all(r.passed for r in reports)
 
 
@@ -99,7 +99,7 @@ def test_metric_axioms_pass_for_all_metric_gluings_and_factor_mixes():
     for phi in gluings:
         for factors in factor_pairs:
             prod = ProductSpace(factors, phi)
-            reports = verify_metric_axioms(prod, count=1000, seed=1)
+            reports = verify_metric_axioms(prod, SampleConfig(count=1000, seed=1))
             assert all(r.passed for r in reports), (phi.label, factors)
 
 

@@ -11,8 +11,8 @@ from metricprod import (
     INFINITY,
     LpSpace,
     RealLine,
+    Tolerances,
     line_pattern,
-    metric_tol,
 )
 
 CATALOG = [
@@ -91,7 +91,7 @@ def test_metric_axioms_on_samples(space):
         dxz = space.distance(x, z)
         assert space.distance(x, x) == 0.0
         assert dxy == space.distance(y, x)
-        assert dxz <= dxy + dyz + metric_tol(dxz, dxy, dyz)
+        assert dxz <= dxy + dyz + Tolerances().scaled(dxz, dxy, dyz)
 
 
 @pytest.mark.parametrize("space", CATALOG, ids=lambda s: repr(s))
@@ -166,7 +166,7 @@ def test_lp_rejects_bad_parameters():
 def test_line_triangle_property(x, y, z):
     line = RealLine()
     dxz = line.distance(x, z)
-    assert dxz <= line.distance(x, y) + line.distance(y, z) + metric_tol(dxz)
+    assert dxz <= line.distance(x, y) + line.distance(y, z) + Tolerances().scaled(dxz)
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,7 +178,7 @@ def test_weighted_lp_triangle_property(x, y, z):
     dxz = space.distance(x, z)
     dxy = space.distance(x, y)
     dyz = space.distance(y, z)
-    assert dxz <= dxy + dyz + metric_tol(dxz, dxy, dyz)
+    assert dxz <= dxy + dyz + Tolerances().scaled(dxz, dxy, dyz)
 
 
 def test_batch_matches_scalar():
