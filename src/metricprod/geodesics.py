@@ -98,7 +98,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
 
     if selectors is None:
         selectors = ["affine"] * len(prod.factors)
-    comps = [factor_geodesic(f, xi, yi, sel)
+    comps = [geodesic_between(f, xi, yi, sel, cfg)
              for f, xi, yi, sel in zip(prod.factors, x, y, selectors)]
 
     def sync_eval(ts):
@@ -172,30 +172,21 @@ def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
                             {"length": d, "tolerance": tol})
 
 
-def _coordinate_directions(dims: list) -> list:
-    """Structured product-space offsets: single coordinates and signed
-    cross-factor pairs (the flat directions of the p=1 ball live here)."""
-    if None in dims:
-        return []
-    coords = [(fi, ci) for fi, dim in enumerate(dims) for ci in range(dim)]
+def _coordinate_directions(n: int) -> list:
+    """Structured offsets of a point with ``n`` coordinates: single
+    coordinates and signed pairs (the flat directions of the p=1 ball live
+    here)."""
     dirs = []
-    for fi, ci in coords:
+    for a in range(n):
         for s in (1.0, -1.0):
-            vec = [np.zeros(dim) for dim in dims]
-            vec[fi][ci] = s
-            dirs.append(vec)
-    for a in range(len(coords)):
-        for b in range(a + 1, len(coords)):
+            dirs.append(np.zeros(n))
+            dirs[-1][a] = s
+    for a in range(n):
+        for b in range(a + 1, n):
             for s in (1.0, -1.0):
-                vec = [np.zeros(dim) for dim in dims]
-                vec[coords[a][0]][coords[a][1]] = 1.0
-                vec[coords[b][0]][coords[b][1]] = s
-                dirs.append(vec)
+                dirs.append(np.zeros(n))
+                dirs[-1][[a, b]] = 1.0, s
     return dirs
-
-
-def _offset_point(prod: ProductSpace, point, offsets, scale: float):
-    return tuple(f.offset(p, off, scale) for f, p, off in zip(prod.factors, point, offsets))
 
 
 def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 64,
@@ -238,21 +229,20 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
 
     # midpoint perturbation search
     mid = base.at(d / 2.0)
-    dims = [f.coord_dim for f in prod.factors]
-    directions = _coordinate_directions(dims)
+    n = prod.coord_dim
     rng = rng_stream(seed, 41)
     accepted = 0
-    if directions:
-        cuts = np.cumsum(dims)[:-1]
+    if n is not None:
+        directions = _coordinate_directions(n)
         while len(directions) < perturbations:
-            directions.append(np.split(rng.normal(size=sum(dims)), cuts))
+            directions.append(rng.normal(size=n))
         for vec in directions[:perturbations]:
-            probe = _offset_point(prod, mid, vec, 1.0)
+            probe = prod.offset(mid, vec, 1.0)
             width = prod.distance(mid, probe)
             if width <= tol:
                 continue
             for delta in (d / 4.0, d / 32.0):
-                cand = _offset_point(prod, mid, vec, delta / width)
+                cand = prod.offset(mid, vec, delta / width)
                 if prod.distance(mid, cand) <= tol:
                     continue
                 # half the via tolerance so the two half-distances cannot

@@ -37,6 +37,8 @@ class ProductSpace(MetricSpace):
             )
         self.factors = factors
         self.phi = phi
+        dims = [f.coord_dim for f in factors]
+        self.coord_dim = None if None in dims else sum(dims)
         self._props_cache: DeclaredProperties | None = None
 
     # -- metric --------------------------------------------------------------
@@ -106,6 +108,12 @@ class ProductSpace(MetricSpace):
         return tuple(
             f.stack([p[i] for p in points]) for i, f in enumerate(self.factors)
         )
+
+    def offset(self, point, direction, scale):
+        """Each factor moved by its own slice of the flat ``direction``."""
+        cuts = np.cumsum([f.coord_dim for f in self.factors])[:-1]
+        parts = np.split(np.asarray(direction, float), cuts)
+        return tuple(f.offset(p, d, scale) for f, p, d in zip(self.factors, point, parts))
 
     # -- (de)serialization -------------------------------------------------------
 

@@ -228,3 +228,22 @@ def test_cat0_on_plain_lp_factors():
     rep = cat0_four_point_check(
         LpSpace(2, 1.0), triangles=[((0.0, 0.0), (2.0, 0.0), (0.0, 2.0))])
     assert rep.failed and rep.margin == 2.0
+
+
+def test_geodesy_on_nested_euclidean_product():
+    eu = GluingFunction.euclidean((1.0, 1.0))
+    prod = ProductSpace((plane(eu), RealLine()), eu)
+    g = product_geodesic(prod, ((0.0, 0.0), 0.0), ((3.0, 4.0), 12.0))
+    assert g.length == pytest.approx(13.0)
+    assert g.descriptor == "sync[sync[affine,affine],affine]"
+    assert geodesy_test(prod, g, grid=32).passed
+    assert component_progress_check(prod, g, grid=32).passed
+
+
+def test_uniqueness_fails_on_nested_sum_with_perturbation_hits():
+    taxi = GluingFunction.sum(2)
+    prod = ProductSpace((plane(taxi), RealLine()), taxi)
+    assert prod.coord_dim == 3
+    rep = uniqueness_probe(prod, ((0.0, 0.0), 0.0), ((1.0, 1.0), 1.0), seed=0)
+    assert rep.failed
+    assert rep.details["perturbation_hits"] > 0
