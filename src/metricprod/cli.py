@@ -170,6 +170,13 @@ def build_curve(defn, ctx):
     raise ConfigError(f"unknown curve kind {kind!r}")
 
 
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return section
+
+
 class RunContext:
     """Resolved configuration: named objects plus run-wide defaults.  ``structure``
     classifies gluings for geodesics, ranks and decompositions: the default
@@ -186,11 +193,11 @@ class RunContext:
         self.default_depth = 12 if depth is None else int(depth)
         self.tol = tolerances or Tolerances()
         self.structure = SampleConfig(tol=self.tol)
-        self.phis = {name: build_phi(d) for name, d in config.get("phis", {}).items()}
+        self.phis = {name: build_phi(d) for name, d in _section(config, "phis").items()}
         self.spaces = {}
-        for name, d in config.get("spaces", {}).items():
+        for name, d in _section(config, "spaces").items():
             self.spaces[name] = build_space(d, self.spaces, self.phis)
-        self.curve_defs = config.get("curves", {})
+        self.curve_defs = _section(config, "curves")
         self.checks = config.get("checks", [])
         if not isinstance(self.checks, list):
             raise ConfigError("'checks' must be a list")
@@ -771,7 +778,7 @@ def _validate_phi_config(args) -> dict:
 
 
 def _rank_check(args, config) -> dict:
-    space_def = config.get("spaces", {}).get(args.space)
+    space_def = _section(config, "spaces").get(args.space)
     check = "product-rank" if isinstance(space_def, dict) and \
         space_def.get("type") == "product" else "declared-rank"
     return {"check": check, "space": args.space, "assert_kleiner": args.assert_kleiner}

@@ -285,3 +285,19 @@ def test_bad_outside_input_is_config_error(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+@pytest.mark.parametrize("section, argv", [
+    ("phis", ["run", "{cfg}"]),
+    ("spaces", ["run", "{cfg}"]),
+    ("curves", ["run", "{cfg}"]),
+    ("spaces", ["rank", "{cfg}", "--space", "a"]),
+    ("phis", ["validate-phi", "--config", "{cfg}", "--phi", "eu"]),
+], ids=["run-phis", "run-spaces", "run-curves", "rank-spaces", "validate-phi-phis"])
+def test_wrong_typed_section_is_config_error(tmp_path, capsys, section, argv):
+    path = write_config(tmp_path, {"version": 1, section: [1], "checks": []})
+    code = main([path if arg == "{cfg}" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert f"'{section}' must be an object" in captured.err
