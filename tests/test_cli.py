@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from metricprod import GluingClass, GluingFunction, SampleConfig, Tolerances
 from metricprod.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -301,3 +302,69 @@ def test_wrong_typed_section_is_config_error(tmp_path, capsys, section, argv):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert f"'{section}' must be an object" in captured.err
+
+
+def run_records(tmp_path, capsys, config, *flags):
+    path = write_config(tmp_path, config)
+    main(["run", path, "--format", "json", *flags])
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_metric_override_reaches_every_tolerance_detail(tmp_path, capsys):
+    segment = {"start": [0, 0], "end": [3, 4], "grid": 8}
+    config = config_with_checks([
+        {"check": "geodesy", "space": "plane", **segment},
+        {"check": "component-progress", "space": "plane", **segment},
+        {"check": "busemann-convexity", "space": "plane", "grid": 8,
+         "g1": {"start": [0, 0], "end": [1, 0]}, "g2": {"start": [0, 1], "end": [1, 2]}},
+        {"check": "cat0-four-point", "space": "plane", "count": 5, "seed": 1, "radius": 2.0},
+        {"check": "metric-axioms", "product": "plane", "samples": 200},
+        {"check": "alpha-decomposition", "product": "plane"},
+    ])
+    checks = ["geodesy", "component-progress", "busemann-convexity", "cat0-four-point",
+              "triangle-inequality", "alpha-base-independence"]
+
+    def tolerances(*flags):
+        records = {r["check"]: r for r in run_records(tmp_path, capsys, config, *flags)}
+        return [records[name]["details"]["tolerance"] for name in checks]
+
+    default = tolerances()
+    override = tolerances("--tolerance", "metric=1e-6")
+    assert override == pytest.approx([1000.0 * t for t in default], rel=1e-12)
+
+
+def test_classify_agrees_with_strict_convexity_under_strict_override(capsys):
+    main(["validate-phi", "--kind", "weighted-lp", "--dim", "3", "--p", "3",
+          "--weights", "1,2,3", "--samples", "400", "--seed", "1",
+          "--tolerance", "strict=1e-3", "--format", "json"])
+    records = {r["check"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert records["classify"]["conditions"]["strict-convexity"] == \
+        records["strict-convexity"]["verdict"]
+
+
+def test_classification_cache_keys_on_tolerances():
+    phi = GluingFunction.lp(3, 3.0, [1.0, 2.0, 3.0])
+    default = phi.classification(SampleConfig(count=400, seed=1))
+    strict = phi.classification(SampleConfig(count=400, seed=1, tol=Tolerances(strict=1e-3)))
+    assert strict is not default
+    assert phi.classification(SampleConfig(count=400, seed=1)) is default
+    assert default.gluing_class is GluingClass.STRICTLY_CONVEX_NORM
+    assert strict.gluing_class is GluingClass.NORM_INDUCED
+
+
+def test_metric_override_keeps_every_catalog_class(tmp_path, capsys):
+    phis = {"sum": {"type": "sum", "dim": 2}, "max": {"type": "max", "dim": 2},
+            "eu": {"type": "weighted-euclidean", "weights": [1, 2]},
+            "lp15": {"type": "weighted-lp", "p": 1.5, "dim": 2},
+            "lp3": {"type": "weighted-lp", "p": 3, "dim": 2},
+            "two": {"type": "two-valued", "dim": 2},
+            "power": {"type": "coordinate-power", "dim": 2, "exponent": 0.5}}
+    config = {"version": 1, "phis": phis,
+              "checks": [{"check": "classify", "phi": name, "samples": 2000} for name in phis]}
+    default = [r["class"] for r in run_records(tmp_path, capsys, config)]
+    override = [r["class"] for r in run_records(tmp_path, capsys, config,
+                                                "--tolerance", "metric=1e-6")]
+    assert default == ["norm-induced", "norm-induced", "scalar-product-induced",
+                       "strictly-convex-norm", "strictly-convex-norm", "metric-compatible",
+                       "not-a-metric-product"]
+    assert override == default
