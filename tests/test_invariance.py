@@ -5,7 +5,10 @@
 * ``sum`` and ``max`` are the weighted-lp gluings at p = 1 and p = oo with
   unit weights, and evaluate to the plain sum and maximum;
 * permuting the axes of a gluing changes neither its class nor, when the
-  factors are permuted with it, the product distance.
+  factors are permuted with it, the product distance;
+* scaling a gluing by a positive constant keeps its class;
+* nesting ``g(g(R, R), R)`` gives the flat ``g(R, R, R)`` distance for the
+  sum and the unit Euclidean gluing.
 """
 
 import math
@@ -86,4 +89,42 @@ def test_product_distance_is_invariant_under_permuted_factors(p):
                                 GluingFunction.lp(4, p, weights[perm]))
         got = permuted.distance_batch(tuple(xs[i] for i in perm),
                                       tuple(ys[i] for i in perm))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+CATALOG_GLUINGS = {
+    "sum": GluingFunction.sum(2),
+    "max": GluingFunction.max(2),
+    "weighted-euclidean": GluingFunction.euclidean([1.0, 2.0]),
+    "lp-1.5": GluingFunction.lp(2, 1.5),
+    "lp-3": GluingFunction.lp(2, 3.0),
+    "two-valued": GluingFunction.two_valued(2),
+    "coordinate-power": GluingFunction.coordinate_power(2, 0.5),
+}
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0])
+@pytest.mark.parametrize("name", list(CATALOG_GLUINGS))
+def test_class_is_invariant_under_scaling(name, c):
+    phi = CATALOG_GLUINGS[name]
+    cfg = SampleConfig(count=500, seed=3)
+    scaled = GluingFunction.custom(phi.dim, lambda q: c * phi(q))
+    assert classify(scaled, cfg).gluing_class is classify(phi, cfg).gluing_class
+
+
+@pytest.mark.parametrize("glue, exact", [
+    (GluingFunction.sum, True),
+    (lambda dim: GluingFunction.euclidean([1.0] * dim), False),
+])
+def test_nested_product_equals_flat_product(glue, exact):
+    nested = ProductSpace([ProductSpace([RealLine()] * 2, glue(2)), RealLine()], glue(2))
+    flat = ProductSpace([RealLine()] * 3, glue(3))
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-10.0, 10.0, (3, 1000))
+    ys = rng.uniform(-10.0, 10.0, (3, 1000))
+    got = nested.distance_batch(((xs[0], xs[1]), xs[2]), ((ys[0], ys[1]), ys[2]))
+    expected = flat.distance_batch(tuple(xs), tuple(ys))
+    if exact:
+        assert np.array_equal(got, expected)
+    else:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
