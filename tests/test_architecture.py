@@ -1,7 +1,9 @@
-"""Architecture guard: only ``spaces.py`` may branch on catalog classes.
+"""Architecture guards, as ast scans over the package.
 
-Per-space behaviour lives in methods of the spaces themselves, so no other
-module of the package passes a catalog class to ``isinstance``.
+Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
+in methods of the spaces themselves, so no other module of the package
+passes a catalog class to ``isinstance``.  The weighted p-norm is written
+once.  Tolerances live in one record, ``reports.Tolerances``.
 """
 
 import ast
@@ -57,3 +59,40 @@ def test_one_pnorm_kernel():
     owners = {owner for path in sorted(PACKAGE.glob("*.py"))
               for owner in pnorm_root_functions(path)}
     assert owners == {"gluing.py:weighted_pnorm"}
+
+
+
+def module_names(path: Path) -> list[str]:
+    """Names that ``path`` binds at module level by assignment or import."""
+    names = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name for alias in stmt.names]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            names += [node.id for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    return names
+
+
+def tolerance_parameters(path: Path) -> list[str]:
+    """Functions in ``path`` taking a ``tau`` or ``tau_strict`` parameter."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            found += [f"{node.name}({a.arg})" for a in args if a.arg in ("tau", "tau_strict")]
+    return found
+
+
+def test_no_tolerance_constants():
+    """Checks read the run's ``Tolerances`` record, not module constants."""
+    names = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in module_names(path) if name.startswith("TAU_")]
+    assert names == []
+
+
+def test_only_two_tau_parameters():
+    """Busemann keeps an absolute per-check override (its ``tau`` config key) and
+    the embedding oracle its matching tolerance; every other check reads ``cfg.tol``."""
+    params = [p for path in sorted(PACKAGE.glob("*.py")) for p in tolerance_parameters(path)]
+    assert sorted(params) == ["busemann_convexity_check(tau)", "finite_embedding_oracle(tau)"]
