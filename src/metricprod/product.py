@@ -111,9 +111,11 @@ class ProductSpace(MetricSpace):
 
     def offset(self, point, direction, scale):
         """Each factor moved by its own slice of the flat ``direction``."""
-        cuts = np.cumsum([f.coord_dim for f in self.factors])[:-1]
-        parts = np.split(np.asarray(direction, float), cuts)
-        return tuple(f.offset(p, d, scale) for f, p, d in zip(self.factors, point, parts))
+        parts, start = [], 0
+        for f, p in zip(self.factors, point):
+            parts.append(f.offset(p, direction[start:start + f.coord_dim], scale))
+            start += f.coord_dim
+        return tuple(parts)
 
     # -- (de)serialization -------------------------------------------------------
 
