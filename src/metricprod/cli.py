@@ -178,9 +178,11 @@ def _section(config: dict, name: str) -> dict:
 
 
 class RunContext:
-    """Resolved configuration: named objects plus run-wide defaults.  ``structure``
-    classifies gluings for geodesics, ranks and decompositions: the default
-    budget with the run's tolerances ``tol``."""
+    """Resolved configuration: named objects plus run-wide defaults.
+
+    ``tol`` is the run's tolerance record.  ``structure`` classifies gluings
+    for geodesics, ranks and decompositions: the default budget with ``tol``.
+    """
 
     def __init__(self, config: dict, seed=None, samples=None, depth=None,
                  tolerances: Tolerances | None = None):
@@ -657,8 +659,8 @@ def _parse_tolerances(items) -> Tolerances:
             out[key] = float(val)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value {val!r}") from exc
-        if not out[key] >= MACHINE_EPS:
-            raise ConfigError(f"tolerance {key} must be >= machine epsilon")
+        if not MACHINE_EPS <= out[key] < math.inf:
+            raise ConfigError(f"tolerance {key} must be finite and >= machine epsilon")
     return Tolerances(**out)
 
 

@@ -199,6 +199,8 @@ def test_tolerance_override_validation(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     code, _ = run_cli(capsys, "run", path, "--tolerance", "metric=0")
     assert code == EXIT_CONFIG
+    code, _ = run_cli(capsys, "run", path, "--tolerance", "metric=inf")
+    assert code == EXIT_CONFIG
     code, _ = run_cli(capsys, "run", path, "--tolerance", "bogus=1e-9")
     assert code == EXIT_CONFIG
     code, _ = run_cli(capsys, "run", path, "--tolerance", "metric=1e-8")
