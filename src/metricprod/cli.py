@@ -32,6 +32,7 @@ from .curves import (
     segment,
 )
 from .gluing import (
+    GluingClass,
     GluingFunction,
     check_axis_pythagoras,
     check_definiteness,
@@ -53,12 +54,13 @@ from .geodesics import (
 from .product import ProductSpace, verify_metric_axioms
 from .rank import (
     BudgetExceededError,
+    alpha_decompose,
     counterexample_sum_halflines,
     declared_rank,
     finite_embedding_oracle,
     product_rank,
 )
-from .reports import Tolerances, to_jsonable
+from .reports import FAIL, PASS, UNDETERMINED, Tolerances, to_jsonable
 from .sampling import SampleConfig
 from .spaces import DiscreteSpace, FiniteMetricSpace, HalfLine, LpSpace, RealLine
 
@@ -108,11 +110,8 @@ def build_phi(defn) -> GluingFunction:
     raise ConfigError(f"unknown gluing type {kind!r}")
 
 
-def build_space(defn, spaces: dict, phis: dict):
-    if isinstance(defn, str):
-        if defn not in spaces:
-            raise ConfigError(f"unknown space {defn!r}")
-        return spaces[defn]
+def build_space(defn, ctx):
+    """A space from its definition; factors and gluings are resolved through ``ctx``."""
     if not isinstance(defn, dict) or "type" not in defn:
         raise ConfigError("space definition needs a 'type' field")
     kind = defn["type"]
@@ -130,15 +129,7 @@ def build_space(defn, spaces: dict, phis: dict):
         if kind == "finite":
             return FiniteMetricSpace(defn["matrix"])
         if kind == "product":
-            factors = [build_space(f, spaces, phis) for f in defn["factors"]]
-            phi_def = defn["phi"]
-            if isinstance(phi_def, str):
-                if phi_def not in phis:
-                    raise ConfigError(f"unknown gluing {phi_def!r}")
-                phi = phis[phi_def]
-            else:
-                phi = build_phi(phi_def)
-            return ProductSpace(factors, phi)
+            return ProductSpace([ctx.space(f) for f in defn["factors"]], ctx.phi(defn["phi"]))
     except ConfigError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
@@ -182,6 +173,7 @@ class RunContext:
 
     ``tol`` is the run's tolerance record.  ``structure`` classifies gluings
     for geodesics, ranks and decompositions: the default budget with ``tol``.
+    A reference to a space, gluing or curve is its name or an inline definition.
     """
 
     def __init__(self, config: dict, seed=None, samples=None, depth=None,
@@ -198,38 +190,36 @@ class RunContext:
         self.phis = {name: build_phi(d) for name, d in _section(config, "phis").items()}
         self.spaces = {}
         for name, d in _section(config, "spaces").items():
-            self.spaces[name] = build_space(d, self.spaces, self.phis)
+            self.spaces[name] = self.space(d)
         self.curve_defs = _section(config, "curves")
         self.checks = config.get("checks", [])
         if not isinstance(self.checks, list):
             raise ConfigError("'checks' must be a list")
 
-    def space(self, name):
-        if isinstance(name, dict):
-            return build_space(name, self.spaces, self.phis)
-        if name not in self.spaces:
-            raise ConfigError(f"unknown space {name!r}")
-        return self.spaces[name]
+    @staticmethod
+    def _named(kind: str, ref, named: dict):
+        if not isinstance(ref, str):
+            raise ConfigError(f"{kind} {ref!r} is neither a name nor an object")
+        if ref not in named:
+            raise ConfigError(f"unknown {kind} {ref!r}")
+        return named[ref]
 
-    def product(self, name) -> ProductSpace:
-        space = self.space(name)
+    def space(self, ref):
+        return build_space(ref, self) if isinstance(ref, dict) else \
+            self._named("space", ref, self.spaces)
+
+    def product(self, ref) -> ProductSpace:
+        space = self.space(ref)
         if not isinstance(space, ProductSpace):
-            raise ConfigError(f"space {name!r} is not a product")
+            raise ConfigError(f"space {ref!r} is not a product")
         return space
 
-    def phi(self, name) -> GluingFunction:
-        if isinstance(name, dict):
-            return build_phi(name)
-        if name not in self.phis:
-            raise ConfigError(f"unknown gluing {name!r}")
-        return self.phis[name]
+    def phi(self, ref) -> GluingFunction:
+        return build_phi(ref) if isinstance(ref, dict) else self._named("phi", ref, self.phis)
 
-    def curve(self, name):
-        if isinstance(name, dict):
-            return build_curve(name, self)
-        if name not in self.curve_defs:
-            raise ConfigError(f"unknown curve {name!r}")
-        return build_curve(self.curve_defs[name], self)
+    def curve(self, ref):
+        defn = ref if isinstance(ref, dict) else self._named("curve", ref, self.curve_defs)
+        return build_curve(defn, self)
 
     def sample_config(self, params: dict) -> SampleConfig:
         return SampleConfig(
@@ -240,7 +230,14 @@ class RunContext:
         )
 
 
-# -- check runners ----------------------------------------------------------
+# -- checks ------------------------------------------------------------------
+
+
+class _Fields(dict):
+    """A check's parameters: reading a missing field is a config error."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing field {key!r}")
 
 
 def _expectation(record: dict, expect, observed) -> dict:
@@ -254,109 +251,34 @@ def _expectation(record: dict, expect, observed) -> dict:
 def _run_classify(ctx, params):
     phi = ctx.phi(params["phi"])
     result = phi.classification(ctx.sample_config(params))
-    record = {
-        "check": "classify",
-        "gluing": phi.label,
-        "class": result.value,
-        "conditions": {k: r.verdict for k, r in result.reports.items()},
-        "verdict": "pass",
-    }
-    return [_expectation(record, params.get("expect"), result.value)]
-
-
-_PHI_CHECKS = {
-    "definiteness": check_definiteness,
-    "quadrant-triangle": check_quadrant_triangle,
-    "axis-pythagoras": check_axis_pythagoras,
-    "strict-convexity": check_strict_convexity,
-}
-
-
-def _run_phi_condition(ctx, params):
-    phi = ctx.phi(params["phi"])
-    fn = _PHI_CHECKS[params["check"]]
-    rep = fn(phi, ctx.sample_config(params))
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
-
-
-def _run_norm_conditions(ctx, params):
-    phi = ctx.phi(params["phi"])
-    reps = check_norm_conditions(phi, ctx.sample_config(params))
-    return [r.to_record() for r in reps]
-
-
-def _run_psi_axioms(ctx, params):
-    phi = ctx.phi(params["phi"])
-    reps = check_symmetrized_norm_axioms(phi, ctx.sample_config(params))
-    return [r.to_record() for r in reps]
+    return {"check": "classify", "gluing": phi.label, "class": result.value,
+            "conditions": {k: r.verdict for k, r in result.reports.items()},
+            "verdict": PASS}
 
 
 def _run_scalar_product_weights(ctx, params):
-    phi = ctx.phi(params["phi"])
-    try:
-        weights = scalar_product_weights(phi, ctx.sample_config(params))
-    except ValueError as exc:
-        return [{"check": "scalar-product-weights", "verdict": "fail",
-                 "error": str(exc)}]
-    return [{"check": "scalar-product-weights", "verdict": "pass",
-             "weights": to_jsonable(weights)}]
-
-
-def _run_metric_axioms(ctx, params):
-    prod = ctx.product(params["product"])
-    reps = verify_metric_axioms(prod, ctx.sample_config(params))
-    out = []
-    for rep in reps:
-        out.append(_expectation(rep.to_record(), params.get("expect"), rep.verdict))
-    return out
+    weights = scalar_product_weights(ctx.phi(params["phi"]), ctx.sample_config(params))
+    return {"check": "scalar-product-weights", "verdict": PASS,
+            "weights": to_jsonable(weights)}
 
 
 def _run_curve_length(ctx, params):
-    space = ctx.space(params["space"])
-    curve = ctx.curve(params["curve"])
-    depth = int(params.get("depth", ctx.default_depth))
-    res = curve_length(space, curve, depth)
-    record = {
-        "check": "curve-length",
-        "length": res.length,
-        "trace": to_jsonable(res.trace),
-        "diverged": res.diverged,
-        "verdict": "pass" if not res.diverged else "fail",
-    }
+    res = curve_length(ctx.space(params["space"]), ctx.curve(params["curve"]),
+                       int(params.get("depth", ctx.default_depth)))
+    record = {"check": "curve-length", "length": res.length, "trace": to_jsonable(res.trace),
+              "diverged": res.diverged, "verdict": FAIL if res.diverged else PASS}
     if "expect_length" in params:
         tol = float(params.get("tolerance", 1e-6))
         ok = abs(res.length - float(params["expect_length"])) <= tol
         record["expected"] = float(params["expect_length"])
-        record["verdict"] = "pass" if ok and not res.diverged else "fail"
-    return [record]
-
-
-def _run_product_curve_length(ctx, params):
-    prod = ctx.product(params["product"])
-    comps = [ctx.curve(c) for c in params["components"]]
-    rep = product_curve_length_check(prod, comps,
-                                     int(params.get("depth", ctx.default_depth)))
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
-
-
-def _run_arclength(ctx, params):
-    space = ctx.space(params["space"])
-    curve = ctx.curve(params["curve"])
-    rep = arclength_check(space, curve, int(params.get("grid", 8)),
-                          int(params.get("depth", 8)))
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
-
-
-def _run_non_length_space(ctx, params):
-    endpoints = params.get("endpoints", ((0.0, 0.0), (1.0, 0.0)))
-    endpoints = tuple(tuple(float(v) for v in pt) for pt in endpoints)
-    rep = non_length_space_demo(int(params.get("depth", 8)), endpoints,
-                                int(params.get("paths", 5)),
-                                int(params.get("seed", ctx.default_seed)))
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
+        record["verdict"] = PASS if ok and not res.diverged else FAIL
+    return record
 
 
 def _geodesic_from_params(ctx, space, params):
+    if not isinstance(params, dict):
+        raise ConfigError("a geodesic is an object with 'start' and 'end'")
+    params = _Fields(params)
     start = space.point_from_json(params["start"])
     end = space.point_from_json(params["end"])
     if "via" in params:
@@ -364,43 +286,29 @@ def _geodesic_from_params(ctx, space, params):
             raise ConfigError("'via' routes need a product space")
         return product_geodesic(space, start, end,
                                 via=space.point_from_json(params["via"]), cfg=ctx.structure)
-    selector = params.get("selector", "affine")
-    if isinstance(space, ProductSpace) and isinstance(selector, list):
-        return product_geodesic(space, start, end, selectors=selector, cfg=ctx.structure)
-    return geodesic_between(space, start, end, selector, ctx.structure)
+    return geodesic_between(space, start, end, params.get("selector", "affine"), ctx.structure)
 
 
 def _run_geodesy(ctx, params):
     space = ctx.space(params["space"])
     geo = _geodesic_from_params(ctx, space, params)
-    rep = geodesy_test(space, geo, int(params.get("grid", 64)), ctx.structure)
-    rec = rep.to_record()
+    rec = geodesy_test(space, geo, int(params.get("grid", 64)), ctx.structure).to_record()
     rec["midpoint"] = to_jsonable(space.point_to_json(geo.at(geo.length / 2.0)))
-    return [_expectation(rec, params.get("expect"), rep.verdict)]
+    return rec
 
 
 def _run_component_progress(ctx, params):
     prod = ctx.product(params["space"])
-    geo = _geodesic_from_params(ctx, prod, params)
-    rep = component_progress_check(prod, geo, int(params.get("grid", 64)), ctx.structure)
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
+    return component_progress_check(prod, _geodesic_from_params(ctx, prod, params),
+                                    int(params.get("grid", 64)), ctx.structure)
 
 
 def _run_uniqueness(ctx, params):
     prod = ctx.product(params["product"])
-    start = prod.point_from_json(params["start"])
-    end = prod.point_from_json(params["end"])
-    rep = uniqueness_probe(
-        prod, start, end,
-        grid=int(params.get("grid", 64)),
-        perturbations=int(params.get("perturbations", 64)),
+    return uniqueness_probe(
+        prod, prod.point_from_json(params["start"]), prod.point_from_json(params["end"]),
+        grid=int(params.get("grid", 64)), perturbations=int(params.get("perturbations", 64)),
         seed=int(params.get("seed", ctx.default_seed)), cfg=ctx.structure)
-    observed = "unique" if rep.passed else "non-unique"
-    rec = rep.to_record()
-    expect = params.get("expect")
-    if expect in ("unique", "non-unique"):
-        return [_expectation(rec, expect, observed)]
-    return [rec]
 
 
 def _run_busemann(ctx, params):
@@ -415,9 +323,8 @@ def _run_busemann(ctx, params):
     space = ctx.space(params["space"])
     g1 = _geodesic_from_params(ctx, space, params["g1"])
     g2 = _geodesic_from_params(ctx, space, params["g2"])
-    rep = busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)), tau=tau,
-                                   cfg=ctx.structure)
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
+    return busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)), tau=tau,
+                                    cfg=ctx.structure)
 
 
 def _run_cat0(ctx, params):
@@ -426,38 +333,9 @@ def _run_cat0(ctx, params):
     if "triangles" in params:
         triangles = [tuple(space.point_from_json(p) for p in tri)
                      for tri in params["triangles"]]
-    rep = cat0_four_point_check(
-        space, int(params.get("count", 1000)),
-        int(params.get("seed", ctx.default_seed)),
+    return cat0_four_point_check(
+        space, int(params.get("count", 1000)), int(params.get("seed", ctx.default_seed)),
         float(params.get("radius", 5.0)), triangles, ctx.structure)
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
-
-
-def _rank_record_common(rec, params):
-    verdict = "pass"
-    if "expect_rank" in params:
-        verdict = "pass" if rec["rank"] == params["expect_rank"] else "fail"
-        rec["expected"] = params["expect_rank"]
-    rec["verdict"] = verdict
-    return rec
-
-
-def _run_declared_rank(ctx, params):
-    space = ctx.space(params["space"])
-    return [_rank_record_common(declared_rank(space).to_record(), params)]
-
-
-def _run_product_rank(ctx, params):
-    prod = ctx.product(params["space"])
-    rec = product_rank(prod, bool(params.get("assert_kleiner", False)),
-                       ctx.structure).to_record()
-    return [_rank_record_common(rec, params)]
-
-
-def _run_counterexample(ctx, params):
-    rep = counterexample_sum_halflines(float(params.get("T", 10.0)),
-                                       int(params.get("grid", 101)))
-    return [_expectation(rep.to_record(), params.get("expect"), rep.verdict)]
 
 
 def _run_embedding_oracle(ctx, params):
@@ -471,13 +349,7 @@ def _run_embedding_oracle(ctx, params):
                                      float(sample.get("radius", 5.0)))
     pattern = np.asarray(params["pattern"], float)
     probe = finite_embedding_oracle(pattern, points, space, tau=ctx.tol.embed)
-    rec = probe.to_record()
-    rec["verdict"] = "pass"
-    observed = "found" if probe.found else "none"
-    expect = params.get("expect")
-    if expect in ("found", "none"):
-        return [_expectation(rec, expect, observed)]
-    return [rec]
+    return dict(probe.to_record(), verdict=PASS)
 
 
 def _builtin_embedding(name: str, prod: ProductSpace):
@@ -504,8 +376,6 @@ def _builtin_embedding(name: str, prod: ProductSpace):
 
 
 def _run_alpha(ctx, params):
-    from .rank import alpha_decompose
-
     prod = ctx.product(params["product"])
     embedding = _builtin_embedding(params.get("embedding", "axis:0"), prod)
     vec_spec = params.get("vectors", {"linspace": [-3.0, 3.0, 13]})
@@ -518,44 +388,84 @@ def _run_alpha(ctx, params):
                               np.atleast_1d(params.get("base_a", 0.0)),
                               np.atleast_1d(params.get("base_b", 1.0)),
                               vectors, cfg=ctx.structure)
-    expect = params.get("expect")
-    out = []
-    for rep in reps:
-        rec = rep.to_record()
-        if expect == "isometric":
-            if rep.condition == "alpha-isometry":
-                rec = _expectation(rec, "pass", rep.verdict)
-        elif expect == "non-isometric" and rep.condition == "alpha-isometry":
-            rec = _expectation(rec, "fail", rep.verdict)
-        out.append(rec)
-    return out
+    # ``isometric`` expects the alpha-isometry record to pass, ``non-isometric`` to fail
+    expect = {"isometric": PASS, "non-isometric": FAIL}.get(params.get("expect"))
+    return [_expectation(rep.to_record(), expect, rep.verdict)
+            if rep.condition == "alpha-isometry" else rep.to_record() for rep in reps]
 
 
+#: Check name -> runner(ctx, params), returning a report, a record or a list of either.
+#: Entries reach library functions through module-level names.
 CHECK_RUNNERS = {
     "classify": _run_classify,
-    "definiteness": _run_phi_condition,
-    "quadrant-triangle": _run_phi_condition,
-    "axis-pythagoras": _run_phi_condition,
-    "strict-convexity": _run_phi_condition,
-    "norm-conditions": _run_norm_conditions,
-    "psi-norm-axioms": _run_psi_axioms,
+    "definiteness": lambda ctx, p: check_definiteness(ctx.phi(p["phi"]), ctx.sample_config(p)),
+    "quadrant-triangle": lambda ctx, p: check_quadrant_triangle(ctx.phi(p["phi"]),
+                                                                ctx.sample_config(p)),
+    "axis-pythagoras": lambda ctx, p: check_axis_pythagoras(ctx.phi(p["phi"]),
+                                                            ctx.sample_config(p)),
+    "strict-convexity": lambda ctx, p: check_strict_convexity(ctx.phi(p["phi"]),
+                                                              ctx.sample_config(p)),
+    "norm-conditions": lambda ctx, p: check_norm_conditions(ctx.phi(p["phi"]),
+                                                            ctx.sample_config(p)),
+    "psi-norm-axioms": lambda ctx, p: check_symmetrized_norm_axioms(ctx.phi(p["phi"]),
+                                                                    ctx.sample_config(p)),
     "scalar-product-weights": _run_scalar_product_weights,
-    "metric-axioms": _run_metric_axioms,
+    "metric-axioms": lambda ctx, p: verify_metric_axioms(ctx.product(p["product"]),
+                                                         ctx.sample_config(p)),
     "curve-length": _run_curve_length,
-    "product-curve-length": _run_product_curve_length,
-    "arclength": _run_arclength,
-    "non-length-space": _run_non_length_space,
+    "product-curve-length": lambda ctx, p: product_curve_length_check(
+        ctx.product(p["product"]), [ctx.curve(c) for c in p["components"]],
+        int(p.get("depth", ctx.default_depth))),
+    "arclength": lambda ctx, p: arclength_check(ctx.space(p["space"]), ctx.curve(p["curve"]),
+                                                int(p.get("grid", 8)), int(p.get("depth", 8))),
+    "non-length-space": lambda ctx, p: non_length_space_demo(
+        int(p.get("depth", 8)), p.get("endpoints", ((0.0, 0.0), (1.0, 0.0))),
+        int(p.get("paths", 5)), int(p.get("seed", ctx.default_seed))),
     "geodesy": _run_geodesy,
     "component-progress": _run_component_progress,
     "unique-geodesic": _run_uniqueness,
     "busemann-convexity": _run_busemann,
     "cat0-four-point": _run_cat0,
-    "declared-rank": _run_declared_rank,
-    "product-rank": _run_product_rank,
-    "rank-counterexample": _run_counterexample,
+    "declared-rank": lambda ctx, p: dict(declared_rank(ctx.space(p["space"])).to_record(),
+                                         verdict=PASS),
+    "product-rank": lambda ctx, p: dict(product_rank(
+        ctx.product(p["space"]), bool(p.get("assert_kleiner", False)),
+        ctx.structure).to_record(), verdict=PASS),
+    "rank-counterexample": lambda ctx, p: counterexample_sum_halflines(
+        float(p.get("T", 10.0)), int(p.get("grid", 101))),
     "embedding-oracle": _run_embedding_oracle,
     "alpha-decomposition": _run_alpha,
 }
+
+#: What ``expect`` is compared with where it is not the verdict: the words a check
+#: can observe and its reading of a record.  Alpha maps its own alpha-isometry record.
+_READINGS = {
+    "classify": (tuple(c.value for c in GluingClass), lambda rec: rec["class"]),
+    "unique-geodesic": (("unique", "non-unique"),
+                        lambda rec: "unique" if rec["verdict"] == PASS else "non-unique"),
+    "embedding-oracle": (("found", "none"), lambda rec: "found" if rec["found"] else "none"),
+    "alpha-decomposition": (("isometric", "non-isometric"), None),
+}
+_VERDICTS = ((PASS, FAIL, UNDETERMINED), lambda rec: rec["verdict"])
+
+
+def _reading(name: str, params: dict):
+    """How ``expect`` reads the check's records: ``None`` without ``expect``."""
+    if "expect" not in params:
+        return None
+    for key in ("expect_rank", "expect_length"):
+        if key in params:
+            raise ConfigError(f"'expect' cannot be combined with {key!r}")
+    words, reading = _READINGS.get(name, _VERDICTS)
+    if params["expect"] not in words:
+        raise ConfigError(f"'expect' must be one of {', '.join(words)}, "
+                          f"got {params['expect']!r}")
+    return reading
+
+
+def _records(out) -> list[dict]:
+    return [r if isinstance(r, dict) else r.to_record()
+            for r in (out if isinstance(out, list) else [out])]
 
 
 def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]:
@@ -565,17 +475,25 @@ def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]
         if not isinstance(params, dict) or "check" not in params:
             raise ConfigError(f"check #{i} needs a 'check' field")
         name = params["check"]
-        if name not in CHECK_RUNNERS:
+        if not isinstance(name, str) or name not in CHECK_RUNNERS:
             raise ConfigError(f"unknown check {name!r}")
         started = time.perf_counter()
         try:
-            recs = CHECK_RUNNERS[name](ctx, params)
+            reading = _reading(name, params)
+            recs = _records(CHECK_RUNNERS[name](ctx, _Fields(params)))
         except BudgetExceededError:
             raise
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise ConfigError(f"check #{i} ({name}): {exc}") from exc
         except ValueError as exc:
-            recs = [{"check": name, "verdict": "fail", "error": str(exc)}]
+            recs = [{"check": name, "verdict": FAIL, "error": str(exc)}]
+        else:
+            for rec in recs if reading else []:
+                _expectation(rec, params["expect"], reading(rec))
+            if "expect_rank" in params:
+                for rec in recs:
+                    rec["expected"] = params["expect_rank"]
+                    rec["verdict"] = PASS if rec.get("rank") == params["expect_rank"] else FAIL
         elapsed = time.perf_counter() - started
         informational = bool(params.get("informational", False))
         for rec in recs:

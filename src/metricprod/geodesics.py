@@ -109,9 +109,15 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
 
 
 def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> Geodesic:
+    """Geodesic in a factor or a product; a product takes ``"affine"`` or a list of
+    factor selectors."""
     if isinstance(space, ProductSpace):
-        sel = selector if isinstance(selector, list) else None
-        return product_geodesic(space, x, y, selectors=sel, cfg=cfg)
+        if isinstance(selector, list):
+            return product_geodesic(space, x, y, selectors=selector, cfg=cfg)
+        if selector not in (None, "affine"):
+            raise ValueError(f"a product geodesic takes a list of factor selectors, "
+                             f"got {selector!r}")
+        return product_geodesic(space, x, y, cfg=cfg)
     return factor_geodesic(space, x, y, selector)
 
 

@@ -7,6 +7,8 @@ once.  Tolerances live in one record, ``reports.Tolerances``.
 """
 
 import ast
+import json
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "metricprod"
@@ -96,3 +98,24 @@ def test_only_two_tau_parameters():
     the embedding oracle its matching tolerance; every other check reads ``cfg.tol``."""
     params = [p for path in sorted(PACKAGE.glob("*.py")) for p in tolerance_parameters(path)]
     assert sorted(params) == ["busemann_convexity_check(tau)", "finite_embedding_oracle(tau)"]
+
+
+def test_every_check_runner_is_in_the_golden_corpus():
+    """Byte-identity of the golden outputs guards every entry of the check table."""
+    from metricprod.cli import CHECK_RUNNERS, DEMOS
+
+    golden = PACKAGE.parent.parent / "tests" / "golden"
+    used = {demo(8, 0)["check"] for demo in DEMOS.values()}
+    for path in golden.glob("*.json"):
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(config, dict):
+            used |= {check["check"] for check in config.get("checks", [])}
+    assert set(CHECK_RUNNERS) <= used
+
+
+def test_readme_lists_the_check_table():
+    from metricprod.cli import CHECK_RUNNERS
+
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Check names map"):].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`([a-z0-9-]+)`", paragraph)) == sorted(CHECK_RUNNERS)

@@ -370,3 +370,66 @@ def test_metric_override_keeps_every_catalog_class(tmp_path, capsys):
                        "strictly-convex-norm", "strictly-convex-norm", "metric-compatible",
                        "not-a-metric-product"]
     assert override == default
+
+
+def test_expect_marks_every_record_of_a_multi_record_check(tmp_path, capsys):
+    config = config_with_checks([
+        {"check": "norm-conditions", "phi": "taxi", "samples": 300, "expect": "fail"}])
+    records = run_records(tmp_path, capsys, config)
+    assert [r["check"] for r in records] == ["positivity", "monotonicity", "subadditivity",
+                                             "homogeneity"]
+    assert all(r["expected"] == "fail" and r["observed"] == "pass" and r["verdict"] == "fail"
+               for r in records)
+
+
+@pytest.mark.parametrize("check", [
+    {"check": "unique-geodesic", "product": "plane", "start": [0, 0], "end": [1, 1],
+     "expect": "pass"},
+    {"check": "geodesy", "space": "plane", "start": [0, 0], "end": [1, 1], "expect": "unique"},
+    {"check": "classify", "phi": "eu", "expect": "pass"},
+    {"check": "embedding-oracle", "space": {"type": "real-line"}, "points": [0, 1],
+     "pattern": [[0, 1], [1, 0]], "expect": "pass"},
+    {"check": "alpha-decomposition", "product": "plane", "expect": "pass"},
+    {"check": "declared-rank", "space": {"type": "real-line"}, "expect": "pass",
+     "expect_rank": 1},
+    {"check": "curve-length", "space": "plane", "curve": "diag", "expect": "pass",
+     "expect_length": 5.0},
+], ids=["unique-geodesic-pass", "geodesy-unique", "classify-pass", "embedding-pass",
+        "alpha-pass", "with-expect-rank", "with-expect-length"])
+def test_expect_word_the_check_cannot_observe_is_config_error(tmp_path, capsys, check):
+    code = main(["run", write_config(tmp_path, config_with_checks([check]))])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err and check["check"] in captured.err
+
+
+def test_product_selector_must_be_a_list(tmp_path, capsys):
+    code, out = run_cli(capsys, "geodesic", write_config(tmp_path, BASE), "--space", "taxiplane",
+                        "--start", "[0, 0]", "--end", "[3, 4]", "--selector", "bogus",
+                        "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    rec = json.loads(out)
+    assert rec["verdict"] == "fail" and "'bogus'" in rec["error"]
+    assert "list of factor selectors" in rec["error"]
+
+
+@pytest.mark.parametrize("check, key", [
+    ({"check": "declared-rank"}, "'space'"),
+    ({"check": "metric-axioms"}, "'product'"),
+    ({"check": "unique-geodesic", "product": "plane", "start": [0, 0]}, "'end'"),
+    ({"check": "busemann-convexity", "space": "plane", "g1": {"start": [0, 0]},
+      "g2": {"start": [0, 0], "end": [1, 0]}}, "'end'"),
+    ({"check": "declared-rank", "space": [1]}, "space [1]"),
+    ({"check": "metric-axioms", "product": 3}, "space 3"),
+    ({"check": "classify", "phi": ["t"]}, "phi ['t']"),
+    ({"check": "curve-length", "space": "plane", "curve": [1]}, "curve [1]"),
+], ids=["missing-space", "missing-product", "missing-end", "missing-g1-end", "space-list",
+        "product-number", "phi-list", "curve-list"])
+def test_malformed_check_entry_is_config_error(tmp_path, capsys, check, key):
+    code = main(["run", write_config(tmp_path, config_with_checks([check]))])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err
+    assert f"({check['check']})" in captured.err and key in captured.err
