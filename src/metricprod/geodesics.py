@@ -196,20 +196,20 @@ def _coordinate_directions(n: int) -> list:
 
 
 def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 64,
-                     perturbations: int = 64, seed: int = 0,
-                     distinct_threshold: float | None = None, cfg=None) -> ValidationReport:
+                     perturbations: int = 64, seed: int = 0, cfg=None) -> ValidationReport:
     """Search for distinct geodesics between two product points.
 
     Candidates come from three sources: explicit selector sets, corner
     routes through per-factor via points, and a midpoint perturbation
     search (alternative midpoints at distance D/2 from both endpoints
     induce two-segment geodesics).  The verdict is pass when every
-    candidate coincides with the default geodesic on the grid.
+    candidate coincides with the default geodesic on the grid: no sup
+    distance above ``1e-6 * max(1, D)``.
     """
     cfg = cfg or DEFAULT_SAMPLES
     d = prod.distance(x, y)
     tol = cfg.tol.scaled(d)
-    threshold = distinct_threshold if distinct_threshold is not None else 1e-6 * max(1.0, d)
+    threshold = 1e-6 * max(1.0, d)
     base = product_geodesic(prod, x, y, cfg=cfg)
     if d <= tol:
         return ValidationReport("unique-geodesic", PASS, 1, 0.0, None,

@@ -32,6 +32,8 @@ from .sampling import (DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig, quadrant_sampl
 _LP_KINDS = {"weighted-lp": None, "weighted-euclidean": 2.0, "sum": 1.0, "max": math.inf}
 _UNWEIGHTED = ("sum", "max")
 _KINDS = (*_LP_KINDS, "two-valued", "coordinate-power", "custom")
+#: Smallest symmetrized-norm distance between the unit vectors of a strict-convexity pair.
+SEPARATION = 0.1
 
 
 def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.ndarray:
@@ -66,7 +68,7 @@ class GluingFunction:
     """
 
     def __init__(self, dim, kind, p=None, weights=None, func=None,
-                 exponent=None, coordinate=0, vectorized=True, label=None):
+                 exponent=None, coordinate=0, label=None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if kind not in _KINDS:
@@ -78,7 +80,6 @@ class GluingFunction:
         self.func = func
         self.exponent = None if exponent is None else float(exponent)
         self.coordinate = int(coordinate)
-        self.vectorized = bool(vectorized)
         self._class_cache: dict = {}
 
         if kind in _LP_KINDS:
@@ -127,8 +128,9 @@ class GluingFunction:
         return cls(dim, "coordinate-power", exponent=exponent, coordinate=coordinate)
 
     @classmethod
-    def custom(cls, dim, func, vectorized=True, label=None):
-        return cls(dim, "custom", func=func, vectorized=vectorized, label=label)
+    def custom(cls, dim, func, label=None):
+        """``func`` maps an array of quadrant vectors (last axis) to their values."""
+        return cls(dim, "custom", func=func, label=label)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -150,11 +152,7 @@ class GluingFunction:
             return np.where(m <= 0.0, 0.0, np.where(m <= 1.0, 1.0, 2.0))
         if self.kind == "coordinate-power":
             return arr[..., self.coordinate] ** self.exponent
-        if self.vectorized:
-            return self.func(arr)
-        if arr.ndim == 1:
-            return self.func(arr)
-        return np.apply_along_axis(self.func, -1, arr)
+        return self.func(arr)
 
     def axis_values(self) -> np.ndarray:
         """Values on the axis unit vectors."""
@@ -440,13 +438,12 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
 
 
 def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
-                           norm_reports: list[ValidationReport] | None = None,
-                           separation: float = 0.1) -> ValidationReport:
+                           norm_reports: list[ValidationReport] | None = None) -> ValidationReport:
     """Midpoints of distinct unit vectors must drop strictly below norm 1.
 
-    Near-parallel pairs are excluded (separation threshold in the
-    symmetrized norm): their midpoints approach norm 1 for every norm, so
-    they carry no signal at the fixed absolute threshold.
+    Near-parallel pairs are excluded (``SEPARATION`` in the symmetrized
+    norm): their midpoints approach norm 1 for every norm, so they carry no
+    signal at the fixed absolute threshold.
     """
     psi = phi if isinstance(phi, SymmetrizedNorm) else SymmetrizedNorm(phi)
     base = psi.phi
@@ -475,8 +472,8 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
     keep = (nx > 1e-12) & (ny > 1e-12)
     xu = x[keep] / nx[keep, None]
     yu = y[keep] / ny[keep, None]
-    sep = (np.asarray(psi(xu - yu), float) >= separation) & \
-          (np.asarray(psi(xu + yu), float) >= separation)
+    sep = (np.asarray(psi(xu - yu), float) >= SEPARATION) & \
+          (np.asarray(psi(xu + yu), float) >= SEPARATION)
     xu, yu = xu[sep], yu[sep]
     if len(xu) == 0:
         return _report("strict-convexity", UNDETERMINED, 0, 0.0, None,
@@ -489,7 +486,7 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
     verdict = FAIL if mids[i] >= 1.0 - cfg.tol.strict else PASS
     witness = {"x": xu[i], "y": yu[i], "midpoint_norm": float(mids[i])}
     return _report("strict-convexity", verdict, len(xu), margin, witness,
-                   separation=separation, tau_strict=cfg.tol.strict)
+                   separation=SEPARATION, tau_strict=cfg.tol.strict)
 
 
 def classify(phi: GluingFunction, cfg: SampleConfig | None = None) -> Classification:

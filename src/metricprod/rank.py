@@ -254,9 +254,13 @@ def _factor_gaps(prod: ProductSpace, embedding, base: np.ndarray,
     return prod.factor_distance_batch(anchors, images)
 
 
+#: Scales of the homogeneity check, and how many vectors the triangle check pairs.
+ALPHA_LAMBDAS = (0.5, 2.0, 3.0)
+ALPHA_TRIANGLE_VECTORS = 16
+
+
 def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
-                    source_norm=None, lambdas=(0.5, 2.0, 3.0),
-                    triangle_budget: int = 16, cfg=None):
+                    source_norm=None, cfg=None):
     """Decompose a claimed isometric embedding into per-factor gauges.
 
     Verifies, on the vector grid: the isometry identity (glued gauges
@@ -308,20 +312,20 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
 
     worst = 0.0
     witness = None
-    for lam in lambdas:
+    for lam in ALPHA_LAMBDAS:
         scaled = _factor_gaps(prod, embedding, a, lam * vecs)
         diffs = np.abs(scaled - lam * gauges_a)
         k = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
         if diffs[k] > worst:
             worst = float(diffs[k])
             witness = {"lambda": lam, "v": vecs[k[0]], "factor": int(k[1])}
-    tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)) * max(lambdas))
+    tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)) * max(ALPHA_LAMBDAS))
     reports.append(ValidationReport(
         "alpha-homogeneity", PASS if worst <= tol else FAIL,
-        vecs.shape[0] * len(lambdas) * len(prod.factors), worst, witness,
-        {"lambdas": list(lambdas), "tolerance": tol}))
+        vecs.shape[0] * len(ALPHA_LAMBDAS) * len(prod.factors), worst, witness,
+        {"lambdas": list(ALPHA_LAMBDAS), "tolerance": tol}))
 
-    sub = vecs[:min(len(vecs), triangle_budget)]
+    sub = vecs[:ALPHA_TRIANGLE_VECTORS]
     gsub = gauges_a[:len(sub)]
     worst = -math.inf
     witness = None
