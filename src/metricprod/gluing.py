@@ -141,8 +141,10 @@ class GluingFunction:
             raise ValueError(f"expected vectors of length {self.dim}, got shape {arr.shape}")
         if (arr < 0).any():
             raise ValueError("quadrant vectors must be componentwise nonnegative")
-        out = self._eval(arr)
-        return float(out) if single else np.asarray(out, float)
+        out = np.asarray(self._eval(arr), float)
+        if not np.isfinite(out).all():
+            raise ValueError(f"gluing {self.label} has a non-finite value")
+        return float(out) if single else out
 
     def _eval(self, arr: np.ndarray):
         if self.weights is not None:

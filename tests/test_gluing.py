@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from metricprod import (
     GluingClass,
     GluingFunction,
+    ProductSpace,
+    RealLine,
     SampleConfig,
     SymmetrizedNorm,
     check_axis_pythagoras,
@@ -18,6 +20,7 @@ from metricprod import (
     check_symmetrized_norm_axioms,
     classify,
     scalar_product_weights,
+    verify_metric_axioms,
 )
 
 CFG = SampleConfig(count=3000, seed=0)
@@ -229,6 +232,17 @@ def test_class_ordering():
 def test_custom_gluing_goes_through_ladder():
     phi = GluingFunction.custom(2, lambda q: q.sum(axis=-1), label="custom-sum")
     assert classify(phi, CFG).gluing_class is GluingClass.NORM_INDUCED
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_gluing_values_raise(value):
+    """A NaN fails every comparison and would pass every check; it is refused instead."""
+    phi = GluingFunction.custom(2, lambda q: np.full(q.shape[:-1], value))
+    with pytest.raises(ValueError, match="non-finite"):
+        classify(phi, SampleConfig(count=200, seed=0))
+    prod = ProductSpace((RealLine(), RealLine()), phi)
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_metric_axioms(prod, SampleConfig(count=200, seed=0))
 
 
 # -- induced scalar product ---------------------------------------------------------
