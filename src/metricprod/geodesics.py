@@ -301,11 +301,15 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     idx = np.arange(grid)
     s = np.add.outer(idx, idx)                       # parameter index sums
     even = dmat[::2, ::2]                            # values at grid points
-    lhs = dmat[s[:, None, :, None], s[None, :, None, :]]
-    rhs = 0.5 * (even[:, :, None, None] + even[None, None, :, :])
-    margins = lhs - rhs
-    k = np.unravel_index(int(np.argmax(margins)), margins.shape)
-    worst = float(margins[k])
+    # margins[a, b, c, d] = dmat[a + c, b + d] - (even[a, b] + even[c, d]) / 2, reduced one
+    # first index at a time (grid**3 memory); the first maximum in C order is kept
+    worst, k = -math.inf, None
+    for a in range(grid):
+        margins = dmat[(a + idx)[None, :, None], s[:, None, :]] - \
+            0.5 * (even[a, :, None, None] + even[None, :, :])
+        j = int(np.argmax(margins))
+        if k is None or margins.flat[j] > worst:
+            worst, k = float(margins.flat[j]), (a, *np.unravel_index(j, margins.shape))
     tol = tau if tau is not None else cfg.tol.scaled(float(dmat.max(initial=0.0)))
     step = 1.0 / (grid - 1) if grid > 1 else 1.0
     witness = {"s": k[0] * step, "t": k[1] * step,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,56 @@ def test_busemann_informational_for_corner_vs_diagonal():
     assert rep.verdict in ("pass", "fail")
     assert math.isfinite(rep.margin)
     assert rep.details["scope"] == "global on the given geodesics"
+
+
+def dense_busemann_margin(space, g1, g2, grid):
+    """Reference: the grid**4 margin array of the check, reduced at once."""
+    fine = 2 * grid - 1
+    u = np.linspace(0.0, 1.0, fine)
+    p1, p2 = g1.at_many(u * g1.length), g2.at_many(u * g2.length)
+    ii, jj = np.meshgrid(np.arange(fine), np.arange(fine), indexing="ij")
+    dmat = space.distance_batch(space.take(p1, ii.ravel()),
+                                space.take(p2, jj.ravel())).reshape(fine, fine)
+    s = np.add.outer(np.arange(grid), np.arange(grid))
+    even = dmat[::2, ::2]
+    margins = dmat[s[:, None, :, None], s[None, :, None, :]] - \
+        0.5 * (even[:, :, None, None] + even[None, None, :, :])
+    k = np.unravel_index(int(np.argmax(margins)), margins.shape)
+    return float(margins[k]), [int(i) * (1.0 / (grid - 1)) for i in k]
+
+
+def sup_norm_geodesics():
+    space = LpSpace(2, math.inf)
+    return space, [
+        (factor_geodesic(space, (0.0, 0.0), (2.0, 1.0), selector=("corner", 1)),
+         factor_geodesic(space, (0.0, 1.0), (3.0, 0.5), selector=("corner", 1))),
+        (factor_geodesic(space, (0.0, 0.0), (1.0, 0.0), selector=("corner", 1)),
+         factor_geodesic(space, (0.0, 0.0), (1.0, 0.0))),
+        (factor_geodesic(space, (0.0, 0.0), (1.0, 0.0)),     # parallel: ties everywhere
+         factor_geodesic(space, (0.0, 1.0), (1.0, 1.0))),
+    ]
+
+
+@pytest.mark.parametrize("grid", [8, 16])
+def test_busemann_matches_dense_reduction(grid):
+    space, pairs = sup_norm_geodesics()
+    for g1, g2 in pairs:
+        rep = busemann_convexity_check(space, g1, g2, grid=grid)
+        margin, witness = dense_busemann_margin(space, g1, g2, grid)
+        assert rep.margin == margin
+        assert [rep.witness[k] for k in ("s", "t", "s2", "t2")] == witness
+
+
+def test_busemann_memory_is_cubic_in_grid():
+    space, pairs = sup_norm_geodesics()
+    g1, g2 = pairs[0]
+    tracemalloc.start()
+    try:
+        busemann_convexity_check(space, g1, g2, grid=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20   # the grid**4 margin array alone is 42 MB
 
 
 def test_cat0_passes_for_euclidean_plane():
