@@ -263,7 +263,7 @@ class HalfLine(_Line1D):
         )
 
     def sample_batch(self, count, seed=0, radius=1.0):
-        return np.clip(rng_stream(seed, 12).uniform(-radius, radius, count), 0.0, None)
+        return rng_stream(seed, 12).uniform(0.0, radius, count)
 
     def descriptor(self):
         return {"type": "half-line"}

@@ -68,6 +68,14 @@ def test_half_line_samples_nonnegative():
     assert all(p >= 0.0 for p in pts)
 
 
+def test_half_line_samples_cover_zero_to_radius():
+    """The sampler draws from [0, radius): clipping a symmetric draw at 0 put
+    half of the samples exactly on 0."""
+    xs = HalfLine().sample_batch(10_000, seed=3, radius=2.5)
+    assert not (xs == 0.0).any()
+    assert ((xs >= 0.0) & (xs < 2.5)).all()
+
+
 def test_discrete_samples_in_carrier():
     pts = DiscreteSpace(5).sample_points(10, seed=1, radius=1.0)
     assert all(0 <= p < 5 for p in pts)
