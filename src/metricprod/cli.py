@@ -205,8 +205,9 @@ class RunContext:
         return named[ref]
 
     def space(self, ref):
-        return build_space(ref, self) if isinstance(ref, dict) else \
-            self._named("space", ref, self.spaces)
+        if isinstance(ref, dict):
+            return build_space(ref, self)
+        return self._named("space", ref, self.spaces)
 
     def product(self, ref) -> ProductSpace:
         space = self.space(ref)
@@ -437,8 +438,8 @@ CHECK_RUNNERS = {
     "alpha-decomposition": _run_alpha,
 }
 
-#: What ``expect`` is compared with where it is not the verdict: the words a check
-#: can observe and its reading of a record.  Alpha maps its own alpha-isometry record.
+#: Checks whose ``expect`` is not a verdict: the words each can observe, and its
+#: reading of a record (alpha compares its own alpha-isometry record).
 _READINGS = {
     "classify": (tuple(c.value for c in GluingClass), lambda rec: rec["class"]),
     "unique-geodesic": (("unique", "non-unique"),
@@ -450,7 +451,8 @@ _VERDICTS = ((PASS, FAIL, UNDETERMINED), lambda rec: rec["verdict"])
 
 
 def _reading(name: str, params: dict):
-    """How ``expect`` reads the check's records: ``None`` without ``expect``."""
+    """The reading that ``expect`` is compared with; a word the check cannot observe
+    is a config error."""
     if "expect" not in params:
         return None
     for key in ("expect_rank", "expect_length"):
@@ -481,17 +483,15 @@ def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]
         try:
             reading = _reading(name, params)
             recs = _records(CHECK_RUNNERS[name](ctx, _Fields(params)))
-        except BudgetExceededError:
-            raise
         except ConfigError as exc:
             raise ConfigError(f"check #{i} ({name}): {exc}") from exc
         except ValueError as exc:
             recs = [{"check": name, "verdict": FAIL, "error": str(exc)}]
         else:
-            for rec in recs if reading else []:
-                _expectation(rec, params["expect"], reading(rec))
-            if "expect_rank" in params:
-                for rec in recs:
+            for rec in recs:
+                if reading:
+                    _expectation(rec, params["expect"], reading(rec))
+                if "expect_rank" in params:
                     rec["expected"] = params["expect_rank"]
                     rec["verdict"] = PASS if rec.get("rank") == params["expect_rank"] else FAIL
         elapsed = time.perf_counter() - started

@@ -109,8 +109,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
 
 
 def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> Geodesic:
-    """Geodesic in a factor or a product; a product takes ``"affine"`` or a list of
-    factor selectors."""
+    """Geodesic in a factor, or in a product from "affine" or one selector per factor."""
     if isinstance(space, ProductSpace):
         if isinstance(selector, list):
             return product_geodesic(space, x, y, selectors=selector, cfg=cfg)

@@ -254,20 +254,15 @@ def _factor_gaps(prod: ProductSpace, embedding, base: np.ndarray,
     return prod.factor_distance_batch(anchors, images)
 
 
-#: Scales of the homogeneity check, and how many vectors the triangle check pairs.
-ALPHA_LAMBDAS = (0.5, 2.0, 3.0)
-ALPHA_TRIANGLE_VECTORS = 16
-
-
 def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
                     source_norm=None, cfg=None):
     """Decompose a claimed isometric embedding into per-factor gauges.
 
     Verifies, on the vector grid: the isometry identity (glued gauges
     reproduce the source norm), base-point independence, positive
-    homogeneity, and the triangle inequality of each gauge.  A failed
-    isometry identity is reported, with the decomposition still returned
-    for inspection.
+    homogeneity at scales 0.5, 2 and 3, and the triangle inequality of each
+    gauge over the first 16 vectors.  A failed isometry identity is
+    reported, with the decomposition still returned for inspection.
     """
     cfg = cfg or DEFAULT_SAMPLES
     cls = prod.classification(cfg).gluing_class
@@ -312,20 +307,21 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
 
     worst = 0.0
     witness = None
-    for lam in ALPHA_LAMBDAS:
+    lambdas = (0.5, 2.0, 3.0)
+    for lam in lambdas:
         scaled = _factor_gaps(prod, embedding, a, lam * vecs)
         diffs = np.abs(scaled - lam * gauges_a)
         k = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
         if diffs[k] > worst:
             worst = float(diffs[k])
             witness = {"lambda": lam, "v": vecs[k[0]], "factor": int(k[1])}
-    tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)) * max(ALPHA_LAMBDAS))
+    tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)) * max(lambdas))
     reports.append(ValidationReport(
         "alpha-homogeneity", PASS if worst <= tol else FAIL,
-        vecs.shape[0] * len(ALPHA_LAMBDAS) * len(prod.factors), worst, witness,
-        {"lambdas": list(ALPHA_LAMBDAS), "tolerance": tol}))
+        vecs.shape[0] * len(lambdas) * len(prod.factors), worst, witness,
+        {"lambdas": list(lambdas), "tolerance": tol}))
 
-    sub = vecs[:ALPHA_TRIANGLE_VECTORS]
+    sub = vecs[:16]
     gsub = gauges_a[:len(sub)]
     worst = -math.inf
     witness = None
