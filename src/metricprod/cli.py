@@ -448,16 +448,18 @@ _READINGS = {
     "alpha-decomposition": (("isometric", "non-isometric"), None),
 }
 _VERDICTS = ((PASS, FAIL, UNDETERMINED), lambda rec: rec["verdict"])
+#: The other expectation keys and the checks that read them, each in place of ``expect``.
+_KEYED = {"expect_rank": ("declared-rank", "product-rank"), "expect_length": ("curve-length",)}
 
 
 def _reading(name: str, params: dict):
     """The reading that ``expect`` is compared with; a word the check cannot observe
     is a config error."""
+    for key, checks in _KEYED.items():
+        if key in params and (name not in checks or "expect" in params):
+            raise ConfigError(f"{key!r} applies to {', '.join(checks)} only, not with 'expect'")
     if "expect" not in params:
         return None
-    for key in ("expect_rank", "expect_length"):
-        if key in params:
-            raise ConfigError(f"'expect' cannot be combined with {key!r}")
     words, reading = _READINGS.get(name, _VERDICTS)
     if params["expect"] not in words:
         raise ConfigError(f"'expect' must be one of {', '.join(words)}, "
@@ -493,7 +495,7 @@ def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]
                     _expectation(rec, params["expect"], reading(rec))
                 if "expect_rank" in params:
                     rec["expected"] = params["expect_rank"]
-                    rec["verdict"] = PASS if rec.get("rank") == params["expect_rank"] else FAIL
+                    rec["verdict"] = PASS if rec["rank"] == params["expect_rank"] else FAIL
         elapsed = time.perf_counter() - started
         informational = bool(params.get("informational", False))
         for rec in recs:

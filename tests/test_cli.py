@@ -394,8 +394,11 @@ def test_expect_marks_every_record_of_a_multi_record_check(tmp_path, capsys):
      "expect_rank": 1},
     {"check": "curve-length", "space": "plane", "curve": "diag", "expect": "pass",
      "expect_length": 5.0},
+    {"check": "classify", "phi": "eu", "expect_rank": 2},
+    {"check": "geodesy", "space": "plane", "start": [0, 0], "end": [3, 4], "expect_length": 5},
 ], ids=["unique-geodesic-pass", "geodesy-unique", "classify-pass", "embedding-pass",
-        "alpha-pass", "with-expect-rank", "with-expect-length"])
+        "alpha-pass", "with-expect-rank", "with-expect-length", "classify-rank",
+        "geodesy-length"])
 def test_expect_word_the_check_cannot_observe_is_config_error(tmp_path, capsys, check):
     code = main(["run", write_config(tmp_path, config_with_checks([check]))])
     captured = capsys.readouterr()
