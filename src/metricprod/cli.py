@@ -144,12 +144,11 @@ def build_curve(defn, ctx):
     try:
         if kind == "polyline":
             space = ctx.space(defn["space"])
-            pts = [space.point_from_json(p) for p in defn["points"]]
+            pts = [ctx.point(space, p) for p in defn["points"]]
             return polyline(space, pts, bool(defn.get("constant_speed", True)))
         if kind == "segment":
             space = ctx.space(defn["space"])
-            return segment(space.point_from_json(defn["start"]),
-                           space.point_from_json(defn["end"]))
+            return segment(ctx.point(space, defn["start"]), ctx.point(space, defn["end"]))
         if kind == "circle-arc":
             return circle_arc(defn["center"], float(defn["radius"]),
                               float(defn.get("angle_start", 0.0)),
@@ -222,11 +221,19 @@ class RunContext:
         defn = ref if isinstance(ref, dict) else self._named("curve", ref, self.curve_defs)
         return build_curve(defn, self)
 
-    def sample_config(self, params: dict) -> SampleConfig:
+    @staticmethod
+    def point(space, obj):
+        """``obj`` read as a point of ``space``; a point the space refuses is a config error."""
+        try:
+            return space.point_from_json(obj)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad point {obj!r}: {exc}") from exc
+
+    def sample_config(self, params: _Fields) -> SampleConfig:
         return SampleConfig(
-            count=int(params.get("samples", self.default_samples)),
-            seed=int(params.get("seed", self.default_seed)),
-            radius=float(params.get("radius", 10.0)),
+            count=params.number("samples", self.default_samples, int),
+            seed=params.number("seed", self.default_seed, int),
+            radius=params.number("radius", 10.0),
             tol=self.tol,
         )
 
@@ -235,10 +242,22 @@ class RunContext:
 
 
 class _Fields(dict):
-    """A check's parameters: reading a missing field is a config error."""
+    """A check's parameters: a missing field, or a number that is not finite, is a config error."""
 
     def __missing__(self, key):
         raise ConfigError(f"missing field {key!r}")
+
+    def number(self, key: str, default=None, kind=float):
+        """Field ``key`` as a finite ``kind`` (``float`` or ``int``), ``default`` if absent."""
+        if key not in self:
+            return default
+        try:
+            value = kind(self[key])
+            if math.isfinite(value):
+                return value
+        except (TypeError, ValueError, OverflowError):     # int() of inf raises OverflowError
+            pass
+        raise ConfigError(f"field {key!r} must be a finite number, got {self[key]!r}")
 
 
 def _expectation(record: dict, expect, observed) -> dict:
@@ -265,14 +284,14 @@ def _run_scalar_product_weights(ctx, params):
 
 def _run_curve_length(ctx, params):
     res = curve_length(ctx.space(params["space"]), ctx.curve(params["curve"]),
-                       int(params.get("depth", ctx.default_depth)))
+                       params.number("depth", ctx.default_depth, int))
     record = {"check": "curve-length", "length": res.length, "trace": to_jsonable(res.trace),
-              "diverged": res.diverged, "verdict": FAIL if res.diverged else PASS}
+              "diverged": res.diverged}
+    ok = math.isfinite(res.length) and not res.diverged
     if "expect_length" in params:
-        tol = float(params.get("tolerance", 1e-6))
-        ok = abs(res.length - float(params["expect_length"])) <= tol
-        record["expected"] = float(params["expect_length"])
-        record["verdict"] = PASS if ok and not res.diverged else FAIL
+        record["expected"] = params.number("expect_length")
+        ok = ok and abs(res.length - record["expected"]) <= params.number("tolerance", 1e-6)
+    record["verdict"] = PASS if ok else FAIL
     return record
 
 
@@ -280,20 +299,20 @@ def _geodesic_from_params(ctx, space, params):
     if not isinstance(params, dict):
         raise ConfigError("a geodesic is an object with 'start' and 'end'")
     params = _Fields(params)
-    start = space.point_from_json(params["start"])
-    end = space.point_from_json(params["end"])
+    start = ctx.point(space, params["start"])
+    end = ctx.point(space, params["end"])
     if "via" in params:
         if not isinstance(space, ProductSpace):
             raise ConfigError("'via' routes need a product space")
         return product_geodesic(space, start, end,
-                                via=space.point_from_json(params["via"]), cfg=ctx.structure)
+                                via=ctx.point(space, params["via"]), cfg=ctx.structure)
     return geodesic_between(space, start, end, params.get("selector", "affine"), ctx.structure)
 
 
 def _run_geodesy(ctx, params):
     space = ctx.space(params["space"])
     geo = _geodesic_from_params(ctx, space, params)
-    rec = geodesy_test(space, geo, int(params.get("grid", 64)), ctx.structure).to_record()
+    rec = geodesy_test(space, geo, params.number("grid", 64, int), ctx.structure).to_record()
     rec["midpoint"] = to_jsonable(space.point_to_json(geo.at(geo.length / 2.0)))
     return rec
 
@@ -301,53 +320,44 @@ def _run_geodesy(ctx, params):
 def _run_component_progress(ctx, params):
     prod = ctx.product(params["space"])
     return component_progress_check(prod, _geodesic_from_params(ctx, prod, params),
-                                    int(params.get("grid", 64)), ctx.structure)
+                                    params.number("grid", 64, int), ctx.structure)
 
 
 def _run_uniqueness(ctx, params):
     prod = ctx.product(params["product"])
     return uniqueness_probe(
-        prod, prod.point_from_json(params["start"]), prod.point_from_json(params["end"]),
-        grid=int(params.get("grid", 64)), perturbations=int(params.get("perturbations", 64)),
-        seed=int(params.get("seed", ctx.default_seed)), cfg=ctx.structure)
+        prod, ctx.point(prod, params["start"]), ctx.point(prod, params["end"]),
+        grid=params.number("grid", 64, int), perturbations=params.number("perturbations", 64, int),
+        seed=params.number("seed", ctx.default_seed, int), cfg=ctx.structure)
 
 
 def _run_busemann(ctx, params):
-    tau = params.get("tau")
-    if tau is not None:
-        try:
-            tau = float(tau)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad busemann tolerance: {exc}") from exc
-        if not math.isfinite(tau):
-            raise ConfigError(f"busemann tolerance must be finite, got {tau}")
     space = ctx.space(params["space"])
     g1 = _geodesic_from_params(ctx, space, params["g1"])
     g2 = _geodesic_from_params(ctx, space, params["g2"])
-    return busemann_convexity_check(space, g1, g2, int(params.get("grid", 32)), tau=tau,
-                                    cfg=ctx.structure)
+    return busemann_convexity_check(space, g1, g2, params.number("grid", 32, int),
+                                    tau=params.number("tau"), cfg=ctx.structure)
 
 
 def _run_cat0(ctx, params):
     space = ctx.space(params["space"])
     triangles = None
     if "triangles" in params:
-        triangles = [tuple(space.point_from_json(p) for p in tri)
-                     for tri in params["triangles"]]
+        triangles = [tuple(ctx.point(space, p) for p in tri) for tri in params["triangles"]]
     return cat0_four_point_check(
-        space, int(params.get("count", 1000)), int(params.get("seed", ctx.default_seed)),
-        float(params.get("radius", 5.0)), triangles, ctx.structure)
+        space, params.number("count", 1000, int), params.number("seed", ctx.default_seed, int),
+        params.number("radius", 5.0), triangles, ctx.structure)
 
 
 def _run_embedding_oracle(ctx, params):
     space = ctx.space(params["space"])
     if "points" in params:
-        points = [space.point_from_json(p) for p in params["points"]]
+        points = [ctx.point(space, p) for p in params["points"]]
     else:
-        sample = params.get("sample", {})
-        points = space.sample_points(int(sample.get("count", 32)),
-                                     int(sample.get("seed", ctx.default_seed)),
-                                     float(sample.get("radius", 5.0)))
+        sample = _Fields(_section(params, "sample"))
+        points = space.sample_points(sample.number("count", 32, int),
+                                     sample.number("seed", ctx.default_seed, int),
+                                     sample.number("radius", 5.0))
     pattern = np.asarray(params["pattern"], float)
     probe = finite_embedding_oracle(pattern, points, space, tau=ctx.tol.embed)
     return dict(probe.to_record(), verdict=PASS)
@@ -416,12 +426,13 @@ CHECK_RUNNERS = {
     "curve-length": _run_curve_length,
     "product-curve-length": lambda ctx, p: product_curve_length_check(
         ctx.product(p["product"]), [ctx.curve(c) for c in p["components"]],
-        int(p.get("depth", ctx.default_depth))),
+        p.number("depth", ctx.default_depth, int)),
     "arclength": lambda ctx, p: arclength_check(ctx.space(p["space"]), ctx.curve(p["curve"]),
-                                                int(p.get("grid", 8)), int(p.get("depth", 8))),
+                                                p.number("grid", 8, int),
+                                                p.number("depth", 8, int)),
     "non-length-space": lambda ctx, p: non_length_space_demo(
-        int(p.get("depth", 8)), p.get("endpoints", ((0.0, 0.0), (1.0, 0.0))),
-        int(p.get("paths", 5)), int(p.get("seed", ctx.default_seed))),
+        p.number("depth", 8, int), p.get("endpoints", ((0.0, 0.0), (1.0, 0.0))),
+        p.number("paths", 5, int), p.number("seed", ctx.default_seed, int)),
     "geodesy": _run_geodesy,
     "component-progress": _run_component_progress,
     "unique-geodesic": _run_uniqueness,
@@ -433,7 +444,7 @@ CHECK_RUNNERS = {
         ctx.product(p["space"]), bool(p.get("assert_kleiner", False)),
         ctx.structure).to_record(), verdict=PASS),
     "rank-counterexample": lambda ctx, p: counterexample_sum_halflines(
-        float(p.get("T", 10.0)), int(p.get("grid", 101))),
+        p.number("T", 10.0), p.number("grid", 101, int)),
     "embedding-oracle": _run_embedding_oracle,
     "alpha-decomposition": _run_alpha,
 }

@@ -8,13 +8,12 @@ subdivisions for continuous curves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .reports import FAIL, PASS, UNDETERMINED, ValidationReport
+from .reports import PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import ZERO_FLOOR, rng_stream
 from .spaces import lerp, point_at, stack
 
@@ -90,6 +89,8 @@ def polyline(space, points, constant_speed: bool = True) -> Curve:
 def circle_arc(center, radius: float, angle_start: float, angle_end: float) -> Curve:
     """Constant-speed circular arc in a 2-d coordinate space."""
     cx, cy = float(center[0]), float(center[1])
+    if not np.isfinite([cx, cy, radius, angle_start, angle_end]).all():
+        raise ValueError("circle-arc center, radius and angles must be finite")
 
     def evaluator(ts):
         theta = angle_start + np.asarray(ts, float) * (angle_end - angle_start)
@@ -151,17 +152,11 @@ def curve_length(space, curve: Curve, depth: int = 12,
     return LengthResult(trace[-1], trace, diverged, chord)
 
 
-def _restriction_lengths(space, curve: Curve, cuts: np.ndarray, depth: int) -> np.ndarray:
-    return np.array([
-        curve_length(space, curve.subcurve(s, t), depth).length
-        for s, t in zip(cuts[:-1], cuts[1:])
-    ])
-
-
 def _constant_speed_violation(space, curve: Curve, pieces: int = 16, depth: int = 7):
     """Worst deviation of piecewise lengths from uniform, with its allowance."""
     cuts = np.linspace(0.0, 1.0, pieces + 1)
-    lens = _restriction_lengths(space, curve, cuts, depth)
+    lens = np.array([curve_length(space, curve.subcurve(s, t), depth).length
+                     for s, t in zip(cuts[:-1], cuts[1:])])
     total = float(lens.sum())
     if total == 0:
         return 0.0, LEN_FLOOR, total
@@ -195,7 +190,7 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
     margin = abs(measured.length - expected)
     tol = tau_len(depth, measured.trace[0])
     return ValidationReport(
-        "product-length", PASS if margin <= tol else FAIL,
+        "product-length", worst(margin, tol)[1],
         2**depth, margin,
         {"factor_lengths": lengths, "expected": expected, "measured": measured.length},
         {"depth": depth, "tolerance": tol})
@@ -208,24 +203,19 @@ def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8) -> Valid
         return ValidationReport("arclength-parameterization", UNDETERMINED, 0, 0.0,
                                 None, {"reason": "curve appears non-rectifiable"})
     cuts = np.linspace(0.0, 1.0, grid + 1)
-    worst = -math.inf
-    witness = None
-    checked = 0
+    witnesses, margins = [], []
     for i, s in enumerate(cuts[:-1]):
         for t in cuts[i + 1:]:
-            sub = curve.subcurve(float(s), float(t))
-            measured = curve_length(space, sub, depth)
+            measured = curve_length(space, curve.subcurve(float(s), float(t)), depth)
             expected = total.length * (t - s)
             tol = tau_len(depth, max(measured.trace[0], expected))
-            margin = abs(measured.length - expected) - tol
-            checked += 1
-            if margin > worst:
-                worst = margin
-                witness = {"interval": [float(s), float(t)],
-                           "measured": measured.length, "expected": expected}
+            margins.append(abs(measured.length - expected) - tol)
+            witnesses.append({"interval": [float(s), float(t)],
+                              "measured": measured.length, "expected": expected})
+    k, verdict = worst(margins)
     return ValidationReport(
-        "arclength-parameterization", FAIL if worst > 0 else PASS, checked,
-        worst, witness, {"total_length": total.length, "depth": depth})
+        "arclength-parameterization", verdict, len(margins),
+        margins[k], witnesses[k], {"total_length": total.length, "depth": depth})
 
 
 def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
@@ -265,18 +255,14 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
         pts = [a] + [(float(x), float(y)) for x, y in mids] + [b]
         family.append(polyline(prod, pts, constant_speed=False))
 
-    worst = -math.inf
-    witness = None
-    for pi, path in enumerate(family):
-        res = curve_length(prod, path, depth)
-        for d in range(1, depth + 1):
-            slack = 2**d - res.trace[d]
-            if slack > worst:
-                worst = slack
-                witness = {"path": pi, "depth": d, "subdivision_sum": res.trace[d],
-                           "lower_bound": 2**d}
-    verdict = PASS if worst <= 0 else FAIL
+    # sums[path, d - 1] is the subdivision sum at depth d, bounded below by 2^d
+    sums = np.array([curve_length(prod, path, depth).trace[1:] for path in family])
+    slack = 2.0 ** np.arange(1, depth + 1) - sums
+    k, verdict = worst(slack)
+    pi, d = divmod(k, depth)
+    witness = {"path": pi, "depth": d + 1, "subdivision_sum": float(sums[pi, d]),
+               "lower_bound": 2 ** (d + 1)}
     return ValidationReport("non-length-space-demo", verdict, len(family) * depth,
-                            worst, witness,
+                            slack.flat[k], witness,
                             {"mode": "divergence", "max_depth": depth,
                              "paths": len(family)})

@@ -19,7 +19,7 @@ import numpy as np
 from .curves import Curve
 from .gluing import GluingClass
 from .product import ProductSpace
-from .reports import FAIL, PASS, ValidationReport
+from .reports import PASS, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, rng_stream
 from .spaces import MetricSpace
 
@@ -136,15 +136,12 @@ def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
     dist = space.distance_batch(space.take(pts, ii), space.take(pts, jj))
     gaps = np.abs(ts[ii] - ts[jj])
     diffs = np.abs(dist - gaps)
-    k = int(np.argmax(diffs)) if len(diffs) else 0
     tol = cfg.tol.scaled(d)
-    margin = float(diffs[k]) if len(diffs) else 0.0
-    witness = None
-    if len(diffs):
-        witness = {"s": float(ts[ii[k]]), "t": float(ts[jj[k]]),
-                   "distance": float(dist[k]), "gap": float(gaps[k])}
-    return ValidationReport("geodesy", FAIL if margin > tol else PASS,
-                            len(diffs), margin, witness,
+    k, verdict = worst(diffs, tol)
+    witness = {"s": float(ts[ii[k]]), "t": float(ts[jj[k]]),
+               "distance": float(dist[k]), "gap": float(gaps[k])}
+    return ValidationReport("geodesy", verdict,
+                            len(diffs), float(diffs[k]), witness,
                             {"length": d, "tolerance": tol,
                              "descriptor": geo.descriptor})
 
@@ -159,21 +156,19 @@ def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
     fracs = ts / d if d > 0 else np.zeros_like(ts)
-    worst = -math.inf
-    witness = None
-    for i, f in enumerate(prod.factors):
-        xi = geo.start[i]
-        di = f.distance(geo.start[i], geo.end[i])
-        prog = f.distance_batch(f.stack([xi] * grid), pts[i])
-        diffs = np.abs(prog - fracs * di)
-        k = int(np.argmax(diffs))
-        if diffs[k] > worst:
-            worst = float(diffs[k])
-            witness = {"factor": i, "t": float(ts[k]),
-                       "progress": float(prog[k]), "expected": float(fracs[k] * di)}
+    # progress[i, k]: factor i's distance from its start at ts[k]; expected, its share
+    progress = np.array([f.distance_batch(f.stack([geo.start[i]] * grid), pts[i])
+                         for i, f in enumerate(prod.factors)])
+    expected = np.array([fracs * f.distance(geo.start[i], geo.end[i])
+                         for i, f in enumerate(prod.factors)])
+    diffs = np.abs(progress - expected)
     tol = cfg.tol.scaled(d)
-    return ValidationReport("component-progress", FAIL if worst > tol else PASS,
-                            grid * len(prod.factors), worst, witness,
+    k, verdict = worst(diffs, tol)
+    i, k = divmod(k, grid)
+    witness = {"factor": i, "t": float(ts[k]),
+               "progress": float(progress[i, k]), "expected": float(expected[i, k])}
+    return ValidationReport("component-progress", verdict,
+                            grid * len(prod.factors), float(diffs[i, k]), witness,
                             {"length": d, "tolerance": tol})
 
 
@@ -260,16 +255,13 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
 
     ts = np.linspace(0.0, d, grid)
     base_pts = base.at_many(ts)
-    worst = 0.0
-    witness = None
-    for cand in candidates[1:]:
-        sup = float(prod.distance_batch(base_pts, cand.at_many(ts)).max())
-        if sup > worst:
-            worst = sup
-            witness = {"geodesics": [base.descriptor, cand.descriptor],
-                       "sup_distance": sup}
-    verdict = FAIL if worst > threshold else PASS
-    return ValidationReport("unique-geodesic", verdict, len(candidates), worst,
+    # sup distance of each candidate from the base geodesic; the base itself is at 0
+    sups = [0.0] + [float(prod.distance_batch(base_pts, cand.at_many(ts)).max())
+                    for cand in candidates[1:]]
+    k, verdict = worst(sups, threshold)
+    witness = {"geodesics": [base.descriptor, candidates[k].descriptor],
+               "sup_distance": sups[k]} if k else None
+    return ValidationReport("unique-geodesic", verdict, len(candidates), sups[k],
                             witness,
                             {"distinct_threshold": threshold,
                              "candidates": len(candidates),
@@ -301,20 +293,21 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     s = np.add.outer(idx, idx)                       # parameter index sums
     even = dmat[::2, ::2]                            # values at grid points
     # margins[a, b, c, d] = dmat[a + c, b + d] - (even[a, b] + even[c, d]) / 2, reduced one
-    # first index at a time (grid**3 memory); the first maximum in C order is kept
-    worst, k = -math.inf, None
+    # first index a at a time (grid**3 memory): the worst of each slab, then of the slabs
+    slabs = []
     for a in range(grid):
         margins = dmat[(a + idx)[None, :, None], s[:, None, :]] - \
             0.5 * (even[a, :, None, None] + even[None, :, :])
-        j = int(np.argmax(margins))
-        if k is None or margins.flat[j] > worst:
-            worst, k = float(margins.flat[j]), (a, *np.unravel_index(j, margins.shape))
+        j, _ = worst(margins)
+        slabs.append((float(margins.flat[j]), (a, *np.unravel_index(j, margins.shape))))
     tol = tau if tau is not None else cfg.tol.scaled(float(dmat.max(initial=0.0)))
+    a, verdict = worst([m for m, _ in slabs], tol)
+    margin, k = slabs[a]
     step = 1.0 / (grid - 1) if grid > 1 else 1.0
     witness = {"s": k[0] * step, "t": k[1] * step,
                "s2": k[2] * step, "t2": k[3] * step}
-    return ValidationReport("busemann-convexity", FAIL if worst > tol else PASS,
-                            grid**4, worst, witness,
+    return ValidationReport("busemann-convexity", verdict,
+                            grid**4, margin, witness,
                             {"tolerance": tol, "scope": "global on the given geodesics"})
 
 
@@ -333,9 +326,7 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
         qs = space.sample_points(count, [seed, 8], radius)
         rs = space.sample_points(count, [seed, 9], radius)
         triangles = list(zip(ps, qs, rs))
-    worst = -math.inf
-    witness = None
-    skipped = 0
+    checked, margins = [], []     # (p, q, r, midpoint, sides, comparison) per margin
     scale = 1.0
     for p, q, r in triangles:
         a = space.distance(p, q)
@@ -344,19 +335,20 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
         scale = max(scale, a, b, c)
         slack = cfg.tol.scaled(a, b, c)
         if c > a + b + slack or a > b + c + slack or b > a + c + slack:
-            skipped += 1
             continue
         m = midpoint(space, q, r, cfg=cfg)
         comparison = math.sqrt(max(0.0, (2 * a * a + 2 * b * b - c * c) / 4.0))
-        margin = space.distance(p, m) - comparison
-        if margin > worst:
-            worst = float(margin)
-            witness = {"p": space.point_to_json(p), "q": space.point_to_json(q),
-                       "r": space.point_to_json(r),
-                       "midpoint": space.point_to_json(m),
-                       "sides": [a, b, c], "comparison": comparison}
+        margins.append(space.distance(p, m) - comparison)
+        checked.append((p, q, r, m, [a, b, c], comparison))
     tol = cfg.tol.scaled(scale)
-    checked = len(triangles) - skipped
-    return ValidationReport("cat0-four-point", FAIL if worst > tol else PASS,
-                            checked, worst if checked else 0.0, witness,
-                            {"skipped_degenerate": skipped, "tolerance": tol})
+    margin, witness, verdict = 0.0, None, PASS
+    if margins:      # every triangle may be skipped as degenerate
+        k, verdict = worst(margins, tol)
+        p, q, r, m, sides, comparison = checked[k]
+        margin = float(margins[k])
+        witness = {"p": space.point_to_json(p), "q": space.point_to_json(q),
+                   "r": space.point_to_json(r), "midpoint": space.point_to_json(m),
+                   "sides": sides, "comparison": comparison}
+    return ValidationReport("cat0-four-point", verdict, len(checked), margin, witness,
+                            {"skipped_degenerate": len(triangles) - len(checked),
+                             "tolerance": tol})

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import FAIL, PASS, UNDETERMINED, ValidationReport
+from .reports import FAIL, PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import (DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig, quadrant_samples, rng_stream,
                        signed_samples)
 
@@ -303,8 +303,8 @@ def _triangle_shapes(phi: GluingFunction, cfg: SampleConfig):
 def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
     """Generalized triangle condition over sampled quadrant triples."""
     cfg = cfg or DEFAULT_SAMPLES
-    worst = -math.inf
-    witness = None
+    blocks = []       # (shape, triple, values, (j, k, l)), one per margin block
+    margins = []
     checked = 0
     scale = 1.0
     for tag, a, b, c in _triangle_shapes(phi, cfg):
@@ -315,21 +315,16 @@ def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None
             hyp = (triple[j] <= triple[k] + triple[l]).all(axis=1)
             if not hyp.any():
                 continue
-            margins = vals[j] - vals[k] - vals[l]
-            margins = np.where(hyp, margins, -math.inf)
             checked += int(hyp.sum())
-            i = int(np.argmax(margins))
-            if margins[i] > worst:
-                worst = float(margins[i])
-                witness = {
-                    "shape": tag,
-                    "target": triple[j][i],
-                    "left": triple[k][i],
-                    "right": triple[l][i],
-                    "values": [float(vals[j][i]), float(vals[k][i]), float(vals[l][i])],
-                }
-    verdict = FAIL if worst > cfg.tol.scaled(scale) else PASS
-    return _report("quadrant-triangle", verdict, checked, worst, witness,
+            blocks.append((tag, triple, vals, (j, k, l)))
+            margins.append(np.where(hyp, vals[j] - vals[k] - vals[l], -math.inf))
+    margins = np.vstack(margins)
+    worst_at, verdict = worst(margins, cfg.tol.scaled(scale))
+    block, i = divmod(worst_at, margins.shape[1])
+    tag, triple, vals, (j, k, l) = blocks[block]
+    witness = {"shape": tag, "target": triple[j][i], "left": triple[k][i],
+               "right": triple[l][i], "values": [float(vals[n][i]) for n in (j, k, l)]}
+    return _report("quadrant-triangle", verdict, checked, margins.flat[worst_at], witness,
                    reading="all permutations with valid hypothesis")
 
 
@@ -365,8 +360,7 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     vlo = np.asarray(phi(lo), float)
     vhi = np.asarray(phi(hi), float)
     margins = vlo - vhi
-    i = int(np.argmax(margins))
-    verdict = FAIL if margins[i] > cfg.tol.scaled(vhi.max(initial=0.0)) else PASS
+    i, verdict = worst(margins, cfg.tol.scaled(vhi.max(initial=0.0)))
     reports.append(_report("monotonicity", verdict, len(lo), float(margins[i]),
                            {"q": lo[i], "p": hi[i], "values": [float(vlo[i]), float(vhi[i])]}))
 
@@ -383,8 +377,7 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     va, vb = np.asarray(phi(a), float), np.asarray(phi(b), float)
     vsum = np.asarray(phi(a + b), float)
     margins = vsum - va - vb
-    i = int(np.argmax(margins))
-    verdict = FAIL if margins[i] > cfg.tol.scaled(va.max(initial=0.0), vb.max(initial=0.0)) else PASS
+    i, verdict = worst(margins, cfg.tol.scaled(va.max(initial=0.0), vb.max(initial=0.0)))
     reports.append(_report("subadditivity", verdict, len(a), float(margins[i]),
                            {"p": a[i], "q": b[i], "values": [float(vsum[i]), float(va[i]), float(vb[i])]}))
 
@@ -403,9 +396,7 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     expected = lam * np.asarray(phi(qq), float)
     diffs = np.abs(scaled - expected)
     tols = cfg.tol.metric * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
-    rel = diffs - tols
-    i = int(np.argmax(rel))
-    verdict = FAIL if rel[i] > 0 else PASS
+    i, verdict = worst(diffs - tols)
     reports.append(_report("homogeneity", verdict, len(qq), float(diffs[i]),
                            {"lambda": float(lam[i]), "q": qq[i],
                             "values": [float(scaled[i]), float(expected[i])]}))
@@ -431,8 +422,7 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
         rhs += np.asarray(phi(axis), float) ** 2
     diffs = np.abs(lhs - rhs)
     tols = cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))
-    i = int(np.argmax(diffs - tols))
-    verdict = FAIL if (diffs - tols)[i] > 0 else PASS
+    i, verdict = worst(diffs - tols)
     margin_at_ones = float(abs(lhs[0] - rhs[0]))
     return _report("axis-pythagoras", verdict, len(lam), float(diffs[i]),
                    {"lambda": lam[i], "lhs": float(lhs[i]), "rhs": float(rhs[i])},
@@ -445,7 +435,8 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
 
     Near-parallel pairs are excluded (``SEPARATION`` in the symmetrized
     norm): their midpoints approach norm 1 for every norm, so they carry no
-    signal at the fixed absolute threshold.
+    signal at the fixed absolute threshold.  At dim 1 the rung passes unsampled:
+    every norm on R is a multiple of ``|x|``, so strictly convex (and Euclidean).
     """
     psi = phi if isinstance(phi, SymmetrizedNorm) else SymmetrizedNorm(phi)
     base = psi.phi
@@ -458,6 +449,8 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
                        reason="norm conditions failed", failed_conditions=failed)
 
     dim = base.dim
+    if dim == 1:
+        return _report("strict-convexity", PASS, 0, 0.0, None, reason="dim 1")
     eye = np.eye(dim)
     corner_x, corner_y = [], []
     for i in range(dim):
@@ -482,10 +475,10 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
                        reason="no admissible pairs sampled")
     mids = np.asarray(psi((xu + yu) / 2.0), float)
     # ties within float noise resolve to the earliest (corner) pair so that
-    # exact witnesses beat sampled ones
-    i = int(np.argmax(mids >= mids.max() - 1e-12))
+    # exact witnesses beat sampled ones; a NaN midpoint is picked first
+    i = int(np.argmax((mids >= mids.max() - 1e-12) | np.isnan(mids)))
     margin = float(mids[i]) - 1.0
-    verdict = FAIL if mids[i] >= 1.0 - cfg.tol.strict else PASS
+    verdict = PASS if mids[i] < 1.0 - cfg.tol.strict else FAIL
     witness = {"x": xu[i], "y": yu[i], "midpoint_norm": float(mids[i])}
     return _report("strict-convexity", verdict, len(xu), margin, witness,
                    separation=SEPARATION, tau_strict=cfg.tol.strict)
@@ -504,7 +497,7 @@ def classify(phi: GluingFunction, cfg: SampleConfig | None = None) -> Classifica
         cls = GluingClass.NOT_A_METRIC_PRODUCT
     elif any(r.failed for r in norm):
         cls = GluingClass.METRIC_COMPATIBLE
-    elif strict.failed:
+    elif not strict.passed:
         cls = GluingClass.NORM_INDUCED
     elif pythagoras.failed:
         cls = GluingClass.STRICTLY_CONVEX_NORM
@@ -542,16 +535,15 @@ def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None 
     scaled = np.asarray(psi(lam[:, None] * x), float)
     expected = np.abs(lam) * vx
     diffs = np.abs(scaled - expected)
-    i = int(np.argmax(diffs))
-    tol = cfg.tol.scaled(float(expected.max(initial=0.0)))
-    reports.append(_report("psi-homogeneity", FAIL if diffs[i] > tol else PASS,
+    i, verdict = worst(diffs, cfg.tol.scaled(float(expected.max(initial=0.0))))
+    reports.append(_report("psi-homogeneity", verdict,
                            len(x), float(diffs[i]),
                            {"lambda": float(lam[i]), "x": x[i]}))
 
     vsum = np.asarray(psi(x + y), float)
     margins = vsum - vx - vy
-    i = int(np.argmax(margins))
-    tol = cfg.tol.scaled(float(vx.max(initial=0.0)), float(vy.max(initial=0.0)))
-    reports.append(_report("psi-subadditivity", FAIL if margins[i] > tol else PASS,
+    i, verdict = worst(margins, cfg.tol.scaled(float(vx.max(initial=0.0)),
+                                               float(vy.max(initial=0.0))))
+    reports.append(_report("psi-subadditivity", verdict,
                            len(x), float(margins[i]), {"x": x[i], "y": y[i]}))
     return reports

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gluing import GluingClass, GluingFunction
-from .reports import FAIL, PASS, ValidationReport
+from .reports import FAIL, PASS, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig
 from .spaces import DeclaredProperties, MetricSpace
 
@@ -174,20 +174,19 @@ def verify_metric_axioms(prod: ProductSpace,
     # symmetry
     dyx = prod.distance_batch(ys, xs)
     diffs = np.abs(dxy - dyx)
-    i = int(np.argmax(diffs))
-    tol = cfg.tol.scaled(float(dxy.max(initial=0.0)))
+    i, verdict = worst(diffs, cfg.tol.scaled(float(dxy.max(initial=0.0))))
     reports.append(ValidationReport(
-        "symmetry", FAIL if diffs[i] > tol else PASS, cfg.count, float(diffs[i]),
+        "symmetry", verdict, cfg.count, float(diffs[i]),
         {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i)}, {}))
 
     # triangle inequality
     dyz = prod.distance_batch(ys, zs)
     dxz = prod.distance_batch(xs, zs)
     margins = dxz - dxy - dyz
-    i = int(np.argmax(margins))
     tol = cfg.tol.scaled(float(dxz.max(initial=0.0)))
+    i, verdict = worst(margins, tol)
     reports.append(ValidationReport(
-        "triangle-inequality", FAIL if margins[i] > tol else PASS, cfg.count,
+        "triangle-inequality", verdict, cfg.count,
         float(margins[i]),
         {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i),
          "z": prod.point_at(zs, i),

@@ -10,7 +10,6 @@ strictness hypothesis cannot be dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .gluing import GluingClass, GluingFunction
 from .geodesics import Geodesic
 from .product import ProductSpace
-from .reports import FAIL, PASS, Tolerances, ValidationReport
+from .reports import FAIL, Tolerances, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES
 from .spaces import CATALOG_NOTE, FiniteMetricSpace, HalfLine, MetricSpace
 
@@ -141,12 +140,11 @@ def counterexample_sum_halflines(T: float = 10.0, grid: int = 101) -> Validation
     dist = prod.distance_batch(prod.take(pts, ii), prod.take(pts, jj))
     gaps = np.abs(params[ii] - params[jj])
     diffs = np.abs(dist - gaps)
-    k = int(np.argmax(diffs))
-    margin = float(diffs[k])
+    k, verdict = worst(diffs)
     witness = {"s": float(params[ii[k]]), "t": float(params[jj[k]]),
                "distance": float(dist[k]), "gap": float(gaps[k])}
-    return ValidationReport("rank-counterexample", PASS if margin <= 0.0 else FAIL,
-                            len(diffs), margin, witness,
+    return ValidationReport("rank-counterexample", verdict,
+                            len(diffs), float(diffs[k]), witness,
                             {"T": T, "grid": grid, "exact": True,
                              "embedded_dimension": 1,
                              "factor_ranks": [0, 0]})
@@ -213,7 +211,8 @@ def finite_embedding_oracle(pattern, target_points: list, space: MetricSpace,
             if used[j]:
                 continue
             nodes += 1
-            if i and np.abs(dtar[j, assignment] - dpat[i, :i]).max() > tau:
+            # a NaN mismatch prunes too
+            if i and not np.abs(dtar[j, assignment] - dpat[i, :i]).max() <= tau:
                 continue
             assignment.append(j)
             used[j] = True
@@ -287,53 +286,45 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     nz = norms > 1e-12
     rel = np.zeros_like(norms)
     rel[nz] = np.abs(glued[nz] - norms[nz]) / norms[nz]
-    k = int(np.argmax(rel))
-    iso_margin = float(rel[k])
-    iso_ok = iso_margin <= cfg.tol.metric
+    k, verdict = worst(rel, cfg.tol.metric)
     details = {"relative": True}
-    if not iso_ok:
+    if verdict == FAIL:
         details["reason"] = "not an isometric embedding"
     reports.append(ValidationReport(
-        "alpha-isometry", PASS if iso_ok else FAIL, int(nz.sum()), iso_margin,
+        "alpha-isometry", verdict, int(nz.sum()), float(rel[k]),
         {"v": vecs[k], "glued": float(glued[k]), "norm": float(norms[k])}, details))
 
     diffs = np.abs(gauges_a - gauges_b)
-    k = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
     tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)))
+    k, verdict = worst(diffs, tol)
+    r, i = np.unravel_index(k, diffs.shape)
     reports.append(ValidationReport(
-        "alpha-base-independence", PASS if diffs[k] <= tol else FAIL,
-        vecs.shape[0] * len(prod.factors), float(diffs[k]),
-        {"v": vecs[k[0]], "factor": int(k[1])}, {"tolerance": tol}))
+        "alpha-base-independence", verdict,
+        vecs.shape[0] * len(prod.factors), float(diffs.flat[k]),
+        {"v": vecs[r], "factor": int(i)}, {"tolerance": tol}))
 
-    worst = 0.0
-    witness = None
     lambdas = (0.5, 2.0, 3.0)
-    for lam in lambdas:
-        scaled = _factor_gaps(prod, embedding, a, lam * vecs)
-        diffs = np.abs(scaled - lam * gauges_a)
-        k = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-        if diffs[k] > worst:
-            worst = float(diffs[k])
-            witness = {"lambda": lam, "v": vecs[k[0]], "factor": int(k[1])}
+    diffs = np.array([np.abs(_factor_gaps(prod, embedding, a, lam * vecs) - lam * gauges_a)
+                      for lam in lambdas])
     tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)) * max(lambdas))
+    k, verdict = worst(diffs, tol)
+    lam, r, i = np.unravel_index(k, diffs.shape)
+    # exact homogeneity everywhere leaves no witness
+    witness = {"lambda": lambdas[lam], "v": vecs[r], "factor": int(i)} if diffs.flat[k] else None
     reports.append(ValidationReport(
-        "alpha-homogeneity", PASS if worst <= tol else FAIL,
-        vecs.shape[0] * len(lambdas) * len(prod.factors), worst, witness,
+        "alpha-homogeneity", verdict,
+        diffs.size, float(diffs.flat[k]), witness,
         {"lambdas": list(lambdas), "tolerance": tol}))
 
     sub = vecs[:16]
     gsub = gauges_a[:len(sub)]
-    worst = -math.inf
-    witness = None
-    for r in range(len(sub)):
-        sums = _factor_gaps(prod, embedding, a, sub[r] + sub)
-        margins = sums - gsub[r] - gsub
-        k = np.unravel_index(int(np.argmax(margins)), margins.shape)
-        if margins[k] > worst:
-            worst = float(margins[k])
-            witness = {"v": sub[r], "w": sub[k[0]], "factor": int(k[1])}
+    # margins[r, w, i]: factor i's triangle margin for the vector pair (sub[r], sub[w])
+    margins = np.array([_factor_gaps(prod, embedding, a, v + sub) - g - gsub
+                        for v, g in zip(sub, gsub)])
     tol = cfg.tol.scaled(float(gsub.max(initial=0.0)))
+    k, verdict = worst(margins, tol)
+    r, w, i = np.unravel_index(k, margins.shape)
     reports.append(ValidationReport(
-        "alpha-triangle", PASS if worst <= tol else FAIL,
-        len(sub) ** 2 * len(prod.factors), worst, witness, {"tolerance": tol}))
+        "alpha-triangle", verdict, margins.size, float(margins.flat[k]),
+        {"v": sub[r], "w": sub[w], "factor": int(i)}, {"tolerance": tol}))
     return decomp, reports

@@ -38,6 +38,20 @@ class Tolerances:
         return self.metric * max(1.0, *(abs(float(v)) for v in values))
 
 
+def worst(margins, tol: float = 0.0) -> tuple[int, str]:
+    """The verdict rule every margin check shares.
+
+    Returns the flat index of the first largest margin in C order and the
+    verdict: pass exactly when that margin is ``<= tol``.  A NaN counts as
+    the largest margin, so it is picked and fails.
+    """
+    m = np.asarray(margins, float)
+    if m.size == 0:
+        raise ValueError("no margins were sampled")
+    i = int(np.argmax(m))
+    return i, PASS if m.flat[i] <= tol else FAIL
+
+
 def to_jsonable(obj: Any) -> Any:
     """Convert numpy scalars/arrays and tuples into JSON-friendly values."""
     if obj is None or isinstance(obj, (bool, int, float, str)):

@@ -88,6 +88,13 @@ def where(mask: np.ndarray, a, b):
     return np.where(mask if np.ndim(a) == 1 else mask[:, None], a, b)
 
 
+def _finite(point):
+    """``point`` (a float or an array of coordinates) if every coordinate is finite."""
+    if not np.isfinite(point).all():
+        raise ValueError(f"point coordinates must be finite, got {np.asarray(point).tolist()}")
+    return point
+
+
 @dataclass(frozen=True)
 class DeclaredProperties:
     """Structural flags attached to a space; ``None`` means unknown.
@@ -214,7 +221,7 @@ class _Line1D(MetricSpace):
         return self.affine_route(x, y, self.distance(x, y))
 
     def point_from_json(self, obj):
-        return self._check(float(obj))
+        return self._check(_finite(float(obj)))
 
     def point_to_json(self, point):
         return float(point)
@@ -378,7 +385,7 @@ class LpSpace(MetricSpace):
         }
 
     def point_from_json(self, obj):
-        return self._check(np.asarray(obj, float))
+        return _finite(self._check(np.asarray(obj, float)))
 
     def point_to_json(self, point):
         return [float(v) for v in np.asarray(point, float)]
@@ -402,7 +409,7 @@ class _IndexSpace(MetricSpace):
         return rng_stream(seed, 14).integers(0, self.size, count)
 
     def point_from_json(self, obj):
-        return self._check(obj)
+        return self._check(_finite(float(obj)))
 
     def point_to_json(self, point):
         return int(point)
@@ -436,9 +443,9 @@ class DiscreteSpace(_IndexSpace):
 class FiniteMetricSpace(_IndexSpace):
     """Finite metric space given by an explicit distance matrix.
 
-    The matrix is validated exhaustively at construction: symmetry, zero
-    diagonal, positive off-diagonal entries, and the full triangle
-    inequality over all index triples.
+    The matrix is validated exhaustively at construction: finite entries,
+    symmetry, zero diagonal, positive off-diagonal entries, and the full
+    triangle inequality over all index triples, in O(n^2) memory.
     """
 
     name = "finite"
@@ -448,6 +455,8 @@ class FiniteMetricSpace(_IndexSpace):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("distance matrix must be square")
         super().__init__(m.shape[0])
+        if not np.isfinite(m).all():
+            raise ValueError("distance matrix entries must be finite")
         if not np.allclose(m, m.T, rtol=0, atol=0):
             raise ValueError("distance matrix must be symmetric")
         if np.abs(np.diag(m)).max(initial=0.0) > 0:
@@ -455,9 +464,12 @@ class FiniteMetricSpace(_IndexSpace):
         off = m + np.eye(self.size)
         if (off <= 0).any():
             raise ValueError("off-diagonal distances must be positive")
-        # triangle check over every (i, j, k): d_ij <= d_ik + d_kj
-        viol = m[:, :, None] - m[:, None, :] - (m.T)[None, :, :]
-        worst = float(viol.max())
+        # triangle check over every (i, j, k): d_ij <= d_ik + d_kj, one k at a time into
+        # one buffer (a fresh n x n temporary per k costs more than the arithmetic)
+        viol, worst = np.empty_like(m), -math.inf
+        for k in range(self.size):
+            np.subtract(np.subtract(m, m[:, k, None], out=viol), m[k], out=viol)
+            worst = max(worst, float(viol.max()))
         if worst > Tolerances().scaled(float(m.max()) if m.size else 1.0):
             raise ValueError(f"triangle inequality fails by {worst}")
         self.matrix = m

@@ -3,7 +3,8 @@
 Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
 in methods of the spaces themselves, so no other module of the package
 passes a catalog class to ``isinstance``.  The weighted p-norm is written
-once.  Tolerances live in one record, ``reports.Tolerances``.
+once.  Tolerances live in one record, ``reports.Tolerances``.  Margin verdicts
+go through ``reports.worst``, where a NaN margin fails.
 """
 
 import ast
@@ -119,3 +120,18 @@ def test_readme_lists_the_check_table():
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
     paragraph = readme[readme.index("Check names map"):].split("\n\n", 1)[0]
     assert sorted(re.findall(r"`([a-z0-9-]+)`", paragraph)) == sorted(CHECK_RUNNERS)
+
+
+def nan_passing_verdicts(path: Path) -> list[int]:
+    """Line numbers of ``FAIL if <comparison> else PASS`` in ``path``: a NaN makes
+    every comparison false, so that form passes it."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
+            and getattr(node.body, "id", None) == "FAIL"
+            and getattr(node.orelse, "id", None) == "PASS"]
+
+
+def test_no_nan_passing_verdicts():
+    hits = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+            for line in nan_passing_verdicts(path)]
+    assert hits == []

@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from metricprod import GluingClass, GluingFunction, SampleConfig, Tolerances
@@ -436,3 +438,75 @@ def test_malformed_check_entry_is_config_error(tmp_path, capsys, check, key):
     assert captured.out == ""
     assert "config error" in captured.err
     assert f"({check['check']})" in captured.err and key in captured.err
+
+
+def test_overflowing_norm_fails_instead_of_passing(tmp_path, capsys):
+    """At p = 1000 the p-norm of points 10 apart overflows, so the margins are NaN (the
+    four-point check skipped its NaN margin and read -inf); a length of 1e200 in the
+    Euclidean plane overflows to inf.  None of these is evidence."""
+    big = {"type": "lp", "dim": 2, "p": 1000}
+    config = {"version": 1, "checks": [
+        {"check": "geodesy", "space": big, "start": [0, 0], "end": [10, 0]},
+        {"check": "busemann-convexity", "space": big, "grid": 8,
+         "g1": {"start": [0, 0], "end": [10, 0]}, "g2": {"start": [0, 10], "end": [10, 10]}},
+        {"check": "cat0-four-point", "space": big, "triangles": [[[0, 0], [10, 0], [0, 10]]]},
+        {"check": "curve-length", "space": {"type": "lp", "dim": 2},
+         "curve": {"kind": "segment", "space": {"type": "lp", "dim": 2},
+                   "start": [0, 0], "end": [1e200, 0]}},
+    ]}
+    with np.errstate(all="ignore"):
+        code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_CHECK_FAILED
+    assert [(r["check"], r["verdict"]) for r in records] == [
+        ("geodesy", "fail"), ("busemann-convexity", "fail"), ("cat0-four-point", "fail"),
+        ("curve-length", "fail")]
+
+
+@pytest.mark.parametrize("check", [
+    {"check": "geodesy", "space": "plane", "start": [math.nan, 0], "end": [1, 1]},
+    {"check": "geodesy", "space": {"type": "half-line"}, "start": -1, "end": 2},
+    {"check": "geodesy", "space": {"type": "lp", "dim": 2}, "start": [0, 0, 1], "end": [1, 1]},
+    {"check": "component-progress", "space": "plane", "start": [0, 0], "end": [1, 1],
+     "via": [math.inf, 0]},
+    {"check": "unique-geodesic", "product": "taxiplane", "start": [0, 0],
+     "end": [1, math.inf]},
+    {"check": "busemann-convexity", "space": "plane", "g1": {"start": [0, 0], "end": [1, 0]},
+     "g2": {"start": [0, -math.inf], "end": [1, 2]}},
+    {"check": "cat0-four-point", "space": "plane", "triangles": [[[0, 0], [2, 0], [math.nan, 2]]]},
+    {"check": "embedding-oracle", "space": {"type": "real-line"}, "points": [math.nan, 1, 2],
+     "pattern": [[0, 1], [1, 0]]},
+    {"check": "embedding-oracle", "space": {"type": "discrete", "points": 3},
+     "points": [0, math.inf], "pattern": [[0, 1], [1, 0]]},
+    {"check": "curve-length", "space": "plane",
+     "curve": {"kind": "segment", "space": "plane", "start": [0, 0], "end": [1, math.nan]}},
+    {"check": "curve-length", "space": {"type": "lp", "dim": 2},
+     "curve": {"kind": "circle-arc", "center": [math.nan, 0], "radius": 1}},
+    {"check": "curve-length", "space": {"type": "lp", "dim": 2},
+     "curve": {"kind": "circle-arc", "center": [0, 0], "radius": math.inf}},
+    {"check": "classify", "phi": "eu", "samples": "many"},
+    {"check": "classify", "phi": "eu", "radius": math.nan},
+    {"check": "metric-axioms", "product": "plane", "seed": [1]},
+    {"check": "geodesy", "space": "plane", "start": [0, 0], "end": [1, 1], "grid": "fine"},
+    {"check": "unique-geodesic", "product": "taxiplane", "start": [0, 0], "end": [1, 1],
+     "perturbations": math.inf},
+    {"check": "cat0-four-point", "space": "plane", "count": "all"},
+    {"check": "curve-length", "space": "plane", "curve": "diag", "expect_length": math.nan},
+    {"check": "curve-length", "space": "plane", "curve": "diag", "expect_length": 5,
+     "tolerance": "loose"},
+    {"check": "arclength", "space": "plane", "curve": "diag", "depth": None},
+    {"check": "non-length-space", "paths": "some"},
+    {"check": "rank-counterexample", "T": math.inf},
+    {"check": "embedding-oracle", "space": {"type": "real-line"}, "pattern": [[0, 1], [1, 0]],
+     "sample": {"radius": math.nan}},
+], ids=["nan-start", "half-line-negative", "lp-3-vector", "inf-via", "inf-end",
+        "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
+        "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
+        "grid-word", "perturbations-inf", "count-word", "expect-length-nan",
+        "tolerance-word", "depth-null", "paths-word", "T-inf", "sample-radius-nan"])
+def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
+    code = main(["run", write_config(tmp_path, config_with_checks([check]))])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err and f"({check['check']})" in captured.err

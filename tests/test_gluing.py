@@ -12,6 +12,7 @@ from metricprod import (
     RealLine,
     SampleConfig,
     SymmetrizedNorm,
+    ValidationReport,
     check_axis_pythagoras,
     check_definiteness,
     check_norm_conditions,
@@ -243,6 +244,33 @@ def test_non_finite_gluing_values_raise(value):
     prod = ProductSpace((RealLine(), RealLine()), phi)
     with pytest.raises(ValueError, match="non-finite"):
         verify_metric_axioms(prod, SampleConfig(count=200, seed=0))
+
+
+@pytest.mark.parametrize("phi", [GluingFunction.sum(1), GluingFunction.max(1),
+                                 GluingFunction.lp(1, 3.0)], ids=["sum", "max", "lp3"])
+def test_dim_one_norms_pass_the_strict_rung(phi):
+    """Every norm on R is a multiple of |x|: strictly convex and Euclidean."""
+    result = classify(phi, SampleConfig(count=500, seed=0))
+    strict = result.reports["strict-convexity"]
+    assert (strict.verdict, strict.details["reason"]) == ("pass", "dim 1")
+    assert result.gluing_class is GluingClass.SCALAR_PRODUCT_INDUCED
+
+
+def test_dim_one_strict_rung_checks_the_norm_conditions_first():
+    rep = check_strict_convexity(GluingFunction.coordinate_power(1, 2.0), CFG)
+    assert (rep.verdict, rep.details["reason"]) == ("undetermined", "norm conditions failed")
+
+
+def test_undetermined_strict_rung_stops_the_class_at_norm_induced(monkeypatch):
+    import metricprod.gluing as gluing
+
+    def undetermined(phi, cfg=None, *, norm_reports=None):
+        return ValidationReport("strict-convexity", "undetermined", 0, 0.0, None,
+                                {"reason": "no admissible pairs sampled"})
+
+    monkeypatch.setattr(gluing, "check_strict_convexity", undetermined)
+    assert classify(EUCLID, SampleConfig(count=300, seed=0)).gluing_class \
+        is GluingClass.NORM_INDUCED
 
 
 # -- induced scalar product ---------------------------------------------------------

@@ -235,3 +235,8 @@ def test_alpha_refuses_non_strictly_convex_gluing():
     with pytest.raises(ValueError):
         alpha_decompose(lambda v: (float(v[0]), 0.0), prod, [0.0], [1.0],
                         VECTORS, cfg=CFG)
+
+
+def test_oracle_prunes_a_nan_placement():
+    probe = finite_embedding_oracle(line_pattern([0.0, 1.0]), [math.nan, 1.0, 2.0], RealLine())
+    assert probe.assignment == (1, 2)

@@ -1,3 +1,7 @@
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +11,11 @@ from metricprod import (
     DeclaredProperties,
     DiscreteSpace,
     FiniteMetricSpace,
+    GluingFunction,
     HalfLine,
     INFINITY,
     LpSpace,
+    ProductSpace,
     RealLine,
     Tolerances,
     line_pattern,
@@ -196,3 +202,45 @@ def test_batch_matches_scalar():
         batch = space.distance_batch(space.stack(xs), space.stack(ys))
         for i, (x, y) in enumerate(zip(xs, ys)):
             assert batch[i] == pytest.approx(space.distance(x, y), abs=1e-15)
+
+
+@pytest.mark.parametrize("space, point", [
+    (RealLine(), math.nan),
+    (HalfLine(), math.inf),
+    (LpSpace(2, 2.0), [0.0, math.nan]),
+    (DiscreteSpace(3), math.inf),
+    (FiniteMetricSpace([[0, 1], [1, 0]]), math.nan),
+    (ProductSpace((RealLine(), LpSpace(2, 1.0)), GluingFunction.sum(2)), [0.0, [-math.inf, 0.0]]),
+], ids=["line", "half-line", "lp", "discrete", "finite", "product"])
+def test_point_from_json_refuses_non_finite_coordinates(space, point):
+    with pytest.raises(ValueError, match="finite"):
+        space.point_from_json(point)
+
+
+def test_finite_matrix_refuses_non_finite_entries():
+    # inf - inf is NaN, which a triangle comparison alone would let through
+    with pytest.raises(ValueError, match="finite"):
+        FiniteMetricSpace([[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]])
+
+
+def test_triangle_violation_reports_the_dense_worst():
+    rng = np.random.default_rng(0)
+    m = rng.uniform(1.0, 3.0, (12, 12))
+    m = m + m.T
+    np.fill_diagonal(m, 0.0)
+    m[0, 5] = m[5, 0] = 20.0
+    dense = float((m[:, :, None] - m[:, None, :] - m.T[None, :, :]).max())
+    with pytest.raises(ValueError, match=re.escape(f"triangle inequality fails by {dense}")):
+        FiniteMetricSpace(m)
+
+
+def test_finite_space_memory_is_quadratic():
+    v = np.arange(300.0)
+    matrix = np.abs(v[:, None] - v[None, :])
+    tracemalloc.start()
+    try:
+        FiniteMetricSpace(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
