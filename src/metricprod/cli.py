@@ -60,7 +60,7 @@ from .rank import (
     finite_embedding_oracle,
     product_rank,
 )
-from .reports import FAIL, PASS, UNDETERMINED, Tolerances, to_jsonable
+from .reports import FAIL, PASS, UNDETERMINED, Tolerances, to_jsonable, worst
 from .sampling import SampleConfig
 from .spaces import DiscreteSpace, FiniteMetricSpace, HalfLine, LpSpace, RealLine
 
@@ -170,8 +170,9 @@ def _section(config: dict, name: str) -> dict:
 class RunContext:
     """Resolved configuration: named objects plus run-wide defaults.
 
-    ``tol`` is the run's tolerance record.  ``structure`` classifies gluings
-    for geodesics, ranks and decompositions: the default budget with ``tol``.
+    ``tol`` is the run's tolerance record.  ``structure`` is the sample config of
+    geodesics, ranks and decompositions, which classify only gluings without a
+    proven class by it: the default budget with ``tol``.
     A reference to a space, gluing or curve is its name or an inline definition.
     """
 
@@ -287,7 +288,9 @@ def _run_curve_length(ctx, params):
                        params.number("depth", ctx.default_depth, int))
     record = {"check": "curve-length", "length": res.length, "trace": to_jsonable(res.trace),
               "diverged": res.diverged}
-    ok = math.isfinite(res.length) and not res.diverged
+    # refinement cannot shorten a dyadic trace (triangle inequality): a drop is kernel error
+    monotone = worst(-np.diff(res.trace), ctx.tol.scaled(*res.trace))[1] == PASS
+    ok = math.isfinite(res.length) and not res.diverged and monotone
     if "expect_length" in params:
         record["expected"] = params.number("expect_length")
         ok = ok and abs(res.length - record["expected"]) <= params.number("tolerance", 1e-6)

@@ -19,7 +19,7 @@ import numpy as np
 from .curves import Curve
 from .gluing import GluingClass
 from .product import ProductSpace
-from .reports import PASS, ValidationReport, worst
+from .reports import PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, rng_stream
 from .spaces import MetricSpace
 
@@ -69,7 +69,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
     valid only if that point splits the endpoint distance additively.
     """
     cfg = cfg or DEFAULT_SAMPLES
-    cls = prod.classification(cfg).gluing_class
+    cls = prod.gluing_class(cfg)
     if not cls.at_least(GluingClass.NORM_INDUCED):
         raise ValueError(
             f"gluing classifies as {cls.value}; geodesic construction needs norm-induced")
@@ -341,14 +341,15 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
         margins.append(space.distance(p, m) - comparison)
         checked.append((p, q, r, m, [a, b, c], comparison))
     tol = cfg.tol.scaled(scale)
-    margin, witness, verdict = 0.0, None, PASS
-    if margins:      # every triangle may be skipped as degenerate
+    details = {"skipped_degenerate": len(triangles) - len(checked), "tolerance": tol}
+    margin, witness, verdict = 0.0, None, UNDETERMINED
+    if margins:
         k, verdict = worst(margins, tol)
         p, q, r, m, sides, comparison = checked[k]
         margin = float(margins[k])
         witness = {"p": space.point_to_json(p), "q": space.point_to_json(q),
                    "r": space.point_to_json(r), "midpoint": space.point_to_json(m),
                    "sides": sides, "comparison": comparison}
-    return ValidationReport("cat0-four-point", verdict, len(checked), margin, witness,
-                            {"skipped_degenerate": len(triangles) - len(checked),
-                             "tolerance": tol})
+    else:
+        details["reason"] = "every triangle degenerate"
+    return ValidationReport("cat0-four-point", verdict, len(checked), margin, witness, details)

@@ -166,6 +166,18 @@ class GluingFunction:
     def symmetrized(self) -> "SymmetrizedNorm":
         return SymmetrizedNorm(self)
 
+    @property
+    def known_class(self) -> "GluingClass | None":
+        """The class the paper proves for a weighted p-norm (p >= 1, positive
+        weights, both enforced by :func:`pnorm_weights`); ``None`` for other kinds."""
+        if self.weights is None:
+            return None
+        if self.p == 2.0 or self.dim == 1:
+            return GluingClass.SCALAR_PRODUCT_INDUCED
+        if self.p in (1.0, math.inf):
+            return GluingClass.NORM_INDUCED
+        return GluingClass.STRICTLY_CONVEX_NORM
+
     def classification(self, cfg: SampleConfig | None = None) -> "Classification":
         """Memoized :func:`classify` for this instance."""
         cfg = cfg or DEFAULT_SAMPLES

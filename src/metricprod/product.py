@@ -69,6 +69,10 @@ class ProductSpace(MetricSpace):
     def classification(self, cfg: SampleConfig | None = None):
         return self.phi.classification(cfg)
 
+    def gluing_class(self, cfg: SampleConfig | None = None) -> GluingClass:
+        """The class construction reads: proven for weighted p-norms, sampled otherwise."""
+        return self.phi.known_class or self.phi.classification(cfg).gluing_class
+
     @property
     def supports_interpolation(self) -> bool:
         return all(f.supports_interpolation for f in self.factors)
@@ -76,7 +80,7 @@ class ProductSpace(MetricSpace):
     @property
     def properties(self) -> DeclaredProperties:
         if self._props_cache is None:
-            cls = self.classification().gluing_class
+            cls = self.gluing_class()
             norm = cls.at_least(GluingClass.NORM_INDUCED)
             strict = cls.at_least(GluingClass.STRICTLY_CONVEX_NORM)
 

@@ -71,9 +71,8 @@ def product_rank(prod: ProductSpace, assert_kleiner_hypotheses: bool = False,
                  cfg=None) -> RankRecord:
     """Sum of factor ranks, exact or as a lower bound.
 
-    The additive value is reported only when the gluing classification
-    reaches strictly-convex-norm; a failed strict-convexity check
-    therefore gates the provenance.  ``assert_kleiner_hypotheses`` is a
+    The additive value is reported only when the gluing's class (proven
+    for weighted p-norms, sampled otherwise) reaches strictly-convex-norm.  ``assert_kleiner_hypotheses`` is a
     user declaration (never verified here) that lets the quasi-Euclidean
     rank inherit the same value.
     """
@@ -86,7 +85,7 @@ def product_rank(prod: ProductSpace, assert_kleiner_hypotheses: bool = False,
         return RankRecord(label, None, "declared",
                           notes=("factor rank unknown",))
     total = sum(r.rank for r in parts)
-    cls = prod.classification(cfg).gluing_class
+    cls = prod.gluing_class(cfg)
     if cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         notes = []
         if assert_kleiner_hypotheses:
@@ -264,7 +263,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     reported, with the decomposition still returned for inspection.
     """
     cfg = cfg or DEFAULT_SAMPLES
-    cls = prod.classification(cfg).gluing_class
+    cls = prod.gluing_class(cfg)
     if not cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         raise ValueError(
             f"gluing classifies as {cls.value}; decomposition needs a strictly convex norm")

@@ -9,6 +9,7 @@ the inputs that achieved the worst margin so failures are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,14 +43,15 @@ def worst(margins, tol: float = 0.0) -> tuple[int, str]:
     """The verdict rule every margin check shares.
 
     Returns the flat index of the first largest margin in C order and the
-    verdict: pass exactly when that margin is ``<= tol``.  A NaN counts as
-    the largest margin, so it is picked and fails.
+    verdict: pass exactly when ``tol`` is finite and that margin is ``<= tol``.
+    A NaN counts as the largest margin, so it is picked and fails; an
+    overflowed distance makes ``tol`` infinite, which passes nothing.
     """
     m = np.asarray(margins, float)
     if m.size == 0:
         raise ValueError("no margins were sampled")
     i = int(np.argmax(m))
-    return i, PASS if m.flat[i] <= tol else FAIL
+    return i, PASS if math.isfinite(tol) and m.flat[i] <= tol else FAIL
 
 
 def to_jsonable(obj: Any) -> Any:

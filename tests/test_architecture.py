@@ -4,7 +4,8 @@ Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
 in methods of the spaces themselves, so no other module of the package
 passes a catalog class to ``isinstance``.  The weighted p-norm is written
 once.  Tolerances live in one record, ``reports.Tolerances``.  Margin verdicts
-go through ``reports.worst``, where a NaN margin fails.
+go through ``reports.worst``, where a NaN margin fails.  Construction reads
+``ProductSpace.gluing_class``; only the checks sample a classification.
 """
 
 import ast
@@ -135,3 +136,30 @@ def test_no_nan_passing_verdicts():
     hits = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
             for line in nan_passing_verdicts(path)]
     assert hits == []
+
+
+def classification_callers(path: Path) -> list[str]:
+    """``file:function`` for every call of ``.classification(...)`` in ``path``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "classification"):
+            found.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_checks_sample_a_classification():
+    """Geodesic, rank and alpha construction go through ``ProductSpace.gluing_class``,
+    which samples only when the gluing has no proven class.  ``ProductSpace.classification``
+    is the public sampled shortcut and is called by nothing in the package."""
+    callers = {caller for path in sorted(PACKAGE.glob("*.py"))
+               for caller in classification_callers(path) if not caller.startswith("gluing.py:")}
+    assert callers == {"cli.py:_run_classify", "product.py:gluing_class",
+                       "product.py:classification"}

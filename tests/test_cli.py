@@ -68,6 +68,25 @@ def test_classify_check_passes(tmp_path, capsys):
     assert rec["conditions"]["axis-pythagoras"] == "pass"
 
 
+def test_classify_check_on_a_proven_norm_still_samples(tmp_path, capsys, monkeypatch):
+    """Construction reads the proven class of a weighted p-norm; the check still verifies it."""
+    from metricprod import gluing
+
+    calls = []
+
+    def counting(phi, cfg):
+        calls.append(phi.label)
+        return classify(phi, cfg)
+
+    classify = gluing.classify
+    monkeypatch.setattr(gluing, "classify", counting)
+    cfg = config_with_checks([{"check": "classify", "phi": "taxi", "samples": 500}])
+    code, out = run_cli(capsys, "run", write_config(tmp_path, cfg), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["class"] == "norm-induced"
+    assert calls == ["sum(n=2)"]
+
+
 def test_metric_axiom_failure_sets_exit_code(tmp_path, capsys):
     cfg = config_with_checks([
         {"check": "metric-axioms", "product": "bad", "samples": 2000}])
@@ -461,6 +480,21 @@ def test_overflowing_norm_fails_instead_of_passing(tmp_path, capsys):
     assert [(r["check"], r["verdict"]) for r in records] == [
         ("geodesy", "fail"), ("busemann-convexity", "fail"), ("cat0-four-point", "fail"),
         ("curve-length", "fail")]
+
+
+def test_curve_length_fails_on_a_decreasing_trace(tmp_path, capsys):
+    """Refinement cannot shorten a dyadic trace; at p = 1000 the p-norm kernel under- and
+    overflows, and the trace falls from inf through 10 to a length of 0."""
+    big = {"type": "lp", "dim": 2, "p": 1000}
+    config = {"version": 1, "checks": [
+        {"check": "curve-length", "space": big,
+         "curve": {"kind": "segment", "space": big, "start": [0, 0], "end": [10, 0]}}]}
+    with np.errstate(all="ignore"):
+        code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CHECK_FAILED
+    assert rec["length"] == 0.0 and not rec["diverged"]
+    assert rec["verdict"] == "fail"
 
 
 @pytest.mark.parametrize("check", [

@@ -274,6 +274,13 @@ def test_cat0_counts_skipped_degenerate_triangles():
     assert rep.samples == 0
 
 
+def test_cat0_with_every_triangle_skipped_is_undetermined():
+    prod = ProductSpace((RealLine(),), GluingFunction.coordinate_power(1, 2.0))
+    rep = cat0_four_point_check(prod, triangles=[((0.0,), (1.0,), (2.0,))])
+    assert rep.verdict == "undetermined"
+    assert rep.details["reason"] == "every triangle degenerate"
+
+
 def test_cat0_on_plain_lp_factors():
     assert cat0_four_point_check(LpSpace(2, 2.0), count=200, seed=4).passed
     rep = cat0_four_point_check(

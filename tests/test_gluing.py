@@ -346,3 +346,31 @@ def test_two_valued_rule_is_the_documented_one():
     vals = TWOVAL(q)
     expected = np.where(q.max(axis=1) <= 1.0, 1.0, 2.0)
     assert (vals == expected).all()
+
+
+# -- the proven class of weighted p-norms ------------------------------------------
+
+GUARD = SampleConfig(count=2000, seed=0)
+
+
+def _proven_class_cases():
+    """lp at p in {1, 1.5, 2, 3, 4, oo} with unit and random weights, then sum and max,
+    over dims 1-6; above p = 4 the sampled strict rung cannot resolve the class."""
+    for dim in range(1, 7):
+        rng = np.random.default_rng(dim)
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, math.inf):
+            yield GluingFunction.lp(dim, p)
+            yield GluingFunction.lp(dim, p, rng.uniform(0.5, 2.0, dim))
+        yield GluingFunction.sum(dim)
+        yield GluingFunction.max(dim)
+
+
+@pytest.mark.parametrize("phi", list(_proven_class_cases()), ids=repr)
+def test_sampled_ladder_agrees_with_the_proven_class(phi):
+    assert classify(phi, GUARD).gluing_class is phi.known_class
+
+
+@pytest.mark.parametrize("phi", [TWOVAL, GluingFunction.coordinate_power(2, 1.0),
+                                 GluingFunction.custom(2, lambda q: q.sum(axis=-1))], ids=repr)
+def test_only_weighted_p_norms_have_a_proven_class(phi):
+    assert phi.known_class is None

@@ -237,6 +237,19 @@ def test_alpha_refuses_non_strictly_convex_gluing():
                         VECTORS, cfg=CFG)
 
 
+@pytest.mark.parametrize("p", [8.0, 20.0])
+def test_large_p_products_read_the_proven_class(p):
+    """The sampled strict rung cannot resolve lp at p = 8 or 20 (their midpoints lie within
+    ``strict`` of 1); construction reads the class the paper proves instead."""
+    prod = ProductSpace((LpSpace(2, 2.0), RealLine()), GluingFunction.lp(2, p))
+    rec = product_rank(prod, cfg=CFG)
+    assert rec.rank == 3
+    assert rec.provenance == "strict-norm-additivity"
+    _, reports = alpha_decompose(lambda v: (np.array([v[0], 0.0]), 0.0), prod,
+                                 [0.0], [1.0], VECTORS, cfg=CFG)
+    assert reports[0].passed
+
+
 def test_oracle_prunes_a_nan_placement():
     probe = finite_embedding_oracle(line_pattern([0.0, 1.0]), [math.nan, 1.0, 2.0], RealLine())
     assert probe.assignment == (1, 2)

@@ -21,6 +21,13 @@ def test_nan_is_picked_and_fails():
     assert worst([-math.inf, math.nan], tol=math.inf) == (1, FAIL)
 
 
+def test_a_non_finite_tolerance_passes_nothing():
+    """An overflowed distance scales the tolerance to inf; comparing against it is no evidence."""
+    assert worst([0.0], math.inf) == (0, FAIL)
+    assert worst([-math.inf], math.inf) == (0, FAIL)
+    assert worst([-1.0], math.nan) == (0, FAIL)
+
+
 def test_equality_with_tol_passes():
     assert worst([0.25, 0.5], tol=0.5) == (1, PASS)
     assert worst([0.0]) == (0, PASS)
