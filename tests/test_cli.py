@@ -72,13 +72,12 @@ def test_classify_check_on_a_proven_norm_still_samples(tmp_path, capsys, monkeyp
     """Construction reads the proven class of a weighted p-norm; the check still verifies it."""
     from metricprod import gluing
 
-    calls = []
+    calls, sampled = [], gluing.classify
 
     def counting(phi, cfg):
         calls.append(phi.label)
-        return classify(phi, cfg)
+        return sampled(phi, cfg)
 
-    classify = gluing.classify
     monkeypatch.setattr(gluing, "classify", counting)
     cfg = config_with_checks([{"check": "classify", "phi": "taxi", "samples": 500}])
     code, out = run_cli(capsys, "run", write_config(tmp_path, cfg), "--format", "json")
