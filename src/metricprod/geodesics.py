@@ -351,5 +351,5 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
                    "r": space.point_to_json(r), "midpoint": space.point_to_json(m),
                    "sides": sides, "comparison": comparison}
     else:
-        details["reason"] = "every triangle degenerate"
+        details["reason"] = "every triangle degenerate" if triangles else "no triangles"
     return ValidationReport("cat0-four-point", verdict, len(checked), margin, witness, details)

@@ -52,11 +52,11 @@ def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.nd
 def pnorm_weights(dim: int, p, weights) -> tuple[np.ndarray, np.ndarray | None]:
     """Checked weights of a weighted p-norm on R^dim (unit when ``None``),
     and the weights :func:`weighted_pnorm` takes: ``None`` when all are 1."""
-    if p is None or p < 1:
+    if p is None or not p >= 1:
         raise ValueError("exponent must satisfy p >= 1")
     w = np.ones(dim) if weights is None else np.asarray(weights, float)
-    if w.shape != (dim,) or (w <= 0).any():
-        raise ValueError("weights must be positive, one per axis")
+    if w.shape != (dim,) or not ((w > 0) & (w < np.inf)).all():
+        raise ValueError("weights must be positive and finite, one per axis")
     return w, (None if (w == 1.0).all() else w)
 
 

@@ -66,9 +66,6 @@ class ProductSpace(MetricSpace):
 
     # -- classification-driven structure --------------------------------------
 
-    def classification(self, cfg: SampleConfig | None = None):
-        return self.phi.classification(cfg)
-
     def gluing_class(self, cfg: SampleConfig | None = None) -> GluingClass:
         """The class construction reads: proven for weighted p-norms, sampled otherwise."""
         return self.phi.known_class or self.phi.classification(cfg).gluing_class

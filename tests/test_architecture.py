@@ -157,9 +157,7 @@ def classification_callers(path: Path) -> list[str]:
 
 def test_only_checks_sample_a_classification():
     """Geodesic, rank and alpha construction go through ``ProductSpace.gluing_class``,
-    which samples only when the gluing has no proven class.  ``ProductSpace.classification``
-    is the public sampled shortcut and is called by nothing in the package."""
+    which samples only when the gluing has no proven class."""
     callers = {caller for path in sorted(PACKAGE.glob("*.py"))
                for caller in classification_callers(path) if not caller.startswith("gluing.py:")}
-    assert callers == {"cli.py:_run_classify", "product.py:gluing_class",
-                       "product.py:classification"}
+    assert callers == {"cli.py:_run_classify", "product.py:gluing_class"}

@@ -214,6 +214,19 @@ def test_rank_subcommand(tmp_path, capsys):
     assert rec["rank"] == 1 and rec["provenance"] == "strict-norm-additivity"
 
 
+@pytest.mark.parametrize("phi", [
+    {"type": "weighted-lp", "dim": 2, "p": "nan"},
+    {"type": "weighted-euclidean", "weights": [1, "nan"]}], ids=["nan-p", "nan-weight"])
+def test_product_rank_on_a_nan_gluing_is_a_config_error(tmp_path, capsys, phi):
+    """A NaN exponent or weight has no proven class, so the gluing is refused."""
+    cfg = config_with_checks([{"check": "product-rank", "space": {
+        "type": "product", "factors": [{"type": "real-line"}, {"type": "real-line"}],
+        "phi": phi}}])
+    code, out = run_cli(capsys, "run", write_config(tmp_path, cfg))
+    assert code == EXIT_CONFIG
+    assert out == ""
+
+
 def test_tolerance_override_validation(tmp_path, capsys):
     cfg = config_with_checks([{"check": "classify", "phi": "eu", "samples": 500}])
     path = write_config(tmp_path, cfg)

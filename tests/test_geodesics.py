@@ -281,6 +281,13 @@ def test_cat0_with_every_triangle_skipped_is_undetermined():
     assert rep.details["reason"] == "every triangle degenerate"
 
 
+def test_cat0_with_no_triangles_is_undetermined():
+    rep = cat0_four_point_check(LpSpace(2, 2.0), triangles=[])
+    assert rep.verdict == "undetermined"
+    assert rep.details == {"skipped_degenerate": 0, "tolerance": 1e-9,
+                           "reason": "no triangles"}
+
+
 def test_cat0_on_plain_lp_factors():
     assert cat0_four_point_check(LpSpace(2, 2.0), count=200, seed=4).passed
     rep = cat0_four_point_check(

@@ -52,6 +52,15 @@ def test_eval_validates_input():
         EUCLID((1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("p, weights", [
+    (math.nan, None), (0.5, None), (2.0, (1.0, math.nan)), (2.0, (1.0, math.inf)),
+    (3.0, (1.0, 0.0))], ids=["nan-p", "p-below-1", "nan-weight", "inf-weight", "zero-weight"])
+def test_weighted_p_norm_refuses_what_the_theorem_excludes(p, weights):
+    """``known_class`` holds only for p >= 1 and finite positive weights."""
+    with pytest.raises(ValueError):
+        GluingFunction.lp(2, p, weights)
+
+
 def test_axis_values_match_weight_roots():
     phi = GluingFunction.lp(3, 3.0, weights=(1.0, 8.0, 27.0))
     assert phi.axis_values() == pytest.approx([1.0, 2.0, 3.0])
