@@ -7,8 +7,7 @@ non-informational checks passed, 1 a check failed, 2 bad config, 3 search
 budget exceeded.
 
 Structured output is byte-identical across runs for a fixed config and
-seed; per-check wall times are only attached with --timings since they
-would break that.
+seed: records carry no wall clock.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -60,7 +58,7 @@ from .rank import (
     finite_embedding_oracle,
     product_rank,
 )
-from .reports import FAIL, PASS, UNDETERMINED, Tolerances, to_jsonable, worst
+from .reports import FAIL, PASS, UNDETERMINED, Tolerances, to_jsonable
 from .sampling import SampleConfig
 from .spaces import DiscreteSpace, FiniteMetricSpace, HalfLine, LpSpace, RealLine
 
@@ -288,9 +286,7 @@ def _run_curve_length(ctx, params):
                        params.number("depth", ctx.default_depth, int))
     record = {"check": "curve-length", "length": res.length, "trace": to_jsonable(res.trace),
               "diverged": res.diverged}
-    # refinement cannot shorten a dyadic trace (triangle inequality): a drop is kernel error
-    monotone = worst(-np.diff(res.trace), ctx.tol.scaled(*res.trace))[1] == PASS
-    ok = math.isfinite(res.length) and not res.diverged and monotone
+    ok = math.isfinite(res.length) and not res.diverged and res.trace_drop(ctx.tol)[1] == PASS
     if "expect_length" in params:
         record["expected"] = params.number("expect_length")
         ok = ok and abs(res.length - record["expected"]) <= params.number("tolerance", 1e-6)
@@ -432,7 +428,7 @@ CHECK_RUNNERS = {
         p.number("depth", ctx.default_depth, int)),
     "arclength": lambda ctx, p: arclength_check(ctx.space(p["space"]), ctx.curve(p["curve"]),
                                                 p.number("grid", 8, int),
-                                                p.number("depth", 8, int)),
+                                                p.number("depth", 8, int), ctx.tol),
     "non-length-space": lambda ctx, p: non_length_space_demo(
         p.number("depth", 8, int), p.get("endpoints", ((0.0, 0.0), (1.0, 0.0))),
         p.number("paths", 5, int), p.number("seed", ctx.default_seed, int)),
@@ -486,7 +482,7 @@ def _records(out) -> list[dict]:
             for r in (out if isinstance(out, list) else [out])]
 
 
-def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]:
+def run_checks(ctx: RunContext) -> tuple[list[dict], int]:
     records = []
     exit_code = EXIT_OK
     for i, params in enumerate(ctx.checks):
@@ -495,7 +491,6 @@ def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]
         name = params["check"]
         if not isinstance(name, str) or name not in CHECK_RUNNERS:
             raise ConfigError(f"unknown check {name!r}")
-        started = time.perf_counter()
         try:
             reading = _reading(name, params)
             recs = _records(CHECK_RUNNERS[name](ctx, _Fields(params)))
@@ -510,15 +505,12 @@ def run_checks(ctx: RunContext, timings: bool = False) -> tuple[list[dict], int]
                 if "expect_rank" in params:
                     rec["expected"] = params["expect_rank"]
                     rec["verdict"] = PASS if rec["rank"] == params["expect_rank"] else FAIL
-        elapsed = time.perf_counter() - started
         informational = bool(params.get("informational", False))
         for rec in recs:
             rec["id"] = len(records)
             if "name" in params:
                 rec["name"] = params["name"]
             rec["informational"] = informational
-            if timings:
-                rec["elapsed_ms"] = round(elapsed * 1000.0, 3)
             if not informational and rec.get("verdict") != "pass":
                 exit_code = EXIT_CHECK_FAILED
             records.append(rec)
@@ -539,8 +531,6 @@ def emit(records: list[dict], fmt: str, out) -> None:
             extra += f" class={rec['class']}"
         if "rank" in rec:
             extra += f" rank={rec['rank']} ({rec.get('provenance')})"
-        if "elapsed_ms" in rec:
-            extra += f" [{rec['elapsed_ms']} ms]"
         info = " (informational)" if rec.get("informational") else ""
         out.write(f"{verdict.upper():12s} {label}{extra}{info}\n")
 
@@ -625,8 +615,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--tolerance", action="append", metavar="KEY=VAL",
                         help="override a tolerance (metric, strict, embed)")
-    parser.add_argument("--timings", action="store_true",
-                        help="attach wall times (breaks byte-identical output)")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -752,7 +740,7 @@ def _dispatch(args) -> int:
         return _list_demos()
     ctx = RunContext(_command_config(args), seed=args.seed, samples=args.samples,
                      depth=args.depth, tolerances=tolerances)
-    records, code = run_checks(ctx, args.timings)
+    records, code = run_checks(ctx)
     emit(records, args.format, sys.stdout)
     return code
 

@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .reports import PASS, UNDETERMINED, ValidationReport, worst
+from .reports import FAIL, PASS, UNDETERMINED, Tolerances, ValidationReport, worst
 from .sampling import ZERO_FLOOR, rng_stream
 from .spaces import lerp, point_at, stack
 
@@ -128,6 +128,13 @@ class LengthResult:
     def depth(self) -> int:
         return len(self.trace) - 1
 
+    def trace_drop(self, tol: Tolerances) -> tuple[float, str]:
+        """Largest drop of the trace under refinement, and its verdict: refinement cannot
+        shorten a dyadic trace (triangle inequality), so a drop is kernel error."""
+        drops = -np.diff(self.trace)
+        i, verdict = worst(drops, tol.scaled(*self.trace))
+        return float(drops[i]), verdict
+
 
 def curve_length(space, curve: Curve, depth: int = 12,
                  divergence_factor: float = DIVERGENCE_FACTOR) -> LengthResult:
@@ -196,12 +203,18 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
         {"depth": depth, "tolerance": tol})
 
 
-def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8) -> ValidationReport:
+def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
+                    tol: Tolerances | None = None) -> ValidationReport:
     """Restriction lengths must scale linearly in the parameter interval."""
     total = curve_length(space, curve, depth)
     if total.diverged:
         return ValidationReport("arclength-parameterization", UNDETERMINED, 0, 0.0,
                                 None, {"reason": "curve appears non-rectifiable"})
+    drop, verdict = total.trace_drop(tol or Tolerances())
+    if verdict == FAIL:
+        return ValidationReport("arclength-parameterization", FAIL, 0, drop,
+                                {"trace": total.trace},
+                                {"reason": "dyadic trace decreases under refinement"})
     cuts = np.linspace(0.0, 1.0, grid + 1)
     witnesses, margins = [], []
     for i, s in enumerate(cuts[:-1]):

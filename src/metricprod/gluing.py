@@ -163,8 +163,10 @@ class GluingFunction:
     def axis_value(self, i: int) -> float:
         return float(self.axis_values()[i])
 
-    def symmetrized(self) -> "SymmetrizedNorm":
-        return SymmetrizedNorm(self)
+    def symmetrized(self):
+        """Extension to all of R^n via absolute values, x -> phi(|x|): symmetric under
+        sign flips, and a norm exactly when this gluing passes the four norm conditions."""
+        return lambda x: self(np.abs(np.asarray(x, float)))
 
     @property
     def known_class(self) -> "GluingClass | None":
@@ -212,25 +214,6 @@ class GluingFunction:
         return f"GluingFunction({self.label})"
 
 
-@dataclass(frozen=True)
-class SymmetrizedNorm:
-    """Extension of a gluing function to all of R^n via absolute values.
-
-    Symmetric under sign flips by construction; it is an actual norm
-    exactly when the underlying gluing function passes the four norm
-    conditions.
-    """
-
-    phi: GluingFunction
-
-    def __call__(self, x) -> float | np.ndarray:
-        return self.phi(np.abs(np.asarray(x, float)))
-
-    @property
-    def dim(self) -> int:
-        return self.phi.dim
-
-
 class GluingClass(enum.Enum):
     NOT_A_METRIC_PRODUCT = "not-a-metric-product"
     METRIC_COMPATIBLE = "metric-compatible"
@@ -238,21 +221,10 @@ class GluingClass(enum.Enum):
     STRICTLY_CONVEX_NORM = "strictly-convex-norm"
     SCALAR_PRODUCT_INDUCED = "scalar-product-induced"
 
-    @property
-    def level(self) -> int:
-        return _LEVELS[self]
-
     def at_least(self, other: "GluingClass") -> bool:
-        return self.level >= other.level
-
-
-_LEVELS = {
-    GluingClass.NOT_A_METRIC_PRODUCT: 0,
-    GluingClass.METRIC_COMPATIBLE: 1,
-    GluingClass.NORM_INDUCED: 2,
-    GluingClass.STRICTLY_CONVEX_NORM: 3,
-    GluingClass.SCALAR_PRODUCT_INDUCED: 4,
-}
+        """Declaration order is the ladder, weakest first."""
+        ladder = list(GluingClass)
+        return ladder.index(self) >= ladder.index(other)
 
 
 @dataclass
@@ -441,7 +413,7 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
                    margin_at_ones=margin_at_ones)
 
 
-def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
+def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None, *,
                            norm_reports: list[ValidationReport] | None = None) -> ValidationReport:
     """Midpoints of distinct unit vectors must drop strictly below norm 1.
 
@@ -450,19 +422,18 @@ def check_strict_convexity(phi, cfg: SampleConfig | None = None, *,
     signal at the fixed absolute threshold.  At dim 1 the rung passes unsampled:
     every norm on R is a multiple of ``|x|``, so strictly convex (and Euclidean).
     """
-    psi = phi if isinstance(phi, SymmetrizedNorm) else SymmetrizedNorm(phi)
-    base = psi.phi
     cfg = cfg or DEFAULT_SAMPLES
     if norm_reports is None:
-        norm_reports = check_norm_conditions(base, cfg)
+        norm_reports = check_norm_conditions(phi, cfg)
     failed = [r.condition for r in norm_reports if r.failed]
     if failed:
         return _report("strict-convexity", UNDETERMINED, 0, 0.0, None,
                        reason="norm conditions failed", failed_conditions=failed)
 
-    dim = base.dim
+    dim = phi.dim
     if dim == 1:
         return _report("strict-convexity", PASS, 0, 0.0, None, reason="dim 1")
+    psi = phi.symmetrized()
     eye = np.eye(dim)
     corner_x, corner_y = [], []
     for i in range(dim):
@@ -534,7 +505,7 @@ def scalar_product_weights(phi: GluingFunction, cfg: SampleConfig | None = None)
 def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None = None) -> list[ValidationReport]:
     """Norm axioms of the symmetrization on all of R^n (sampled)."""
     cfg = cfg or DEFAULT_SAMPLES
-    psi = SymmetrizedNorm(phi)
+    psi = phi.symmetrized()
     x = signed_samples(phi.dim, cfg, stream=21)
     y = signed_samples(phi.dim, cfg, stream=22)
     vx = np.asarray(psi(x), float)

@@ -39,7 +39,6 @@ class ProductSpace(MetricSpace):
         self.phi = phi
         dims = [f.coord_dim for f in factors]
         self.coord_dim = None if None in dims else sum(dims)
-        self._props_cache: DeclaredProperties | None = None
 
     # -- metric --------------------------------------------------------------
 
@@ -76,25 +75,23 @@ class ProductSpace(MetricSpace):
 
     @property
     def properties(self) -> DeclaredProperties:
-        if self._props_cache is None:
-            cls = self.gluing_class()
-            norm = cls.at_least(GluingClass.NORM_INDUCED)
-            strict = cls.at_least(GluingClass.STRICTLY_CONVEX_NORM)
+        cls = self.gluing_class()
+        norm = cls.at_least(GluingClass.NORM_INDUCED)
+        strict = cls.at_least(GluingClass.STRICTLY_CONVEX_NORM)
 
-            def licensed(flag, attr):
-                vals = [getattr(f.properties, attr) for f in self.factors]
-                if flag and all(v is True for v in vals):
-                    return True
-                return None
+        def licensed(flag, attr):
+            vals = [getattr(f.properties, attr) for f in self.factors]
+            if flag and all(v is True for v in vals):
+                return True
+            return None
 
-            self._props_cache = DeclaredProperties(
-                is_length_space=licensed(norm, "is_length_space"),
-                is_geodesic=licensed(norm, "is_geodesic"),
-                is_uniquely_geodesic=licensed(strict, "is_uniquely_geodesic"),
-                is_convex=licensed(strict, "is_convex"),
-                known_minkowski_rank=None,
-            )
-        return self._props_cache
+        return DeclaredProperties(
+            is_length_space=licensed(norm, "is_length_space"),
+            is_geodesic=licensed(norm, "is_geodesic"),
+            is_uniquely_geodesic=licensed(strict, "is_uniquely_geodesic"),
+            is_convex=licensed(strict, "is_convex"),
+            known_minkowski_rank=None,
+        )
 
     # -- batch plumbing --------------------------------------------------------
 

@@ -392,12 +392,19 @@ class LpSpace(MetricSpace):
 
 
 class _IndexSpace(MetricSpace):
-    """Shared plumbing for spaces whose points are integer indices."""
+    """Shared plumbing and declared properties for spaces whose points are integer indices."""
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("need at least one point")
         self.size = int(size)
+        self._properties = DeclaredProperties(
+            is_length_space=False,
+            is_geodesic=False,
+            is_uniquely_geodesic=False,
+            is_convex=False,
+            known_minkowski_rank=0,
+        )
 
     def _check(self, i) -> int:
         idx = int(i)
@@ -419,16 +426,6 @@ class DiscreteSpace(_IndexSpace):
     """n points with the 0/1 discrete metric."""
 
     name = "discrete"
-
-    def __init__(self, size: int):
-        super().__init__(size)
-        self._properties = DeclaredProperties(
-            is_length_space=False,
-            is_geodesic=False,
-            is_uniquely_geodesic=False,
-            is_convex=False,
-            known_minkowski_rank=0,
-        )
 
     def distance(self, x, y) -> float:
         return 0.0 if self._check(x) == self._check(y) else 1.0
@@ -473,13 +470,6 @@ class FiniteMetricSpace(_IndexSpace):
         if worst > Tolerances().scaled(float(m.max()) if m.size else 1.0):
             raise ValueError(f"triangle inequality fails by {worst}")
         self.matrix = m
-        self._properties = DeclaredProperties(
-            is_length_space=False,
-            is_geodesic=False,
-            is_uniquely_geodesic=False,
-            is_convex=False,
-            known_minkowski_rank=0,
-        )
 
     def distance(self, x, y) -> float:
         return float(self.matrix[self._check(x), self._check(y)])

@@ -19,7 +19,6 @@ from metricprod import (
     ProductSpace,
     RealLine,
     SampleConfig,
-    SymmetrizedNorm,
     Tolerances,
     alpha_decompose,
     busemann_convexity_check,
@@ -102,7 +101,7 @@ def test_criterion_2_characterization_ladder():
         strict = res.reports["strict-convexity"]
         assert strict.failed
         assert strict.witness["midpoint_norm"] == 1.0
-        psi = SymmetrizedNorm(catalog_gluings()[name])
+        psi = catalog_gluings()[name].symmetrized()
         x = np.asarray(strict.witness["x"], float)
         y = np.asarray(strict.witness["y"], float)
         assert psi((x + y) / 2.0) == 1.0

@@ -6,11 +6,14 @@ passes a catalog class to ``isinstance``.  The weighted p-norm is written
 once.  Tolerances live in one record, ``reports.Tolerances``.  Margin verdicts
 go through ``reports.worst``, where a NaN margin fails.  Construction reads
 ``ProductSpace.gluing_class``; only the checks sample a classification.
+Records carry no wall clock, and the benchmark tracer finds every name it wraps.
 """
 
 import ast
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "metricprod"
@@ -161,3 +164,32 @@ def test_only_checks_sample_a_classification():
     callers = {caller for path in sorted(PACKAGE.glob("*.py"))
                for caller in classification_callers(path) if not caller.startswith("gluing.py:")}
     assert callers == {"cli.py:_run_classify", "product.py:gluing_class"}
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules that ``path`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_wall_clock_in_the_package():
+    """Stdout is byte-identical across runs by construction: no module reads ``time``.
+    Timing is measured from outside, by ``perfbench/tracer.py``."""
+    hits = [path.name for path in sorted(PACKAGE.glob("*.py")) if "time" in imported_modules(path)]
+    assert hits == []
+
+
+def test_benchmark_tracer_installs():
+    """The tracer rebinds package attributes by name; renaming or deleting one of them
+    must fail here rather than in a later traced benchmark run."""
+    root = PACKAGE.parent.parent
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; import tracer; "
+            "tracer.install(tracer.Recorder())")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "perfbench")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

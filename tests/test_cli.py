@@ -240,16 +240,6 @@ def test_tolerance_override_validation(tmp_path, capsys):
     assert code == EXIT_OK
 
 
-def test_timings_flag_adds_elapsed(tmp_path, capsys):
-    cfg = config_with_checks([{"check": "classify", "phi": "eu", "samples": 500}])
-    path = write_config(tmp_path, cfg)
-    code, out = run_cli(capsys, "run", path, "--format", "json", "--timings")
-    assert code == EXIT_OK
-    assert "elapsed_ms" in json.loads(out.strip())
-    code, out = run_cli(capsys, "run", path, "--format", "json")
-    assert "elapsed_ms" not in json.loads(out.strip())
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "metricprod.cli", "--list-demos"],
                           capture_output=True, text=True)
@@ -507,6 +497,21 @@ def test_curve_length_fails_on_a_decreasing_trace(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert rec["length"] == 0.0 and not rec["diverged"]
     assert rec["verdict"] == "fail"
+
+
+def test_arclength_fails_on_a_decreasing_trace(tmp_path, capsys):
+    """The same segment: every piece length is 0, as is the expected share of the total
+    length, so only the trace of the whole curve shows the kernel error."""
+    big = {"type": "lp", "dim": 2, "p": 1000}
+    config = {"version": 1, "checks": [
+        {"check": "arclength", "space": big,
+         "curve": {"kind": "segment", "space": big, "start": [0, 0], "end": [10, 0]}}]}
+    with np.errstate(all="ignore"):
+        code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CHECK_FAILED
+    assert rec["verdict"] == "fail"
+    assert rec["details"]["reason"] == "dyadic trace decreases under refinement"
 
 
 @pytest.mark.parametrize("check", [

@@ -11,7 +11,6 @@ from metricprod import (
     ProductSpace,
     RealLine,
     SampleConfig,
-    SymmetrizedNorm,
     ValidationReport,
     check_axis_pythagoras,
     check_definiteness,
@@ -190,7 +189,7 @@ def test_strict_convexity_fails_for_sum_with_axis_witness():
     assert rep.failed
     # the axis midpoint has norm exactly one
     assert rep.witness["midpoint_norm"] == 1.0
-    psi = SymmetrizedNorm(SUM2)
+    psi = SUM2.symmetrized()
     x, y = np.asarray(rep.witness["x"]), np.asarray(rep.witness["y"])
     assert psi((x + y) / 2.0) == 1.0
 
@@ -234,9 +233,18 @@ def test_classification_is_cached():
     assert phi.classification(CFG) is first
 
 
+LADDER = ["not-a-metric-product", "metric-compatible", "norm-induced",
+          "strictly-convex-norm", "scalar-product-induced"]
+
+
 def test_class_ordering():
+    """Declaration order is the ladder, weakest first, and ``at_least`` reads it."""
     assert GluingClass.SCALAR_PRODUCT_INDUCED.at_least(GluingClass.NORM_INDUCED)
     assert not GluingClass.METRIC_COMPATIBLE.at_least(GluingClass.NORM_INDUCED)
+    assert [c.value for c in GluingClass] == LADDER
+    for i, high in enumerate(LADDER):
+        for j, low in enumerate(LADDER):
+            assert GluingClass(high).at_least(GluingClass(low)) is (i >= j), (high, low)
 
 
 def test_custom_gluing_goes_through_ladder():
@@ -334,7 +342,7 @@ def test_classify_draws_definiteness_once(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2))
 def test_symmetrization_is_even(x):
-    psi = SymmetrizedNorm(LP3)
+    psi = LP3.symmetrized()
     arr = np.asarray(x)
     assert psi(arr) == psi(-arr)
     assert psi(arr) == psi(np.abs(arr))
