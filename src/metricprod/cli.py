@@ -216,9 +216,16 @@ class RunContext:
     def phi(self, ref) -> GluingFunction:
         return build_phi(ref) if isinstance(ref, dict) else self._named("phi", ref, self.phis)
 
-    def curve(self, ref):
+    def curve(self, ref, space):
+        """Curve ``ref`` to be measured in ``space``; a start that ``space`` refuses
+        as its point, read through its JSON form, is a config error."""
         defn = ref if isinstance(ref, dict) else self._named("curve", ref, self.curve_defs)
-        return build_curve(defn, self)
+        curve = build_curve(defn, self)
+        try:
+            self.point(space, space.point_to_json(curve.at(0.0)))
+        except (ValueError, TypeError) as exc:        # ConfigError is a ValueError
+            raise ConfigError(f"curve {ref!r} does not lie in {space.name}: {exc}") from exc
+        return curve
 
     @staticmethod
     def point(space, obj):
@@ -282,7 +289,8 @@ def _run_scalar_product_weights(ctx, params):
 
 
 def _run_curve_length(ctx, params):
-    res = curve_length(ctx.space(params["space"]), ctx.curve(params["curve"]),
+    space = ctx.space(params["space"])
+    res = curve_length(space, ctx.curve(params["curve"], space),
                        params.number("depth", ctx.default_depth, int))
     record = {"check": "curve-length", "length": res.length, "trace": to_jsonable(res.trace),
               "diverged": res.diverged}
@@ -292,6 +300,19 @@ def _run_curve_length(ctx, params):
         ok = ok and abs(res.length - record["expected"]) <= params.number("tolerance", 1e-6)
     record["verdict"] = PASS if ok else FAIL
     return record
+
+
+def _run_product_length(ctx, params):
+    prod = ctx.product(params["product"])
+    comps = [ctx.curve(c, f) for c, f in zip(params["components"], prod.factors, strict=True)]
+    return product_curve_length_check(prod, comps, params.number("depth", ctx.default_depth, int))
+
+
+def _run_arclength(ctx, params):
+    space = ctx.space(params["space"])
+    return arclength_check(space, ctx.curve(params["curve"], space),
+                           params.number("grid", 8, int), params.number("depth", 8, int),
+                           ctx.tol)
 
 
 def _geodesic_from_params(ctx, space, params):
@@ -423,12 +444,8 @@ CHECK_RUNNERS = {
     "metric-axioms": lambda ctx, p: verify_metric_axioms(ctx.product(p["product"]),
                                                          ctx.sample_config(p)),
     "curve-length": _run_curve_length,
-    "product-curve-length": lambda ctx, p: product_curve_length_check(
-        ctx.product(p["product"]), [ctx.curve(c) for c in p["components"]],
-        p.number("depth", ctx.default_depth, int)),
-    "arclength": lambda ctx, p: arclength_check(ctx.space(p["space"]), ctx.curve(p["curve"]),
-                                                p.number("grid", 8, int),
-                                                p.number("depth", 8, int), ctx.tol),
+    "product-curve-length": _run_product_length,
+    "arclength": _run_arclength,
     "non-length-space": lambda ctx, p: non_length_space_demo(
         p.number("depth", 8, int), p.get("endpoints", ((0.0, 0.0), (1.0, 0.0))),
         p.number("paths", 5, int), p.number("seed", ctx.default_seed, int)),

@@ -561,3 +561,53 @@ def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "config error" in captured.err and f"({check['check']})" in captured.err
+
+
+ARC = {"kind": "circle-arc", "center": [0, 0], "radius": 1, "angle_end": math.pi}
+
+
+@pytest.mark.parametrize("check", [
+    {"check": "curve-length", "space": {"type": "real-line"}, "curve": ARC},
+    {"check": "curve-length", "space": {"type": "lp", "dim": 3}, "curve": ARC},
+    {"check": "curve-length", "space": "plane", "curve": ARC},
+    {"check": "curve-length", "space": {"type": "lp", "dim": 3},
+     "curve": dict(ARC, center=[0, 0, 5])},
+    {"check": "arclength", "space": {"type": "real-line"}, "curve": ARC},
+    {"check": "product-curve-length", "product": "plane", "components": [ARC, "diag"]},
+], ids=["arc-in-line", "arc-in-lp3", "arc-in-product", "arc-3d-center", "arclength-arc-in-line",
+        "component-not-in-factor"])
+def test_curve_outside_its_space_is_config_error(tmp_path, capsys, check):
+    """A curve is measured only in a space that takes its start as a point: the arc's
+    points are planar vectors, which a line, lp dim 3 and a product of lines refuse."""
+    code = main(["run", write_config(tmp_path, config_with_checks([check]))])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err and f"({check['check']})" in captured.err
+
+
+@pytest.mark.parametrize("refs", [["c3"], ["c3", "c3", "c3"]], ids=["fewer", "more"])
+def test_component_count_other_than_factor_count_fails(tmp_path, capsys, refs):
+    config = config_with_checks([{"check": "product-curve-length", "product": "plane",
+                                  "components": refs}])
+    config["curves"]["c3"] = {"kind": "segment", "space": {"type": "real-line"},
+                              "start": 0, "end": 3}
+    code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == EXIT_CHECK_FAILED
+    assert record["verdict"] == "fail" and "error" in record
+
+
+def test_curve_in_its_space_is_measured(tmp_path, capsys):
+    checks = [{"check": "curve-length", "space": {"type": "lp", "dim": 2}, "curve": ARC},
+              {"check": "product-curve-length", "product": "plane",
+               "components": [{"kind": "segment", "space": {"type": "real-line"},
+                               "start": 0, "end": 3}, "c4"]}]
+    config = config_with_checks(checks)
+    config["curves"]["c4"] = {"kind": "segment", "space": {"type": "real-line"},
+                              "start": 0, "end": 4}
+    code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_OK
+    assert records[0]["length"] == pytest.approx(math.pi, abs=1e-6)
+    assert records[1]["witness"]["measured"] == pytest.approx(5.0)

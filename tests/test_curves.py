@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metricprod import curves
 from metricprod import (
     Curve,
     GluingFunction,
@@ -18,6 +19,7 @@ from metricprod import (
     product_curve,
     product_curve_length_check,
     segment,
+    tau_len,
     warped,
 )
 
@@ -64,13 +66,30 @@ def test_refinement_trace_monotone_and_bounded_below_by_chord():
             assert level >= chord - Tolerances().scaled(chord)
 
 
-def test_divergence_flag():
+def test_divergence_flag(monkeypatch):
+    # every chord of every level is at least 1, so the chord scale is 1
     prod = plane(GluingFunction.two_valued(2))
     path = segment((0.0, 0.0), (1.0, 0.0))
-    res = curve_length(prod, path, depth=12, divergence_factor=1e3)
-    assert res.diverged
-    res = curve_length(prod, path, depth=4, divergence_factor=1e6)
-    assert not res.diverged  # grows like 2^depth, flag needs the full factor
+    monkeypatch.setattr(curves, "DIVERGENCE_FACTOR", 1e3)
+    assert curve_length(prod, path, depth=12).diverged
+    monkeypatch.setattr(curves, "DIVERGENCE_FACTOR", 1e6)
+    assert not curve_length(prod, path, depth=4).diverged  # 2^4 is below the factor
+
+
+def test_nearly_closed_curve_not_flagged():
+    # the chord and the two-piece sum are both about 1e-12; the mean chord at
+    # four pieces is 1, and the length is 4, not a divergence
+    path = polyline(RealLine(), [0.0, 1.0, 0.0, 1.0, 1e-12])
+    res = curve_length(RealLine(), path, depth=8)
+    assert not res.diverged
+    assert res.length == pytest.approx(4.0)
+    assert arclength_check(RealLine(), path).passed
+
+
+def test_tau_len_reads_arrays_as_scalars():
+    assert tau_len(3, 16.0) == 2.0
+    assert tau_len(3, 0.0) == curves.LEN_FLOOR
+    assert np.array_equal(tau_len(3, np.array([16.0, 0.0])), [2.0, curves.LEN_FLOOR])
 
 
 def test_closed_curve_not_flagged():
@@ -114,6 +133,11 @@ def test_product_length_undetermined_for_warped_component():
     rep = product_curve_length_check(prod, [bad, segment(0.0, 4.0)], depth=10)
     assert rep.verdict == "undetermined"
     assert rep.details["reason"] == "component not constant-speed"
+    # the record carries the component's arclength witness and margin
+    own = arclength_check(RealLine(), bad, grid=16, depth=7)
+    assert own.failed
+    assert rep.witness == {"component": 0, **own.witness}
+    assert rep.margin == own.margin
 
 
 def test_product_length_identity_over_random_polylines():
@@ -146,6 +170,25 @@ def test_arclength_check_fails_for_quadratic_speed():
     assert rep.failed
     # restriction lengths scale like t^2, not t: margin is macroscopic
     assert rep.margin > 0.2
+
+
+def test_arclength_check_constant_speed_zigzag():
+    # every interval [i/8, j/8] holds whole chords of the same resolution, so
+    # the lengths add up: [0, 0.875] measures 3.5, as expected
+    zigzag = polyline(RealLine(), [0.0, 1.0, 0.0, 1.0, 0.0])
+    rep = arclength_check(RealLine(), zigzag, grid=8, depth=8)
+    assert rep.passed
+    assert rep.details["total_length"] == 4.0
+
+
+def test_arclength_check_evaluates_the_curve_twice_at_any_grid():
+    # once for the dyadic trace, once for every chord of every interval
+    for grid in (4, 9):
+        calls = []
+        seg = segment(0.0, 2.0)
+        curve = Curve(lambda ts: calls.append(len(ts)) or seg.at_many(ts))
+        assert arclength_check(RealLine(), curve, grid=grid, depth=5).passed
+        assert calls == [2**5 + 1, grid * 2**5 + 1]
 
 
 def test_arclength_check_product_of_segments():
@@ -196,19 +239,18 @@ def test_polyline_constant_speed_parameterization():
     assert rep.passed
 
 
-def test_subcurve_and_endpoints():
-    seg = segment((0.0, 0.0), (2.0, 2.0))
-    sub = seg.subcurve(0.25, 0.75)
-    assert sub.at(0.0) == pytest.approx((0.5, 0.5))
-    assert sub.at(1.0) == pytest.approx((1.5, 1.5))
-
-
 def test_curve_construction_evaluates_nothing():
     calls = []
     seg = segment(0.0, 2.0)
-    curve = Curve(lambda ts: calls.append(len(ts)) or seg.at_many(ts))
-    sub = curve.subcurve(0.25, 0.75)
+    curve = warped(Curve(lambda ts: calls.append(len(ts)) or seg.at_many(ts)),
+                   lambda t: 0.25 + 0.5 * t)
     assert calls == []
-    res = curve_length(RealLine(), sub, depth=4)
+    res = curve_length(RealLine(), curve, depth=4)
     assert calls == [17]
     assert res.length == pytest.approx(1.0)
+
+
+def test_circle_arc_needs_a_planar_center():
+    for center in ((0.0, 0.0, 5.0), (1.0,)):
+        with pytest.raises(ValueError):
+            circle_arc(center, 1.0, 0.0, math.pi)
