@@ -60,7 +60,7 @@ from .rank import (
 )
 from .reports import FAIL, PASS, UNDETERMINED, Tolerances, to_jsonable
 from .sampling import SampleConfig
-from .spaces import DiscreteSpace, FiniteMetricSpace, HalfLine, LpSpace, RealLine
+from .spaces import DiscreteSpace, FiniteMetricSpace, HalfLine, LpSpace, RealLine, batch_form
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -217,12 +217,14 @@ class RunContext:
         return build_phi(ref) if isinstance(ref, dict) else self._named("phi", ref, self.phis)
 
     def curve(self, ref, space):
-        """Curve ``ref`` to be measured in ``space``; a start that ``space`` refuses
-        as its point, read through its JSON form, is a config error."""
+        """Curve ``ref`` to be measured in ``space``; a start that ``space`` refuses as its
+        point, read through its JSON form, or a batch of another form is a config error."""
         defn = ref if isinstance(ref, dict) else self._named("curve", ref, self.curve_defs)
         curve = build_curve(defn, self)
         try:
-            self.point(space, space.point_to_json(curve.at(0.0)))
+            start = self.point(space, space.point_to_json(curve.at(0.0)))
+            if batch_form(curve.at_many(np.zeros(1))) != batch_form(space.stack([start])):
+                raise ValueError("its points are batched in another form")
         except (ValueError, TypeError) as exc:        # ConfigError is a ValueError
             raise ConfigError(f"curve {ref!r} does not lie in {space.name}: {exc}") from exc
         return curve

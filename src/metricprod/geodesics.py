@@ -278,32 +278,34 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     on the refined uniform grid so that every midpoint of grid parameters
     is again a grid parameter.  The check is global on the given
     geodesics; it does not probe smaller scales.  ``tau``, when given, is
-    an absolute tolerance in place of the scaled ``cfg.tol``.
+    an absolute tolerance in place of the scaled ``cfg.tol``.  A grid below
+    2 is refused.  The margin of (s, t) against (s2, t2) is that of (s2, t2)
+    against (s, t), so only s2 >= s is reduced: the first worst pair is there.
     """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     cfg = cfg or DEFAULT_SAMPLES
     fine = 2 * grid - 1
     u = np.linspace(0.0, 1.0, fine)
-    p1 = g1.at_many(u * g1.length)
-    p2 = g2.at_many(u * g2.length)
-    ii, jj = np.meshgrid(np.arange(fine), np.arange(fine), indexing="ij")
-    dmat = space.distance_batch(
-        space.take(p1, ii.ravel()), space.take(p2, jj.ravel())
-    ).reshape(fine, fine)
-    idx = np.arange(grid)
-    s = np.add.outer(idx, idx)                       # parameter index sums
+    p1, p2 = g1.at_many(u * g1.length), g2.at_many(u * g2.length)
+    ii, jj = np.divmod(np.arange(fine * fine), fine)
+    dmat = space.distance_batch(space.take(p1, ii), space.take(p2, jj)).reshape(fine, fine)
     even = dmat[::2, ::2]                            # values at grid points
-    # margins[a, b, c, d] = dmat[a + c, b + d] - (even[a, b] + even[c, d]) / 2, reduced one
-    # first index a at a time (grid**3 memory): the worst of each slab, then of the slabs
-    slabs = []
+    window = np.lib.stride_tricks.sliding_window_view(dmat, (grid, grid))  # dmat[a + c, b + d]
+    # margins[a, b, c, d] = window[a, b, c, d] - (even[a, b] + even[c, d]) / 2 is margins[c, d,
+    # a, b] bit for bit (NaN too), earlier in C order when c < a: so the first largest has
+    # c >= a, and slab a reduces only c in [a, grid), into one reused grid**3 buffer
+    buf, slabs = np.empty(grid**3), []
     for a in range(grid):
-        margins = dmat[(a + idx)[None, :, None], s[:, None, :]] - \
-            0.5 * (even[a, :, None, None] + even[None, :, :])
-        j, _ = worst(margins)
-        slabs.append((float(margins.flat[j]), (a, *np.unravel_index(j, margins.shape))))
+        margins = buf[:grid * (grid - a) * grid].reshape(grid, grid - a, grid)
+        np.add(even[a, :, None, None], even[None, a:], out=margins)
+        np.subtract(window[a, :, a:], np.multiply(margins, 0.5, out=margins), out=margins)
+        k = np.unravel_index(worst(margins)[0], margins.shape)
+        slabs.append((float(margins[k]), (a, k[0], k[1] + a, k[2])))
     tol = tau if tau is not None else cfg.tol.scaled(float(dmat.max(initial=0.0)))
     a, verdict = worst([m for m, _ in slabs], tol)
     margin, k = slabs[a]
-    step = 1.0 / (grid - 1) if grid > 1 else 1.0
+    step = 1.0 / (grid - 1)
     witness = {"s": k[0] * step, "t": k[1] * step,
                "s2": k[2] * step, "t2": k[3] * step}
     return ValidationReport("busemann-convexity", verdict,

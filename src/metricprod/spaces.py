@@ -57,6 +57,11 @@ def take(batch, idx):
     return np.asarray(batch)[idx]
 
 
+def batch_form(batch):
+    """Nesting, types and shapes of a batch; the batches of one space share them."""
+    return tuple(map(batch_form, batch)) if isinstance(batch, tuple) else (type(batch), np.shape(batch))
+
+
 def unstack(batch) -> list:
     """The points of a batch, in order."""
     if isinstance(batch, tuple):

@@ -282,6 +282,17 @@ def test_busemann_tolerance_string_is_parsed(tmp_path, capsys):
     assert rec["details"]["tolerance"] == 1e-6 and rec["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("grid", [0, 1])
+def test_busemann_grid_below_two_is_refused(tmp_path, capsys, grid):
+    """At grid 1 the one margin is a start against itself, and grid 0 has no grid point."""
+    config = busemann_config(1e-6)
+    config["checks"][0]["grid"] = grid
+    code, out = run_cli(capsys, "run", write_config(tmp_path, config), "--format", "json")
+    rec = json.loads(out)
+    assert code == EXIT_CHECK_FAILED
+    assert rec["verdict"] == "fail" and rec["error"] == "grid must be at least 2"
+
+
 @pytest.mark.parametrize("tau", ["loose", "nan", [1]])
 def test_bad_busemann_tolerance_is_config_error(tmp_path, capsys, tau):
     path = write_config(tmp_path, busemann_config(tau))
@@ -574,11 +585,14 @@ ARC = {"kind": "circle-arc", "center": [0, 0], "radius": 1, "angle_end": math.pi
      "curve": dict(ARC, center=[0, 0, 5])},
     {"check": "arclength", "space": {"type": "real-line"}, "curve": ARC},
     {"check": "product-curve-length", "product": "plane", "components": [ARC, "diag"]},
+    {"check": "curve-length", "space": {"type": "lp", "dim": 2}, "curve": "diag"},
 ], ids=["arc-in-line", "arc-in-lp3", "arc-in-product", "arc-3d-center", "arclength-arc-in-line",
-        "component-not-in-factor"])
+        "component-not-in-factor", "product-segment-in-lp"])
 def test_curve_outside_its_space_is_config_error(tmp_path, capsys, check):
     """A curve is measured only in a space that takes its start as a point: the arc's
-    points are planar vectors, which a line, lp dim 3 and a product of lines refuse."""
+    points are planar vectors, which a line, lp dim 3 and a product of lines refuse.  The
+    segment in a product of lines starts at a pair that lp dim 2 reads as a vector, but its
+    batches are pairs of columns, not rows of vectors."""
     code = main(["run", write_config(tmp_path, config_with_checks([check]))])
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG

@@ -219,14 +219,35 @@ def sup_norm_geodesics():
     ]
 
 
-@pytest.mark.parametrize("grid", [8, 16])
-def test_busemann_matches_dense_reduction(grid):
+def dense_reference_cases():
+    """(space, g1, g2) whose margins tie, reach a positive worst, or hold NaN."""
     space, pairs = sup_norm_geodesics()
-    for g1, g2 in pairs:
-        rep = busemann_convexity_check(space, g1, g2, grid=grid)
-        margin, witness = dense_busemann_margin(space, g1, g2, grid)
-        assert rep.margin == margin
-        assert [rep.witness[k] for k in ("s", "t", "s2", "t2")] == witness
+    cases = [(space, g1, g2) for g1, g2 in pairs]
+    taxi = plane(GluingFunction.sum(2))              # corner against diagonal: worst margin 1
+    cases.append((taxi, product_geodesic(taxi, (0.0, 0.0), (1.0, 1.0)),
+                  product_geodesic(taxi, (0.0, 0.0), (1.0, 1.0), via=(1.0, 0.0))))
+    # at p = 1000, ends 10 apart overflow the length, so every point is NaN; on geodesics
+    # of length 2 the cross distances past about 2.03 overflow, so dmat holds inf beside
+    # finite values and the first NaN margin lies off the start
+    big = LpSpace(2, 1000.0)
+    for a, b, c, d in [((0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)),
+                       ((0.0, 0.0), (2.0, 0.0), (0.5, 1.0), (2.5, 1.0))]:
+        cases.append((big, factor_geodesic(big, a, b), factor_geodesic(big, c, d)))
+    return cases
+
+
+@pytest.mark.parametrize("grid", [2, 3, 5, 8, 16])
+def test_busemann_matches_dense_reduction(grid):
+    margins = []
+    with np.errstate(all="ignore"):
+        for space, g1, g2 in dense_reference_cases():
+            rep = busemann_convexity_check(space, g1, g2, grid=grid)
+            margin, witness = dense_busemann_margin(space, g1, g2, grid)
+            assert rep.margin == margin or (math.isnan(rep.margin) and math.isnan(margin))
+            assert [rep.witness[k] for k in ("s", "t", "s2", "t2")] == witness
+            assert rep.samples == grid**4
+            margins.append(margin)
+    assert margins[3] == 1.0 and math.isnan(margins[4]) and math.isnan(margins[5])
 
 
 def test_busemann_memory_is_cubic_in_grid():
