@@ -292,9 +292,9 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     dmat = space.distance_batch(space.take(p1, ii), space.take(p2, jj)).reshape(fine, fine)
     even = dmat[::2, ::2]                            # values at grid points
     window = np.lib.stride_tricks.sliding_window_view(dmat, (grid, grid))  # dmat[a + c, b + d]
-    # margins[a, b, c, d] = window[a, b, c, d] - (even[a, b] + even[c, d]) / 2 is margins[c, d,
-    # a, b] bit for bit (NaN too), earlier in C order when c < a: so the first largest has
-    # c >= a, and slab a reduces only c in [a, grid), into one reused grid**3 buffer
+    # margins[a, b, c, d] = window[a, b, c, d] - (even[a, b] + even[c, d]) / 2 equals its
+    # twin margins[c, d, a, b] bit for bit (NaN too), which comes first in C order when c < a;
+    # so the first largest has c >= a, and slab a reduces only c in [a, grid), in grid**3 memory
     buf, slabs = np.empty(grid**3), []
     for a in range(grid):
         margins = buf[:grid * (grid - a) * grid].reshape(grid, grid - a, grid)
