@@ -41,7 +41,11 @@ def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.nd
 
     ``weights=None`` means unit weights.  The p = 1, p = oo and unit-weight
     branches return the same floats as the general formula, with less arithmetic.
+    A single vector is reduced as a one-row batch, so a scalar distance is bit for
+    bit the matching row of a batch (numpy sums a 1-D row in another order).
     """
+    if a.ndim == 1:
+        return weighted_pnorm(a[None], p, weights)[0]
     if p == math.inf:
         return (a if weights is None else weights * a).max(axis=-1)
     if p == 1.0:

@@ -204,6 +204,27 @@ def test_batch_matches_scalar():
             assert batch[i] == pytest.approx(space.distance(x, y), abs=1e-15)
 
 
+BITWISE_CATALOG = CATALOG + [LpSpace(3, p, weights=(1.0, 2.0, 0.5)) for p in (1.5, 3.0, 7.0)] + [
+    ProductSpace((RealLine(), LpSpace(2, 1.5), HalfLine()), GluingFunction.lp(3, p, (1.0, 3.0, 0.5)))
+    for p in (1.5, 2.0, 3.0, 7.0, INFINITY)
+] + [
+    ProductSpace((ProductSpace((RealLine(), LpSpace(2, 3.0)), GluingFunction.lp(2, 1.5)),
+                  DiscreteSpace(4), FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])),
+                 GluingFunction.lp(3, 7.0, (2.0, 1.0, 0.25))),
+]
+
+
+@pytest.mark.parametrize("space", BITWISE_CATALOG,
+                         ids=[f"{s.name}-{i}" for i, s in enumerate(BITWISE_CATALOG)])
+def test_scalar_distance_is_the_batch_row_bitwise(space):
+    """A scalar distance is a one-row batch: the same float as its row of any batch."""
+    xs = space.sample_batch(400, seed=[3, 1], radius=4.0)
+    ys = space.sample_batch(400, seed=[3, 2], radius=4.0)
+    batch = space.distance_batch(xs, ys)
+    scalar = [space.distance(x, y) for x, y in zip(space.unstack(xs), space.unstack(ys))]
+    assert batch.tolist() == scalar
+
+
 @pytest.mark.parametrize("space, point", [
     (RealLine(), math.nan),
     (HalfLine(), math.inf),
