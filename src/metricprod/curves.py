@@ -19,6 +19,7 @@ from .spaces import lerp, point_at, stack
 
 LEN_FLOOR = 1e-6
 DIVERGENCE_FACTOR = 1e6
+GROWTH = 1.5
 
 
 def tau_len(depth: int, first_level):
@@ -112,8 +113,10 @@ class LengthResult:
     """Length estimate at the finest dyadic level plus the refinement trace.
 
     ``trace[d]`` is the chord sum over 2^d uniform segments.  ``diverged``
-    flags traces that blow past DIVERGENCE_FACTOR times the chord scale,
-    which signals a non-rectifiable path rather than an error.
+    flags traces that blow past DIVERGENCE_FACTOR times the chord scale, or
+    (from depth 5) still grow past GROWTH times their value four levels up
+    without slowing down, which signals a non-rectifiable path rather than an
+    error.
     """
 
     length: float
@@ -133,19 +136,22 @@ def curve_length(space, curve: Curve, depth: int = 12) -> LengthResult:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = 2**depth
-    ts = np.linspace(0.0, 1.0, n + 1)
-    pts = curve.at_many(ts)
-    trace = []
-    for d in range(depth + 1):
-        step = 2 ** (depth - d)
-        idx = np.arange(0, n + 1, step)
-        a = space.take(pts, idx[:-1])
-        b = space.take(pts, idx[1:])
-        trace.append(float(space.distance_batch(a, b).sum()))
+    pts = curve.at_many(np.linspace(0.0, 1.0, n + 1))
+    # the chords of every level in one batch: level d's 2^d chords are [2^d - 1, 2^(d+1) - 1)
+    idx = [np.arange(0, n + 1, 2 ** (depth - d)) for d in range(depth + 1)]
+    chords = space.distance_batch(space.take(pts, np.concatenate([i[:-1] for i in idx])),
+                                  space.take(pts, np.concatenate([i[1:] for i in idx])))
+    trace = [float(chords[2**d - 1:2 ** (d + 1) - 1].sum()) for d in range(depth + 1)]
     # the chord scale is the largest mean chord of any level: the first
     # levels alone degenerate for closed and nearly closed curves
     scale = max(t / 2**d for d, t in enumerate(trace))
     diverged = scale > 0 and trace[-1] > DIVERGENCE_FACTOR * scale
+    # a rectifiable trace converges, its increments shrinking; one still growing past GROWTH
+    # times its value four levels up, a quarter of that rise or more in the last level, does
+    # not.  At depth 4 that window would reach trace[0], near 0 on a closed curve
+    if depth > 4:
+        rise = trace[-1] - trace[-5]
+        diverged = diverged or trace[-1] > GROWTH * trace[-5] and trace[-1] - trace[-2] >= rise / 4
     return LengthResult(trace[-1], trace, diverged)
 
 

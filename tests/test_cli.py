@@ -525,6 +525,22 @@ def test_arclength_fails_on_a_decreasing_trace(tmp_path, capsys):
     assert rec["details"]["reason"] == "dyadic trace decreases under refinement"
 
 
+def test_two_valued_segment_reads_as_not_rectifiable(tmp_path, capsys):
+    """Under the two-valued gluing every dyadic chord of the segment (0, 0) -> (1, 0) costs
+    1, so its trace doubles at each level: no length, and no arclength verdict."""
+    two = {"type": "product", "factors": [{"type": "real-line"}, {"type": "real-line"}],
+           "phi": {"type": "two-valued", "dim": 2}}
+    seg = {"kind": "segment", "space": two, "start": [0, 0], "end": [1, 0]}
+    config = {"version": 1, "checks": [{"check": "curve-length", "space": two, "curve": seg},
+                                       {"check": "arclength", "space": two, "curve": seg}]}
+    code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    length, arc = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_CHECK_FAILED
+    assert length["verdict"] == "fail" and length["diverged"]
+    assert arc["verdict"] == "undetermined"
+    assert arc["details"]["reason"] == "curve appears non-rectifiable"
+
+
 @pytest.mark.parametrize("check", [
     {"check": "geodesy", "space": "plane", "start": [math.nan, 0], "end": [1, 1]},
     {"check": "geodesy", "space": {"type": "half-line"}, "start": -1, "end": 2},

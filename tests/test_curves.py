@@ -66,14 +66,73 @@ def test_refinement_trace_monotone_and_bounded_below_by_chord():
             assert level >= chord - Tolerances().scaled(chord)
 
 
-def test_divergence_flag(monkeypatch):
-    # every chord of every level is at least 1, so the chord scale is 1
+def test_divergence_factor_rule(monkeypatch):
+    # a full circle's trace converges to 2 pi, and its chord scale is 2 (two diameters at
+    # level 1), so only a factor below pi flags it
+    circle = circle_arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi)
+    monkeypatch.setattr(curves, "DIVERGENCE_FACTOR", 3.0)
+    assert curve_length(LpSpace(2, 2.0), circle, depth=12).diverged
+    monkeypatch.setattr(curves, "DIVERGENCE_FACTOR", 1e6)
+    assert not curve_length(LpSpace(2, 2.0), circle, depth=12).diverged
+
+
+def test_divergence_growth_rule():
+    # every chord of every level is 1, so the trace doubles at every level: 16x over the
+    # last four, far past the factor rule's reach (the chord scale is 1, the factor 1e6)
     prod = plane(GluingFunction.two_valued(2))
     path = segment((0.0, 0.0), (1.0, 0.0))
-    monkeypatch.setattr(curves, "DIVERGENCE_FACTOR", 1e3)
-    assert curve_length(prod, path, depth=12).diverged
-    monkeypatch.setattr(curves, "DIVERGENCE_FACTOR", 1e6)
-    assert not curve_length(prod, path, depth=4).diverged  # 2^4 is below the factor
+    for depth in (5, 8, 12):
+        res = curve_length(prod, path, depth)
+        assert res.diverged and res.trace == [2.0**d for d in range(depth + 1)]
+    # at depth 4 the window would reach trace[0]; the chord scale alone decides there
+    assert not curve_length(prod, path, depth=4).diverged
+
+
+def test_growth_rule_passes_converging_traces():
+    # a polyline whose corners fall off the dyadic grid: its trace can still grow by half
+    # over the last four of five levels, but its increments shrink as it converges
+    prod = plane(GluingFunction.lp(2, 3.0))
+    rng = np.random.default_rng(5)
+    grew = 0
+    for _ in range(20):
+        path = polyline(prod, [tuple(rng.uniform(-5, 5, 2)) for _ in range(5)])
+        res = curve_length(prod, path, depth=5)
+        assert not res.diverged
+        grew += res.trace[-1] > curves.GROWTH * res.trace[-5]
+    assert grew >= 5
+
+
+def per_level_trace(space, curve, depth):
+    """Reference: one take and one distance_batch per dyadic level."""
+    n = 2**depth
+    pts = curve.at_many(np.linspace(0.0, 1.0, n + 1))
+    trace = []
+    for d in range(depth + 1):
+        idx = np.arange(0, n + 1, 2 ** (depth - d))
+        trace.append(float(space.distance_batch(space.take(pts, idx[:-1]),
+                                                space.take(pts, idx[1:])).sum()))
+    return trace
+
+
+@pytest.mark.parametrize("depth", [1, 4, 9, 12])
+def test_curve_length_is_one_distance_pass(monkeypatch, depth):
+    rng = np.random.default_rng(depth)
+    cases = [(plane(GluingFunction.lp(2, 1.5)),
+              polyline(plane(GluingFunction.lp(2, 1.5)),
+                       [tuple(rng.uniform(-5, 5, 2)) for _ in range(6)])),
+             (LpSpace(2, 3.0), circle_arc((0.5, -1.0), 2.0, 0.3, 5.0)),
+             (RealLine(), polyline(RealLine(), list(rng.uniform(-5, 5, 7))))]
+    for space, curve in cases:
+        expected = per_level_trace(space, curve, depth)
+        calls = []
+        kind = type(space)
+        batch = kind.distance_batch
+        monkeypatch.setattr(kind, "distance_batch",
+                            lambda self, xs, ys: calls.append(1) or batch(self, xs, ys))
+        res = curve_length(space, curve, depth)
+        monkeypatch.undo()
+        assert res.trace == expected and res.length == expected[-1]
+        assert len(calls) == 1
 
 
 def test_nearly_closed_curve_not_flagged():
