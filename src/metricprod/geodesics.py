@@ -10,7 +10,6 @@ wander) rather than generic numeric search, so they are exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -21,7 +20,7 @@ from .gluing import GluingClass
 from .product import ProductSpace
 from .reports import PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, rng_stream
-from .spaces import MetricSpace
+from .spaces import MetricSpace, lerp, where
 
 
 @dataclass
@@ -69,13 +68,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
     valid only if that point splits the endpoint distance additively.
     """
     cfg = cfg or DEFAULT_SAMPLES
-    cls = prod.gluing_class(cfg)
-    if not cls.at_least(GluingClass.NORM_INDUCED):
-        raise ValueError(
-            f"gluing classifies as {cls.value}; geodesic construction needs norm-induced")
-    for f in prod.factors:
-        if f.properties.is_geodesic is not True:
-            raise ValueError(f"factor {f.name} is not geodesic")
+    _require_geodesic_product(prod, cfg)
     d = prod.distance(x, y)
     if d == 0:
         return Geodesic(prod, x, y, *prod.affine_route(x, y, d))
@@ -108,6 +101,17 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
     return Geodesic(prod, x, y, d, sync_eval, descriptor=f"sync[{desc}]")
 
 
+def _require_geodesic_product(prod: ProductSpace, cfg) -> None:
+    """The refusals of product geodesic construction, raised before any route is built."""
+    cls = prod.gluing_class(cfg)
+    if not cls.at_least(GluingClass.NORM_INDUCED):
+        raise ValueError(
+            f"gluing classifies as {cls.value}; geodesic construction needs norm-induced")
+    for f in prod.factors:
+        if f.properties.is_geodesic is not True:
+            raise ValueError(f"factor {f.name} is not geodesic")
+
+
 def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> Geodesic:
     """Geodesic in a factor, or in a product from "affine" or one selector per factor."""
     if isinstance(space, ProductSpace):
@@ -120,9 +124,33 @@ def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> G
     return factor_geodesic(space, x, y, selector)
 
 
+def _sync_points(space: MetricSpace, xs, ys, ts: np.ndarray, ds: np.ndarray, cfg=None):
+    """Row k: the default geodesic from ``xs[k]`` to ``ys[k]``, of length ``ds[k]``, at
+    parameter ``ts[k]``.
+
+    The arithmetic of :func:`product_geodesic` and the affine routes, row by row:
+    factor i of a product runs to ``ts * (l_i / ds)`` of its own length ``l_i``, a
+    segment to ``ts / ds`` of the way, and a row of length 0 stays at its start.
+    Raises the refusals of geodesic construction, whatever the rows.
+    """
+    flat = ds == 0
+    if isinstance(space, ProductSpace):
+        _require_geodesic_product(space, cfg or DEFAULT_SAMPLES)
+        ys, parts = space.where(flat, xs, ys), []
+        for f, x, y in zip(space.factors, xs, ys):
+            ell = f.distance_batch(x, y)
+            share = np.where(flat, ts, ts * (ell / np.where(flat, 1.0, ds)))
+            parts.append(_sync_points(f, x, y, share, ell, cfg))
+        return tuple(parts)
+    if not space.supports_interpolation:
+        raise ValueError(f"{space.name} is not a geodesic space in the catalog")
+    return lerp(xs, where(flat, xs, ys), np.where(flat, ts, ts / np.where(flat, 1.0, ds)))
+
+
 def midpoint(space: MetricSpace, x, y, cfg=None):
-    g = geodesic_between(space, x, y, cfg=cfg)
-    return g.at(g.length / 2.0)
+    xs, ys = space.stack([x]), space.stack([y])
+    ds = space.distance_batch(xs, ys)
+    return space.point_at(_sync_points(space, xs, ys, ds / 2.0, ds, cfg), 0)
 
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
@@ -198,7 +226,9 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
     search (alternative midpoints at distance D/2 from both endpoints
     induce two-segment geodesics).  The verdict is pass when every
     candidate coincides with the default geodesic on the grid: no sup
-    distance above ``1e-6 * max(1, D)``.
+    distance above ``1e-6 * max(1, D)``.  Via points and perturbed
+    midpoints are screened in batches; only a candidate that passes the
+    screen is built as a geodesic.
     """
     cfg = cfg or DEFAULT_SAMPLES
     d = prod.distance(x, y)
@@ -218,40 +248,42 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
         else:
             candidates.append(product_geodesic(prod, x, y, selectors=sel, cfg=cfg))
 
-    # corner routes: finish one subset of the factors first
+    # corner routes: finish one subset of the factors first; vias[k] takes factor i from y
+    # where bit i of k + 1 is set; a screened via splits d and so passes construction
+    xb, yb = prod.stack([x]), prod.stack([y])
     n = len(prod.factors)
-    for mask in range(1, 2**n - 1):
-        via = tuple(y[i] if mask >> i & 1 else x[i] for i in range(n))
-        d1 = prod.distance(x, via)
-        d2 = prod.distance(via, y)
-        if tol < d1 and tol < d2 and abs(d1 + d2 - d) <= tol:
-            candidates.append(product_geodesic(prod, x, y, via=via, cfg=cfg))
+    if n > 1:
+        bits = np.arange(1, 2**n - 1)[:, None] >> np.arange(n) & 1
+        vias = tuple(where(bits[:, i] == 1, yi, xi) for i, (xi, yi) in enumerate(zip(xb, yb)))
+        d1, d2 = prod.distance_batch(xb, vias), prod.distance_batch(vias, yb)
+        for k in np.flatnonzero((tol < d1) & (tol < d2) & (abs(d1 + d2 - d) <= tol)):
+            candidates.append(product_geodesic(prod, x, y, via=prod.point_at(vias, k), cfg=cfg))
 
-    # midpoint perturbation search
+    # midpoint perturbation search: per direction, the first delta whose offset of the
+    # midpoint lies off it at d/2 from both ends, screened in one batch per delta
     mid = base.at(d / 2.0)
     n = prod.coord_dim
-    rng = rng_stream(seed, 41)
     accepted = 0
     if n is not None:
         directions = _coordinate_directions(n)
-        while len(directions) < perturbations:
-            directions.append(rng.normal(size=n))
-        for vec in directions[:perturbations]:
-            probe = prod.offset(mid, vec, 1.0)
-            width = prod.distance(mid, probe)
-            if width <= tol:
-                continue
-            for delta in (d / 4.0, d / 32.0):
-                cand = prod.offset(mid, vec, delta / width)
-                if prod.distance(mid, cand) <= tol:
-                    continue
-                # half the via tolerance so the two half-distances cannot
-                # jointly overshoot the concatenation check
-                if abs(prod.distance(x, cand) - d / 2.0) <= 0.5 * tol and \
-                   abs(prod.distance(cand, y) - d / 2.0) <= 0.5 * tol:
-                    candidates.append(product_geodesic(prod, x, y, via=cand, cfg=cfg))
-                    accepted += 1
-                    break
+        gauss = rng_stream(seed, 41).normal(size=(max(0, perturbations - len(directions)), n))
+        vecs = np.concatenate([directions, gauss])[:perturbations]
+        mb = prod.stack([mid])
+        width = prod.distance_batch(mb, prod.offset(mid, vecs, np.ones(len(vecs))))
+        live = ~(width <= tol)                  # a NaN width is screened as the scalar was
+        vecs, width = vecs[live], width[live]
+        cands, hits = [], []
+        for delta in (d / 4.0, d / 32.0):
+            cands.append(prod.offset(mid, vecs, delta / width))
+            # half the via tolerance so the two half-distances cannot
+            # jointly overshoot the concatenation check
+            hits.append(~(prod.distance_batch(mb, cands[-1]) <= tol)
+                        & (abs(prod.distance_batch(xb, cands[-1]) - d / 2.0) <= 0.5 * tol)
+                        & (abs(prod.distance_batch(cands[-1], yb) - d / 2.0) <= 0.5 * tol))
+        chosen = prod.where(hits[0], cands[0], cands[1])
+        for k in np.flatnonzero(hits[0] | hits[1]):
+            candidates.append(product_geodesic(prod, x, y, via=prod.point_at(chosen, k), cfg=cfg))
+            accepted += 1
 
     ts = np.linspace(0.0, d, grid)
     base_pts = base.at_many(ts)
@@ -320,38 +352,33 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     For each triangle (p, q, r): the distance from p to the geodesic
     midpoint of q and r must not exceed the corresponding median of the
     Euclidean triangle with the same side lengths.  Curvature comparison
-    for nonzero bounds is out of scope.
+    for nonzero bounds is out of scope.  The sides, the screen of degenerate
+    triangles, the midpoints and their distances are each one batch.
     """
     cfg = cfg or DEFAULT_SAMPLES
     if triangles is None:
-        ps = space.sample_points(count, [seed, 7], radius)
-        qs = space.sample_points(count, [seed, 8], radius)
-        rs = space.sample_points(count, [seed, 9], radius)
-        triangles = list(zip(ps, qs, rs))
-    checked, margins = [], []     # (p, q, r, midpoint, sides, comparison) per margin
-    scale = 1.0
-    for p, q, r in triangles:
-        a = space.distance(p, q)
-        b = space.distance(p, r)
-        c = space.distance(q, r)
-        scale = max(scale, a, b, c)
-        slack = cfg.tol.scaled(a, b, c)
-        if c > a + b + slack or a > b + c + slack or b > a + c + slack:
-            continue
-        m = midpoint(space, q, r, cfg=cfg)
-        comparison = math.sqrt(max(0.0, (2 * a * a + 2 * b * b - c * c) / 4.0))
-        margins.append(space.distance(p, m) - comparison)
-        checked.append((p, q, r, m, [a, b, c], comparison))
+        triangles = list(zip(*(space.sample_points(count, [seed, s], radius) for s in (7, 8, 9))))
+    n, rows, scale = len(triangles), np.empty(0, int), 1.0
+    if n:
+        ps, qs, rs = (space.stack([t[j] for t in triangles]) for j in range(3))
+        a, b, c = (space.distance_batch(u, v) for u, v in ((ps, qs), (ps, rs), (qs, rs)))
+        scale = float(np.fmax.reduce(np.concatenate([[scale], a, b, c])))  # passes NaN over
+        slack = cfg.tol.metric * np.fmax.reduce([np.ones(n), abs(a), abs(b), abs(c)])
+        rows = np.flatnonzero(~((c > a + b + slack) | (a > b + c + slack) | (b > a + c + slack)))
     tol = cfg.tol.scaled(scale)
-    details = {"skipped_degenerate": len(triangles) - len(checked), "tolerance": tol}
-    margin, witness, verdict = 0.0, None, UNDETERMINED
-    if margins:
-        k, verdict = worst(margins, tol)
-        p, q, r, m, sides, comparison = checked[k]
-        margin = float(margins[k])
-        witness = {"p": space.point_to_json(p), "q": space.point_to_json(q),
-                   "r": space.point_to_json(r), "midpoint": space.point_to_json(m),
-                   "sides": sides, "comparison": comparison}
-    else:
-        details["reason"] = "every triangle degenerate" if triangles else "no triangles"
-    return ValidationReport("cat0-four-point", verdict, len(checked), margin, witness, details)
+    details = {"skipped_degenerate": n - len(rows), "tolerance": tol}
+    if not len(rows):
+        details["reason"] = "every triangle degenerate" if n else "no triangles"
+        return ValidationReport("cat0-four-point", UNDETERMINED, 0, 0.0, None, details)
+    ps, qs, rs = (space.take(u, rows) for u in (ps, qs, rs))
+    a, b, c = a[rows], b[rows], c[rows]
+    mids = _sync_points(space, qs, rs, c / 2.0, c, cfg)
+    comparison = (2 * a * a + 2 * b * b - c * c) / 4.0
+    comparison = np.sqrt(np.where(comparison > 0.0, comparison, 0.0))
+    margins = space.distance_batch(ps, mids) - comparison
+    k, verdict = worst(margins, tol)
+    witness = {name: space.point_to_json(space.point_at(batch, k)) for name, batch in
+               (("p", ps), ("q", qs), ("r", rs), ("midpoint", mids))}
+    witness.update(sides=[float(a[k]), float(b[k]), float(c[k])], comparison=float(comparison[k]))
+    return ValidationReport("cat0-four-point", verdict, len(rows), float(margins[k]), witness,
+                            details)

@@ -107,11 +107,11 @@ class ProductSpace(MetricSpace):
             f.stack([p[i] for p in points]) for i, f in enumerate(self.factors)
         )
 
-    def offset(self, point, direction, scale):
-        """Each factor moved by its own slice of the flat ``direction``."""
+    def offset(self, point, directions, scales):
+        """Each factor moved by its own columns of the flat ``directions``."""
         parts, start = [], 0
         for f, p in zip(self.factors, point):
-            parts.append(f.offset(p, direction[start:start + f.coord_dim], scale))
+            parts.append(f.offset(p, directions[:, start:start + f.coord_dim], scales))
             start += f.coord_dim
         return tuple(parts)
 

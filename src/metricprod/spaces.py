@@ -169,8 +169,9 @@ class MetricSpace:
     #: Number of coordinates of a point; None unless points are coordinate vectors.
     coord_dim: int | None = None
 
-    def offset(self, point, direction, scale: float):
-        """``point`` moved by ``scale`` times a coordinate direction."""
+    def offset(self, point, directions: np.ndarray, scales: np.ndarray):
+        """The batch of ``point`` moved by ``scales[k]`` times the coordinate
+        direction ``directions[k]``, one row per direction."""
         raise NotImplementedError
 
     def geodesic_route(self, x, y, kind: str, idx):
@@ -216,8 +217,8 @@ class _Line1D(MetricSpace):
     def distance_batch(self, xs, ys) -> np.ndarray:
         return np.abs(np.asarray(xs, float) - np.asarray(ys, float))
 
-    def offset(self, point, direction, scale):
-        return float(point) + scale * float(direction[0])
+    def offset(self, point, directions, scales):
+        return float(point) + scales * directions[:, 0]
 
     def geodesic_route(self, x, y, kind, idx):
         if kind != "affine":
@@ -280,8 +281,8 @@ class HalfLine(_Line1D):
     def descriptor(self):
         return {"type": "half-line"}
 
-    def offset(self, point, direction, scale):
-        return max(super().offset(point, direction, scale), 0.0)
+    def offset(self, point, directions, scales):
+        return np.maximum(super().offset(point, directions, scales), 0.0)
 
     def _check(self, x) -> float:
         x = float(x)
@@ -328,6 +329,10 @@ class LpSpace(MetricSpace):
     def distance(self, x, y) -> float:
         return float(self._norm(self._check(x) - self._check(y)))
 
+    def stack(self, points):
+        # a point may be any sequence of coordinates, a tuple too
+        return np.asarray(points, float).reshape(len(points), self.dim)
+
     def distance_batch(self, xs, ys) -> np.ndarray:
         return self._norm(np.asarray(xs, float) - np.asarray(ys, float))
 
@@ -337,8 +342,8 @@ class LpSpace(MetricSpace):
     def sample_batch(self, count, seed=0, radius=1.0):
         return rng_stream(seed, 13).uniform(-radius, radius, (count, self.dim))
 
-    def offset(self, point, direction, scale):
-        return np.asarray(point, float) + scale * np.asarray(direction, float)
+    def offset(self, point, directions, scales):
+        return np.asarray(point, float) + scales[:, None] * directions
 
     def geodesic_route(self, x, y, kind, idx):
         """Affine everywhere; with ``corner`` an axis-first route for p=1 and

@@ -83,6 +83,16 @@ def test_where_picks_per_row(space):
 
 
 def test_half_line_offset_clamps_at_zero():
-    assert HalfLine().offset(0.5, np.array([-1.0]), 2.0) == 0.0
-    assert HalfLine().offset(0.5, np.array([1.0]), 2.0) == 2.5
-    assert RealLine().offset(0.5, np.array([-1.0]), 2.0) == -1.5
+    dirs, scales = np.array([[-1.0], [1.0], [-1.0]]), np.array([2.0, 2.0, 0.5])
+    assert HalfLine().offset(0.5, dirs, scales).tolist() == [0.0, 2.5, 0.0]
+    assert RealLine().offset(0.5, dirs, scales).tolist() == [-1.5, 2.5, 0.0]
+
+
+def test_lp_space_stacks_coordinate_tuples_as_rows():
+    # an lp point may be any coordinate sequence; a tuple is not a product point there
+    space = LpSpace(2, p=1.0)
+    batch = space.stack([(0.0, 1.0), [2.0, 3.0], np.array([4.0, 5.0])])
+    assert batch.shape == (3, 2) and batch.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    assert space.stack([]).shape == (0, 2)
+    with pytest.raises(ValueError):
+        space.stack([(0.0, 1.0, 2.0)])
