@@ -270,7 +270,7 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
         vecs = np.concatenate([directions, gauss])[:perturbations]
         mb = prod.stack([mid])
         width = prod.distance_batch(mb, prod.offset(mid, vecs, np.ones(len(vecs))))
-        live = ~(width <= tol)                  # a NaN width is screened as the scalar was
+        live = ~(width <= tol)                  # a NaN width stays, and fails the screens
         vecs, width = vecs[live], width[live]
         cands, hits = [], []
         for delta in (d / 4.0, d / 32.0):
