@@ -296,11 +296,14 @@ def _run_curve_length(ctx, params):
                        params.number("depth", ctx.default_depth, int))
     record = {"check": "curve-length", "length": res.length, "trace": to_jsonable(res.trace),
               "diverged": res.diverged}
-    ok = math.isfinite(res.length) and not res.diverged and res.trace_drop(ctx.tol)[1] == PASS
+    sound = math.isfinite(res.length) and not res.diverged and res.trace_drop(ctx.tol)[1] == PASS
+    ok = sound
     if "expect_length" in params:
         record["expected"] = params.number("expect_length")
         ok = ok and abs(res.length - record["expected"]) <= params.number("tolerance", 1e-6)
     record["verdict"] = PASS if ok else FAIL
+    if sound and res.still_growing:
+        record.update(verdict=UNDETERMINED, reason="trace not converged")
     return record
 
 

@@ -19,7 +19,6 @@ from .spaces import lerp, point_at, stack
 
 LEN_FLOOR = 1e-6
 DIVERGENCE_FACTOR = 1e6
-GROWTH = 1.5
 
 
 def tau_len(depth: int, first_level):
@@ -113,15 +112,18 @@ class LengthResult:
     """Length estimate at the finest dyadic level plus the refinement trace.
 
     ``trace[d]`` is the chord sum over 2^d uniform segments.  ``diverged``
-    flags traces that blow past DIVERGENCE_FACTOR times the chord scale, or
-    (from depth 5) still grow past GROWTH times their value four levels up
-    without slowing down, which signals a non-rectifiable path rather than an
-    error.
+    flags traces that blow past DIVERGENCE_FACTOR times the chord scale, which
+    signals a non-rectifiable path rather than an error.  ``still_growing``
+    flags traces that (from depth 5) still grow past 1.5 times their value four
+    levels up without slowing down: such a trace has not converged, which a
+    non-rectifiable path and a rectifiable one with corners the window does not
+    yet resolve share, so it is no evidence either way.
     """
 
     length: float
     trace: list[float]
     diverged: bool
+    still_growing: bool
 
     def trace_drop(self, tol: Tolerances) -> tuple[float, str]:
         """Largest drop of the trace under refinement, and its verdict: refinement cannot
@@ -146,13 +148,14 @@ def curve_length(space, curve: Curve, depth: int = 12) -> LengthResult:
     # levels alone degenerate for closed and nearly closed curves
     scale = max(t / 2**d for d, t in enumerate(trace))
     diverged = scale > 0 and trace[-1] > DIVERGENCE_FACTOR * scale
-    # a rectifiable trace converges, its increments shrinking; one still growing past GROWTH
-    # times its value four levels up, a quarter of that rise or more in the last level, does
-    # not.  At depth 4 that window would reach trace[0], near 0 on a closed curve
+    # a converging trace has shrinking increments; one still growing past 1.5 times its
+    # value four levels up, a quarter of that rise or more in the last level, has not
+    # converged.  At depth 4 that window would reach trace[0], near 0 on a closed curve
+    growing = False
     if depth > 4:
         rise = trace[-1] - trace[-5]
-        diverged = diverged or trace[-1] > GROWTH * trace[-5] and trace[-1] - trace[-2] >= rise / 4
-    return LengthResult(trace[-1], trace, diverged)
+        growing = trace[-1] > 1.5 * trace[-5] and trace[-1] - trace[-2] >= rise / 4
+    return LengthResult(trace[-1], trace, diverged, growing)
 
 
 def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -> ValidationReport:
@@ -192,9 +195,10 @@ def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
     chord pass over ``grid * 2^depth`` uniform steps: one resolution for all.
     """
     total = curve_length(space, curve, depth)
-    if total.diverged:
+    if total.diverged or total.still_growing:
+        reason = "curve appears non-rectifiable" if total.diverged else "trace not converged"
         return ValidationReport("arclength-parameterization", UNDETERMINED, 0, 0.0,
-                                None, {"reason": "curve appears non-rectifiable"})
+                                None, {"reason": reason})
     drop, verdict = total.trace_drop(tol or Tolerances())
     if verdict == FAIL:
         return ValidationReport("arclength-parameterization", FAIL, 0, drop,

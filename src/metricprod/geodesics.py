@@ -89,13 +89,16 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
         return Geodesic(prod, x, y, d, via_eval,
                         descriptor=f"via({prod.point_to_json(via)})")
 
+    comps = [geodesic_between(f, xi, yi, sel, cfg) for f, xi, yi, sel
+             in zip(prod.factors, x, y, selectors or ["affine"] * len(prod.factors))]
     if selectors is None:
-        selectors = ["affine"] * len(prod.factors)
-    comps = [geodesic_between(f, xi, yi, sel, cfg)
-             for f, xi, yi, sel in zip(prod.factors, x, y, selectors)]
+        xb, yb, db = prod.stack([x]), prod.stack([y]), np.array([d])
 
-    def sync_eval(ts):
-        return tuple(c.at_many(ts * (c.length / d)) for c in comps)
+        def sync_eval(ts):
+            return _sync_points(prod, xb, yb, ts, db)
+    else:
+        def sync_eval(ts):
+            return tuple(c.at_many(ts * (c.length / d)) for c in comps)
 
     desc = ",".join(c.descriptor for c in comps)
     return Geodesic(prod, x, y, d, sync_eval, descriptor=f"sync[{desc}]")
@@ -124,33 +127,41 @@ def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> G
     return factor_geodesic(space, x, y, selector)
 
 
-def _sync_points(space: MetricSpace, xs, ys, ts: np.ndarray, ds: np.ndarray, cfg=None):
-    """Row k: the default geodesic from ``xs[k]`` to ``ys[k]``, of length ``ds[k]``, at
-    parameter ``ts[k]``.
+def _require_geodesic(space: MetricSpace, cfg) -> None:
+    """The refusals of default geodesic construction in ``space``, nested products included."""
+    if isinstance(space, ProductSpace):
+        _require_geodesic_product(space, cfg)
+        for f in space.factors:
+            _require_geodesic(f, cfg)
+    elif not space.supports_interpolation:
+        raise ValueError(f"{space.name} is not a geodesic space in the catalog")
 
-    The arithmetic of :func:`product_geodesic` and the affine routes, row by row:
-    factor i of a product runs to ``ts * (l_i / ds)`` of its own length ``l_i``, a
-    segment to ``ts / ds`` of the way, and a row of length 0 stays at its start.
-    Raises the refusals of geodesic construction, whatever the rows.
+
+def _sync_points(space: MetricSpace, xs, ys, ts: np.ndarray, ds: np.ndarray):
+    """Row k: the default geodesic from ``xs[k]`` to ``ys[k]``, of length ``ds[k]``, at
+    parameter ``ts[k]``; one-row batches broadcast against the parameters.
+
+    The sync arithmetic of :func:`product_geodesic` and the affine routes: factor i
+    of a product runs to ``ts * (l_i / ds)`` of its own length ``l_i``, a segment to
+    ``ts / ds`` of the way, and a row of length 0 stays at its start.  The refusals
+    are :func:`_require_geodesic`'s, raised by the callers.
     """
     flat = ds == 0
     if isinstance(space, ProductSpace):
-        _require_geodesic_product(space, cfg or DEFAULT_SAMPLES)
         ys, parts = space.where(flat, xs, ys), []
         for f, x, y in zip(space.factors, xs, ys):
             ell = f.distance_batch(x, y)
             share = np.where(flat, ts, ts * (ell / np.where(flat, 1.0, ds)))
-            parts.append(_sync_points(f, x, y, share, ell, cfg))
+            parts.append(_sync_points(f, x, y, share, ell))
         return tuple(parts)
-    if not space.supports_interpolation:
-        raise ValueError(f"{space.name} is not a geodesic space in the catalog")
     return lerp(xs, where(flat, xs, ys), np.where(flat, ts, ts / np.where(flat, 1.0, ds)))
 
 
 def midpoint(space: MetricSpace, x, y, cfg=None):
-    xs, ys = space.stack([x]), space.stack([y])
+    _require_geodesic(space, cfg or DEFAULT_SAMPLES)
+    xs, ys = space.stack([space.check(x)]), space.stack([space.check(y)])
     ds = space.distance_batch(xs, ys)
-    return space.point_at(_sync_points(space, xs, ys, ds / 2.0, ds, cfg), 0)
+    return space.point_at(_sync_points(space, xs, ys, ds / 2.0, ds), 0)
 
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
@@ -358,6 +369,8 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     cfg = cfg or DEFAULT_SAMPLES
     if triangles is None:
         triangles = list(zip(*(space.sample_points(count, [seed, s], radius) for s in (7, 8, 9))))
+    else:
+        triangles = [tuple(map(space.check, (p, q, r))) for p, q, r in triangles]
     n, rows, scale = len(triangles), np.empty(0, int), 1.0
     if n:
         ps, qs, rs = (space.stack([t[j] for t in triangles]) for j in range(3))
@@ -372,7 +385,8 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
         return ValidationReport("cat0-four-point", UNDETERMINED, 0, 0.0, None, details)
     ps, qs, rs = (space.take(u, rows) for u in (ps, qs, rs))
     a, b, c = a[rows], b[rows], c[rows]
-    mids = _sync_points(space, qs, rs, c / 2.0, c, cfg)
+    _require_geodesic(space, cfg)
+    mids = _sync_points(space, qs, rs, c / 2.0, c)
     comparison = (2 * a * a + 2 * b * b - c * c) / 4.0
     comparison = np.sqrt(np.where(comparison > 0.0, comparison, 0.0))
     margins = space.distance_batch(ps, mids) - comparison

@@ -63,6 +63,9 @@ class ProductSpace(MetricSpace):
             )
         return x
 
+    def check(self, x) -> tuple:
+        return tuple(f.check(xi) for f, xi in zip(self.factors, self._check(x)))
+
     # -- classification-driven structure --------------------------------------
 
     def gluing_class(self, cfg: SampleConfig | None = None) -> GluingClass:

@@ -147,6 +147,12 @@ class MetricSpace:
     def sample_batch(self, count: int, seed=0, radius: float = 1.0):
         raise NotImplementedError
 
+    def check(self, point):
+        """``point`` as the scalar distance reads it; a ValueError if it is not a
+        point of this space.  Batches are not checked, so a caller that stacks
+        points it was given checks each of them first."""
+        return self._check(point)
+
     def sample_points(self, count: int, seed=0, radius: float = 1.0) -> list:
         """Deterministic pseudo-random points within the given radius."""
         if count < 1:

@@ -2,7 +2,8 @@
 
 Each record must equal, field by field and bit for bit, the record of a scalar
 reference written here: one triangle or one direction at a time, through scalar
-distances, per-direction offsets and the route objects of ``geodesic_between``.
+distances, per-direction offsets, the factor routes of ``factor_geodesic`` and the
+route objects of ``product_geodesic``.
 The number of scalar product distances must not grow with the sample size.
 """
 
@@ -21,6 +22,7 @@ from metricprod import (
     ProductSpace,
     RealLine,
     cat0_four_point_check,
+    factor_geodesic,
     geodesic_between,
     midpoint,
     product_geodesic,
@@ -47,9 +49,21 @@ def as_json(space, point):
     return json.dumps(space.point_to_json(point))
 
 
+def scalar_at(space, x, y, t):
+    """Reference: the default geodesic from x to y at parameter t, each factor on its own
+    route at its sync share ``t * (l_i / d)``, a product of length 0 at its start."""
+    if not isinstance(space, ProductSpace):
+        return factor_geodesic(space, x, y).at(t)
+    d = space.distance(x, y)
+    if d == 0:
+        return tuple(scalar_at(f, xi, xi, t) for f, xi in zip(space.factors, x))
+    return tuple(scalar_at(f, xi, yi, t * (f.distance(xi, yi) / d))
+                 for f, xi, yi in zip(space.factors, x, y))
+
+
 def scalar_midpoint(space, x, y):
-    g = geodesic_between(space, x, y)
-    return g.at(g.length / 2.0)
+    geodesic_between(space, x, y)       # raises the refusals of construction
+    return scalar_at(space, x, y, space.distance(x, y) / 2.0)
 
 
 def scalar_cat0(space, count=1000, seed=0, radius=5.0, triangles=None):
@@ -224,6 +238,42 @@ def test_cat0_refusals_keep_their_messages(space):
         cat0_four_point_check(space, triangles=[(p, q, r)])
     with pytest.raises(ValueError, match=f"^{scalar.value}$"):
         midpoint(space, q, r)
+
+
+def test_given_points_are_checked():
+    # batches are not checked, so points given to the API are, before they are stacked
+    half = ProductSpace((HalfLine(), RealLine()), EU)
+    with pytest.raises(ValueError, match=r"^half-line point must be >= 0, got -1.0$"):
+        cat0_four_point_check(half, triangles=[((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0))])
+    with pytest.raises(ValueError, match=r"^half-line point must be >= 0, got -1.0$"):
+        midpoint(HalfLine(), -1.0, 2.0)
+    with pytest.raises(ValueError, match=r"^half-line point must be >= 0, got -0.5$"):
+        midpoint(NESTED, ((0.0, np.zeros(2)), 1.0), ((1.0, np.ones(2)), -0.5))
+    arity = r"^product points are 2-tuples of factor points$"
+    with pytest.raises(ValueError, match=arity):
+        cat0_four_point_check(half, triangles=[((0.0, 0.0, 9.0), (1.0, 0.0), (0.0, 1.0))])
+    with pytest.raises(ValueError, match=arity):
+        midpoint(half, (0.0, 0.0), (1.0, 0.0, 9.0))
+    with pytest.raises(ValueError, match=r"does not match lp space of dimension 2"):
+        midpoint(LpSpace(2, 1.5), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("space", PRODUCTS + [NESTED], ids=lambda s: json.dumps(s.descriptor()))
+def test_product_geodesic_matches_scalar(space):
+    # the default route evaluates through the batched sync arithmetic; the reference
+    # composes the factor routes, and explicit selectors keep the route objects
+    ts_frac = np.linspace(0.0, 1.0, 17)
+    for seed in (4, 9):
+        x, y = space.sample_points(2, seed=seed, radius=3.0)
+        flat_one = tuple(yi if i == 0 else xi for i, (xi, yi) in enumerate(zip(x, y)))
+        for end in (x, y, flat_one):
+            geo = product_geodesic(space, x, end)
+            explicit = product_geodesic(space, x, end, selectors=["affine"] * len(space.factors))
+            ts = ts_frac * geo.length
+            pts = [as_json(space, p) for p in space.unstack(geo.at_many(ts))]
+            assert pts == [as_json(space, scalar_at(space, x, end, t)) for t in ts]
+            assert pts == [as_json(space, p) for p in space.unstack(explicit.at_many(ts))]
+            assert geo.descriptor == explicit.descriptor
 
 
 @pytest.mark.parametrize("prod", PRODUCTS + [NESTED], ids=lambda s: json.dumps(s.descriptor()))

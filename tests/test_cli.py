@@ -525,9 +525,10 @@ def test_arclength_fails_on_a_decreasing_trace(tmp_path, capsys):
     assert rec["details"]["reason"] == "dyadic trace decreases under refinement"
 
 
-def test_two_valued_segment_reads_as_not_rectifiable(tmp_path, capsys):
+def test_two_valued_segment_reads_as_not_converged(tmp_path, capsys):
     """Under the two-valued gluing every dyadic chord of the segment (0, 0) -> (1, 0) costs
-    1, so its trace doubles at each level: no length, and no arclength verdict."""
+    1, so its trace doubles at each level: a trace still growing is no length, and no
+    arclength verdict either, but not evidence of non-rectifiability on its own."""
     two = {"type": "product", "factors": [{"type": "real-line"}, {"type": "real-line"}],
            "phi": {"type": "two-valued", "dim": 2}}
     seg = {"kind": "segment", "space": two, "start": [0, 0], "end": [1, 0]}
@@ -536,9 +537,28 @@ def test_two_valued_segment_reads_as_not_rectifiable(tmp_path, capsys):
     code = main(["run", write_config(tmp_path, config), "--format", "json"])
     length, arc = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == EXIT_CHECK_FAILED
-    assert length["verdict"] == "fail" and length["diverged"]
+    assert length["verdict"] == "undetermined" and not length["diverged"]
+    assert length["reason"] == "trace not converged"
     assert arc["verdict"] == "undetermined"
-    assert arc["details"]["reason"] == "curve appears non-rectifiable"
+    assert arc["details"]["reason"] == "trace not converged"
+
+
+def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
+    """200 corners in a Euclidean plane: rectifiable, but at depth 8 the trace is still
+    growing, so curve-length is undetermined; at depth 12 it passes."""
+    rng = np.random.default_rng(0)
+    plane = {"type": "product", "factors": [{"type": "real-line"}, {"type": "real-line"}],
+             "phi": {"type": "weighted-euclidean", "dim": 2, "weights": [1.0, 1.0]}}
+    poly = {"kind": "polyline", "space": plane,
+            "points": rng.uniform(-5, 5, (200, 2)).tolist()}
+    config = {"version": 1, "checks": [
+        {"check": "curve-length", "space": plane, "curve": poly, "depth": depth}
+        for depth in (8, 12)]}
+    code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    coarse, fine = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert code == EXIT_CHECK_FAILED
+    assert coarse["verdict"] == "undetermined" and coarse["reason"] == "trace not converged"
+    assert fine["verdict"] == "pass" and "reason" not in fine
 
 
 @pytest.mark.parametrize("check", [
