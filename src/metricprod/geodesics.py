@@ -91,17 +91,9 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
 
     comps = [geodesic_between(f, xi, yi, sel, cfg) for f, xi, yi, sel
              in zip(prod.factors, x, y, selectors or ["affine"] * len(prod.factors))]
-    if selectors is None:
-        xb, yb, db = prod.stack([x]), prod.stack([y]), np.array([d])
-
-        def sync_eval(ts):
-            return _sync_points(prod, xb, yb, ts, db)
-    else:
-        def sync_eval(ts):
-            return tuple(c.at_many(ts * (c.length / d)) for c in comps)
-
     desc = ",".join(c.descriptor for c in comps)
-    return Geodesic(prod, x, y, d, sync_eval, descriptor=f"sync[{desc}]")
+    return Geodesic(prod, x, y, d, _sync([c.at_many for c in comps], [c.length for c in comps], d),
+                    descriptor=f"sync[{desc}]")
 
 
 def _require_geodesic_product(prod: ProductSpace, cfg) -> None:
@@ -137,31 +129,42 @@ def _require_geodesic(space: MetricSpace, cfg) -> None:
         raise ValueError(f"{space.name} is not a geodesic space in the catalog")
 
 
-def _sync_points(space: MetricSpace, xs, ys, ts: np.ndarray, ds: np.ndarray):
-    """Row k: the default geodesic from ``xs[k]`` to ``ys[k]``, of length ``ds[k]``, at
-    parameter ``ts[k]``; one-row batches broadcast against the parameters.
+def _sync(routes, lengths, ds):
+    """The sync arithmetic of product routes: at parameters ``ts``, factor i runs
+    along ``routes[i]``, of length ``lengths[i]``, to ``ts * (lengths[i] / ds)``.
 
-    The sync arithmetic of :func:`product_geodesic` and the affine routes: factor i
-    of a product runs to ``ts * (l_i / ds)`` of its own length ``l_i``, a segment to
-    ``ts / ds`` of the way, and a row of length 0 stays at its start.  The refusals
-    are :func:`_require_geodesic`'s, raised by the callers.
+    Rows of length 0 pass ``ts`` to factor routes that stay at their start.
+    """
+    flat = ds == 0
+    scale = np.where(flat, 1.0, ds)
+    return lambda ts: tuple(route(np.where(flat, ts, ts * (ell / scale)))
+                            for route, ell in zip(routes, lengths))
+
+
+def _sync_route(space: MetricSpace, xs, ys, ds: np.ndarray):
+    """Evaluator of the default geodesics from ``xs[k]`` to ``ys[k]``, of lengths
+    ``ds[k]``: at parameters ``ts`` it returns row k at ``ts[k]``, and one-row batches
+    broadcast against the parameters.
+
+    A product syncs its factors' routes (:func:`_sync`), measured here once; a
+    segment runs ``ts / ds`` of the way, and a row of length 0 stays at its start.
+    The refusals are :func:`_require_geodesic`'s, raised by the callers.
     """
     flat = ds == 0
     if isinstance(space, ProductSpace):
-        ys, parts = space.where(flat, xs, ys), []
-        for f, x, y in zip(space.factors, xs, ys):
-            ell = f.distance_batch(x, y)
-            share = np.where(flat, ts, ts * (ell / np.where(flat, 1.0, ds)))
-            parts.append(_sync_points(f, x, y, share, ell))
-        return tuple(parts)
-    return lerp(xs, where(flat, xs, ys), np.where(flat, ts, ts / np.where(flat, 1.0, ds)))
+        ys = space.where(flat, xs, ys)
+        ells = [f.distance_batch(x, y) for f, x, y in zip(space.factors, xs, ys)]
+        return _sync([_sync_route(f, x, y, ell) for f, x, y, ell
+                      in zip(space.factors, xs, ys, ells)], ells, ds)
+    end, scale = where(flat, xs, ys), np.where(flat, 1.0, ds)
+    return lambda ts: lerp(xs, end, np.where(flat, ts, ts / scale))
 
 
 def midpoint(space: MetricSpace, x, y, cfg=None):
     _require_geodesic(space, cfg or DEFAULT_SAMPLES)
     xs, ys = space.stack([space.check(x)]), space.stack([space.check(y)])
     ds = space.distance_batch(xs, ys)
-    return space.point_at(_sync_points(space, xs, ys, ds / 2.0, ds), 0)
+    return space.point_at(_sync_route(space, xs, ys, ds)(ds / 2.0), 0)
 
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
@@ -386,7 +389,7 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     ps, qs, rs = (space.take(u, rows) for u in (ps, qs, rs))
     a, b, c = a[rows], b[rows], c[rows]
     _require_geodesic(space, cfg)
-    mids = _sync_points(space, qs, rs, c / 2.0, c)
+    mids = _sync_route(space, qs, rs, c)(c / 2.0)
     comparison = (2 * a * a + 2 * b * b - c * c) / 4.0
     comparison = np.sqrt(np.where(comparison > 0.0, comparison, 0.0))
     margins = space.distance_batch(ps, mids) - comparison

@@ -36,6 +36,25 @@ _KINDS = (*_LP_KINDS, "two-valued", "coordinate-power", "custom")
 SEPARATION = 0.1
 
 
+def rowwise(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)``, bit for bit, as a fold over the columns of ``a``.
+
+    numpy reduces a short last axis one row at a time, which costs far more
+    than a few whole-column operations.  Below 8 columns numpy sums a row left
+    to right from 0.0, so the add fold starts from ``a[..., 0] + 0.0`` (a row of
+    -0.0 sums to +0.0); from 8 columns on it sums in an unrolled pairwise order,
+    so ``np.add`` keeps the reduction there.  A 1-D input reduces to a scalar,
+    which an ``out=`` fold cannot hold.
+    """
+    width = a.shape[-1]
+    if a.ndim < 2 or (ufunc is np.add and width >= 8):
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+    for j in range(1, width):
+        ufunc(out, a[..., j], out=out)
+    return out
+
+
 def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.ndarray:
     """(sum_i w_i a_i^p)^(1/p) along the last axis of ``a >= 0``, max_i w_i a_i at p = oo.
 
@@ -47,10 +66,10 @@ def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.nd
     if a.ndim == 1:
         return weighted_pnorm(a[None], p, weights)[0]
     if p == math.inf:
-        return (a if weights is None else weights * a).max(axis=-1)
+        return rowwise(np.maximum, a if weights is None else weights * a)
     if p == 1.0:
-        return (a if weights is None else weights * a).sum(axis=-1)
-    return (a**p if weights is None else weights * a**p).sum(axis=-1) ** (1.0 / p)
+        return rowwise(np.add, a if weights is None else weights * a)
+    return rowwise(np.add, a**p if weights is None else weights * a**p) ** (1.0 / p)
 
 
 def pnorm_weights(dim: int, p, weights) -> tuple[np.ndarray, np.ndarray | None]:
@@ -154,7 +173,7 @@ class GluingFunction:
         if self.weights is not None:
             return weighted_pnorm(arr, self.p, self._norm_weights)
         if self.kind == "two-valued":
-            m = arr.max(axis=-1)
+            m = rowwise(np.maximum, arr)
             return np.where(m <= 0.0, 0.0, np.where(m <= 1.0, 1.0, 2.0))
         if self.kind == "coordinate-power":
             return arr[..., self.coordinate] ** self.exponent
@@ -253,7 +272,7 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> 
     q = quadrant_samples(phi.dim, cfg, stream=1)
     vals = np.asarray(phi(q), float)
     at_zero = float(phi(np.zeros(phi.dim)))
-    nonzero = q.max(axis=1) > 0
+    nonzero = rowwise(np.maximum, q) > 0
     min_nz = float(vals[nonzero].min()) if nonzero.any() else math.inf
     bad_zero = at_zero > ZERO_FLOOR
     bad_nz = min_nz <= ZERO_FLOOR
@@ -268,24 +287,26 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> 
 
 
 def _triangle_shapes(phi: GluingFunction, cfg: SampleConfig):
-    """Sample triples for the quadrant triangle condition.
+    """Sample triples for the quadrant triangle condition, with their values.
 
-    Yields (tag, a, b, c) where the hypothesis-bearing triple is
-    (a, b, c); every permutation whose componentwise hypothesis holds is
-    checked (the strongest reading of the condition).
+    Yields (tag, (a, b, c), (phi(a), phi(b), phi(c))) where the
+    hypothesis-bearing triple is (a, b, c); every permutation whose
+    componentwise hypothesis holds is checked (the strongest reading of the
+    condition).  The shared blocks p and q are evaluated once each.
     """
     dim = phi.dim
     p = quadrant_samples(dim, cfg, stream=2)
     q = quadrant_samples(dim, cfg, stream=3)
     n = min(len(p), len(q))
     p, q = p[:n], q[:n]
+    vp, vq = np.asarray(phi(p), float), np.asarray(phi(q), float)
     u = rng_stream(cfg.seed, 303).uniform(0.0, 1.0, (n, dim))
-    inside = u * (p + q)
-    yield "interior", inside, p, q
-    yield "sum", p + q, p, q
-    # doubling shape: a <= 2b forces value(a) <= 2 value(b)
     v = rng_stream(cfg.seed, 304).uniform(0.0, 1.0, (n, dim))
-    yield "doubling", 2.0 * v * q, q, q
+    # doubling shape: a <= 2b forces value(a) <= 2 value(b)
+    for tag, a, b, c, vb, vc in (("interior", u * (p + q), p, q, vp, vq),
+                                 ("sum", p + q, p, q, vp, vq),
+                                 ("doubling", 2.0 * v * q, q, q, vq, vq)):
+        yield tag, (a, b, c), (np.asarray(phi(a), float), vb, vc)
 
 
 def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
@@ -295,12 +316,10 @@ def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None
     margins = []
     checked = 0
     scale = 1.0
-    for tag, a, b, c in _triangle_shapes(phi, cfg):
-        vals = [np.asarray(phi(t), float) for t in (a, b, c)]
+    for tag, triple, vals in _triangle_shapes(phi, cfg):
         scale = max(scale, *(float(v.max(initial=0.0)) for v in vals))
-        triple = (a, b, c)
         for j, k, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            hyp = (triple[j] <= triple[k] + triple[l]).all(axis=1)
+            hyp = rowwise(np.logical_and, triple[j] <= triple[k] + triple[l])
             if not hyp.any():
                 continue
             checked += int(hyp.sum())
@@ -333,24 +352,25 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     dim = phi.dim
     reports = [_relabel(definite, "positivity")]
 
-    # monotonicity: componentwise q <= p must not raise the value
+    # monotonicity: componentwise q <= p must not raise the value; lo stacks
+    # the q blocks, hi stacks p under each, and phi(p) is evaluated once
     p = quadrant_samples(dim, cfg, stream=4)
+    n = len(p)
     u = rng_stream(cfg.seed, 404).uniform(0.0, 1.0, p.shape)
     lower_blocks = [u * p, p, np.zeros_like(p)]
-    upper_blocks = [p, p, p]
     for j in range(dim):
         reduced = p.copy()
         reduced[:, j] = 0.0
         lower_blocks.append(reduced)
-        upper_blocks.append(p)
     lo = np.vstack(lower_blocks)
-    hi = np.vstack(upper_blocks)
-    vlo = np.asarray(phi(lo), float)
-    vhi = np.asarray(phi(hi), float)
+    vp = np.asarray(phi(p), float)
+    vrest = np.asarray(phi(np.vstack([lower_blocks[0], *lower_blocks[2:]])), float)
+    vlo = np.concatenate([vrest[:n], vp, vrest[n:]])
+    vhi = np.tile(vp, len(lower_blocks))
     margins = vlo - vhi
     i, verdict = worst(margins, cfg.tol.scaled(vhi.max(initial=0.0)))
     reports.append(_report("monotonicity", verdict, len(lo), float(margins[i]),
-                           {"q": lo[i], "p": hi[i], "values": [float(vlo[i]), float(vhi[i])]}))
+                           {"q": lo[i], "p": p[i % n], "values": [float(vlo[i]), float(vhi[i])]}))
 
     # subadditivity
     a = quadrant_samples(dim, cfg, stream=5)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gluing import GluingClass, GluingFunction
+from .gluing import GluingClass, GluingFunction, rowwise
 from .reports import FAIL, PASS, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig
 from .spaces import DeclaredProperties, MetricSpace
@@ -154,7 +154,7 @@ def verify_metric_axioms(prod: ProductSpace,
     self_d = prod.distance_batch(xs, xs)
     fd = prod.factor_distance_batch(xs, ys)
     dxy = np.asarray(prod.phi(fd), float)
-    distinct = fd.max(axis=1) > 0
+    distinct = rowwise(np.maximum, fd) > 0
     worst_self = float(self_d.max())
     min_distinct = float(dxy[distinct].min()) if distinct.any() else np.inf
     bad = worst_self > ZERO_FLOOR or min_distinct <= ZERO_FLOOR

@@ -3,8 +3,9 @@
 Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
 in methods of the spaces themselves, so no other module of the package
 passes a catalog class to ``isinstance``.  The weighted p-norm is written
-once.  Tolerances live in one record, ``reports.Tolerances``.  Margin verdicts
-go through ``reports.worst``, where a NaN margin fails.  Construction reads
+once, and a short last axis is reduced only by ``gluing.rowwise``.  Tolerances
+live in one record, ``reports.Tolerances``.  Margin verdicts go through
+``reports.worst``, where a NaN margin fails.  Construction reads
 ``ProductSpace.gluing_class``; only the checks sample a classification.
 Records carry no wall clock, and the benchmark tracer finds every name it wraps.
 """
@@ -67,6 +68,35 @@ def test_one_pnorm_kernel():
               for owner in pnorm_root_functions(path)}
     assert owners == {"gluing.py:weighted_pnorm"}
 
+
+REDUCTIONS = {"max", "min", "sum", "all", "any", "reduce"}
+
+
+def row_reductions(path: Path) -> list[str]:
+    """Functions in ``path`` that call ``.max/.min/.sum/.all/.any/.reduce`` with
+    ``axis=-1`` or ``axis=1``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in REDUCTIONS
+                and any(kw.arg == "axis" and ast.unparse(kw.value) in ("-1", "1")
+                        for kw in node.keywords)):
+            found.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_rows_are_reduced_by_the_column_fold():
+    """numpy reduces a short last axis one row at a time; ``rowwise`` folds the columns
+    instead.  ``arclength_check`` sums 2^depth chords per piece, a long axis."""
+    owners = {owner for path in sorted(PACKAGE.glob("*.py")) for owner in row_reductions(path)}
+    assert owners == {"gluing.py:rowwise", "curves.py:arclength_check"}
 
 
 def module_names(path: Path) -> list[str]:

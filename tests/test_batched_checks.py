@@ -276,6 +276,20 @@ def test_product_geodesic_matches_scalar(space):
             assert geo.descriptor == explicit.descriptor
 
 
+def test_default_geodesic_measures_its_factors_when_built(monkeypatch):
+    # the factor lengths are constants of the route, so evaluating it measures nothing
+    x, y = NESTED.sample_points(2, seed=4, radius=3.0)
+    geo = product_geodesic(NESTED, x, y)
+    calls = []
+    for cls in (ProductSpace, RealLine, LpSpace, HalfLine):
+        original = cls.distance_batch
+        monkeypatch.setattr(cls, "distance_batch",
+                            lambda self, *args, f=original: calls.append(1) or f(self, *args))
+    pts = geo.at_many(np.linspace(0.0, geo.length, 64))
+    monkeypatch.undo()
+    assert calls == [] and len(NESTED.unstack(pts)) == 64
+
+
 @pytest.mark.parametrize("prod", PRODUCTS + [NESTED], ids=lambda s: json.dumps(s.descriptor()))
 def test_uniqueness_matches_scalar(prod):
     pairs = [prod.sample_points(2, seed=s, radius=3.0) for s in (5, 6)]
