@@ -352,8 +352,8 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     dim = phi.dim
     reports = [_relabel(definite, "positivity")]
 
-    # monotonicity: componentwise q <= p must not raise the value; lo stacks
-    # the q blocks, hi stacks p under each, and phi(p) is evaluated once
+    # monotonicity: componentwise q <= p must not raise the value; row i pairs
+    # block i // n of the q blocks with p[i % n], and phi(p) is evaluated once
     p = quadrant_samples(dim, cfg, stream=4)
     n = len(p)
     u = rng_stream(cfg.seed, 404).uniform(0.0, 1.0, p.shape)
@@ -362,15 +362,15 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
         reduced = p.copy()
         reduced[:, j] = 0.0
         lower_blocks.append(reduced)
-    lo = np.vstack(lower_blocks)
     vp = np.asarray(phi(p), float)
     vrest = np.asarray(phi(np.vstack([lower_blocks[0], *lower_blocks[2:]])), float)
     vlo = np.concatenate([vrest[:n], vp, vrest[n:]])
     vhi = np.tile(vp, len(lower_blocks))
     margins = vlo - vhi
     i, verdict = worst(margins, cfg.tol.scaled(vhi.max(initial=0.0)))
-    reports.append(_report("monotonicity", verdict, len(lo), float(margins[i]),
-                           {"q": lo[i], "p": p[i % n], "values": [float(vlo[i]), float(vhi[i])]}))
+    reports.append(_report("monotonicity", verdict, len(vlo), float(margins[i]),
+                           {"q": lower_blocks[i // n][i % n], "p": p[i % n],
+                            "values": [float(vlo[i]), float(vhi[i])]}))
 
     # subadditivity
     a = quadrant_samples(dim, cfg, stream=5)
