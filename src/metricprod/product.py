@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gluing import GluingClass, GluingFunction, rowwise
+from .gluing import GluingClass, GluingFunction, by_blocks, rowwise
 from .reports import FAIL, PASS, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig
 from .spaces import DeclaredProperties, MetricSpace
@@ -54,7 +54,9 @@ class ProductSpace(MetricSpace):
         return float(self.phi(self.factor_distances(x, y)))
 
     def distance_batch(self, xs, ys) -> np.ndarray:
-        return np.asarray(self.phi(self.factor_distance_batch(xs, ys)), float)
+        glued = by_blocks(lambda x, y: self.phi(self.factor_distance_batch(x, y)),
+                          max(self.size(xs), self.size(ys)), xs, ys)
+        return np.asarray(glued, float)
 
     def _check(self, x) -> tuple:
         if not isinstance(x, tuple) or len(x) != len(self.factors):

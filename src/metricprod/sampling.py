@@ -62,10 +62,18 @@ def quadrant_corners(dim: int, radius: float) -> np.ndarray:
 
 
 def quadrant_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray:
-    """Corner block followed by ``cfg.count`` uniform draws in [0, radius]^dim."""
-    rng = rng_stream(cfg.seed, 101, stream)
-    u = rng.uniform(0.0, cfg.radius, size=(cfg.count, dim))
-    return np.vstack([quadrant_corners(dim, cfg.radius), u])
+    """Corner block followed by ``cfg.count`` uniform draws in [0, radius]^dim.
+
+    The draws are written in place: ``uniform(0, radius)`` is ``0 + radius * u``
+    for the stream's next double ``u``, the same floats and the same stream.
+    """
+    corners = quadrant_corners(dim, cfg.radius)
+    out = np.empty((len(corners) + cfg.count, dim))
+    out[:len(corners)] = corners
+    draws = out[len(corners):]
+    rng_stream(cfg.seed, 101, stream).random(out=draws)
+    draws *= cfg.radius
+    return out
 
 
 def signed_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray:

@@ -5,8 +5,9 @@ coordinate spaces, integer indices for discrete/finite spaces, and tuples
 of factor points for products (see :mod:`metricprod.product`).  A batch of
 points is a 1-D array (floats or indices), a 2-D array with one vector per
 row, or a tuple of factor batches.  The batch functions of this module
-(``stack``, ``take``, ``unstack``, ``point_at``, ``lerp``, ``where``) are the
-only code that reads that structure.  Every space carries them as methods;
+(``stack``, ``take``, ``size``, ``unstack``, ``point_at``, ``lerp``, ``where``) and
+``gluing.by_blocks``, which slices row blocks, are the only code that reads that
+structure.  Every space carries the batch functions as methods;
 callers without a space at hand (``curves.segment``, ``Curve.at``) use the
 functions directly.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gluing import pnorm_weights, weighted_pnorm
+from .gluing import by_blocks, pnorm_weights, weighted_pnorm
 from .reports import Tolerances
 from .sampling import ZERO_FLOOR, rng_stream
 
@@ -55,6 +56,11 @@ def take(batch, idx):
     if isinstance(batch, tuple):
         return tuple(take(b, idx) for b in batch)
     return np.asarray(batch)[idx]
+
+
+def size(batch) -> int:
+    """Number of points in a batch."""
+    return size(batch[0]) if isinstance(batch, tuple) else len(batch)
 
 
 def batch_form(batch):
@@ -165,6 +171,7 @@ class MetricSpace:
 
     stack = staticmethod(stack)
     take = staticmethod(take)
+    size = staticmethod(size)
     unstack = staticmethod(unstack)
     point_at = staticmethod(point_at)
     lerp = staticmethod(lerp)
@@ -340,7 +347,8 @@ class LpSpace(MetricSpace):
         return np.asarray(points, float).reshape(len(points), self.dim)
 
     def distance_batch(self, xs, ys) -> np.ndarray:
-        return self._norm(np.asarray(xs, float) - np.asarray(ys, float))
+        xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+        return by_blocks(lambda x, y: self._norm(x - y), max(len(xs), len(ys)), xs, ys)
 
     def _norm(self, delta: np.ndarray) -> np.ndarray:
         return weighted_pnorm(np.abs(delta), self.p, self._norm_weights)
