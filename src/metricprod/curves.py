@@ -137,12 +137,25 @@ def curve_length(space, curve: Curve, depth: int = 12) -> LengthResult:
     """Dyadic subdivision length of a curve in the given space."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    n = 2**depth
-    pts = curve.at_many(np.linspace(0.0, 1.0, n + 1))
-    # the chords of every level in one batch: level d's 2^d chords are [2^d - 1, 2^(d+1) - 1)
-    idx = [np.arange(0, n + 1, 2 ** (depth - d)) for d in range(depth + 1)]
-    chords = space.distance_batch(space.take(pts, np.concatenate([i[:-1] for i in idx])),
-                                  space.take(pts, np.concatenate([i[1:] for i in idx])))
+    return _length(_dyadic_chords(space, curve.at_many(_grid(depth)), depth), depth)
+
+
+def _grid(level: int) -> np.ndarray:
+    """The 2^level + 1 dyadic parameters of [0, 1].  Each is exact, so a coarser
+    level's parameters are every 2^k-th of a finer level's."""
+    return np.linspace(0.0, 1.0, 2**level + 1)
+
+
+def _dyadic_chords(space, pts, depth: int) -> np.ndarray:
+    """The chords of every dyadic level to ``depth`` in one batch, from the points at
+    :func:`_grid` ``(depth)``: level d's 2^d chords are ``[2^d - 1, 2^(d+1) - 1)``."""
+    idx = [np.arange(0, 2**depth + 1, 2 ** (depth - d)) for d in range(depth + 1)]
+    return space.distance_batch(space.take(pts, np.concatenate([i[:-1] for i in idx])),
+                                space.take(pts, np.concatenate([i[1:] for i in idx])))
+
+
+def _length(chords: np.ndarray, depth: int) -> LengthResult:
+    """Length and trace read from the chords of the dyadic levels up to ``depth``."""
     trace = [float(chords[2**d - 1:2 ** (d + 1) - 1].sum()) for d in range(depth + 1)]
     # the chord scale is the largest mean chord of any level: the first
     # levels alone degenerate for closed and nearly closed curves
@@ -158,26 +171,43 @@ def curve_length(space, curve: Curve, depth: int = 12) -> LengthResult:
     return LengthResult(trace[-1], trace, diverged, growing)
 
 
+#: The product-length precondition is :func:`arclength_check` at this grid and depth;
+#: its 16 * 2^7 steps are the chords of dyadic level 11.
+COMPONENT_GRID, COMPONENT_DEPTH, COMPONENT_LEVEL = 16, 7, 11
+
+
 def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -> ValidationReport:
     """Product curve length must equal the gluing of the factor lengths.
 
     Components must be (scaled-)arclength parameterized in their factors: a
     component that :func:`arclength_check` does not pass yields an
-    undetermined verdict with that check's witness, not a failure.
+    undetermined verdict with that check's witness, not a failure.  Each
+    component is evaluated once, on the dyadic grid of the finer of ``depth`` and
+    the precondition's level, and its chords there serve the precondition and its
+    factor length; the product chords are the gluing of the factor chords, as a
+    product batch distance is.
     """
     if len(components) != len(prod.factors):
         raise ValueError("one component curve per factor required")
-    for i, (factor, comp) in enumerate(zip(prod.factors, components)):
-        rep = arclength_check(factor, comp, grid=16, depth=7)
+    level = max(depth, COMPONENT_LEVEL)
+    pts = [comp.at_many(_grid(level)) for comp in components]
+    chords = [_dyadic_chords(f, p, level) for f, p in zip(prod.factors, pts)]
+    for i, (factor, p, c) in enumerate(zip(prod.factors, pts, chords)):
+        cuts = factor.take(p, np.arange(0, 2**level + 1, 2**level // COMPONENT_GRID))
+        rep = _arclength(factor, _length(c, COMPONENT_DEPTH),
+                         c[2**COMPONENT_LEVEL - 1:2 ** (COMPONENT_LEVEL + 1) - 1], cuts,
+                         COMPONENT_GRID, COMPONENT_DEPTH, Tolerances())
         if not rep.passed:
             return ValidationReport(
                 "product-length", UNDETERMINED, 0, rep.margin,
                 {"component": i, **(rep.witness or {})},
                 {**rep.details, "reason": "component not constant-speed"})
-    lengths = np.array([curve_length(factor, comp, depth).length
-                        for factor, comp in zip(prod.factors, components)])
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    lengths = np.array([_length(c, depth).length for c in chords])
     expected = float(prod.phi(lengths))
-    measured = curve_length(prod, product_curve(components), depth)
+    glued = prod.phi(np.column_stack([c[:2 ** (depth + 1) - 1] for c in chords]))
+    measured = _length(np.asarray(glued, float), depth)
     margin = abs(measured.length - expected)
     tol = tau_len(depth, measured.trace[0])
     return ValidationReport(
@@ -195,22 +225,29 @@ def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
     chord pass over ``grid * 2^depth`` uniform steps: one resolution for all.
     """
     total = curve_length(space, curve, depth)
-    if total.diverged or total.still_growing:
-        reason = "curve appears non-rectifiable" if total.diverged else "trace not converged"
-        return ValidationReport("arclength-parameterization", UNDETERMINED, 0, 0.0,
-                                None, {"reason": reason})
-    drop, verdict = total.trace_drop(tol or Tolerances())
-    if verdict == FAIL:
-        return ValidationReport("arclength-parameterization", FAIL, 0, drop,
-                                {"trace": total.trace},
-                                {"reason": "dyadic trace decreases under refinement"})
     step = 2**depth
     pts = curve.at_many(np.linspace(0.0, 1.0, grid * step + 1))
     idx = np.arange(grid * step + 1)
     chords = space.distance_batch(space.take(pts, idx[:-1]), space.take(pts, idx[1:]))
-    prefix = np.concatenate([[0.0], np.cumsum(chords.reshape(grid, step).sum(axis=1))])
+    return _arclength(space, total, chords, space.take(pts, idx[::step]), grid, depth,
+                      tol or Tolerances())
+
+
+def _arclength(space, total: LengthResult, chords: np.ndarray, cuts, grid: int, depth: int,
+               tol: Tolerances) -> ValidationReport:
+    """:func:`arclength_check` from the dyadic length at ``depth``, the ``grid * 2^depth``
+    uniform chords and the ``grid + 1`` cut points."""
+    if total.diverged or total.still_growing:
+        reason = "curve appears non-rectifiable" if total.diverged else "trace not converged"
+        return ValidationReport("arclength-parameterization", UNDETERMINED, 0, 0.0,
+                                None, {"reason": reason})
+    drop, verdict = total.trace_drop(tol)
+    if verdict == FAIL:
+        return ValidationReport("arclength-parameterization", FAIL, 0, drop,
+                                {"trace": total.trace},
+                                {"reason": "dyadic trace decreases under refinement"})
+    prefix = np.concatenate([[0.0], np.cumsum(chords.reshape(grid, 2**depth).sum(axis=1))])
     i, j = np.triu_indices(grid + 1, 1)
-    cuts = space.take(pts, idx[::step])
     span = space.distance_batch(space.take(cuts, i), space.take(cuts, j))
     measured = prefix[j] - prefix[i]
     expected = (j - i) / grid * prefix[-1]

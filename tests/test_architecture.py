@@ -94,9 +94,9 @@ def row_reductions(path: Path) -> list[str]:
 
 def test_rows_are_reduced_by_the_column_fold():
     """numpy reduces a short last axis one row at a time; ``rowwise`` folds the columns
-    instead.  ``arclength_check`` sums 2^depth chords per piece, a long axis."""
+    instead.  The arclength check (``_arclength``) sums 2^depth chords per piece, a long axis."""
     owners = {owner for path in sorted(PACKAGE.glob("*.py")) for owner in row_reductions(path)}
-    assert owners == {"gluing.py:rowwise", "curves.py:arclength_check"}
+    assert owners == {"gluing.py:rowwise", "curves.py:_arclength"}
 
 
 def module_names(path: Path) -> list[str]:

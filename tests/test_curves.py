@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metricprod import curves
+from metricprod.reports import worst
 from metricprod import (
     Curve,
     GluingFunction,
@@ -11,6 +12,7 @@ from metricprod import (
     ProductSpace,
     RealLine,
     Tolerances,
+    ValidationReport,
     arclength_check,
     circle_arc,
     curve_length,
@@ -235,6 +237,67 @@ def test_product_length_identity_over_random_polylines():
         for phi in gluings:
             rep = product_curve_length_check(plane(phi), comps, depth=12)
             assert rep.passed, (trial, phi.label, rep.margin)
+
+
+def replaced_product_length(prod, components, depth):
+    """Reference: the product-length check that measured each component on its own
+    and inside the product curve, as separate curve evaluations."""
+    for i, (factor, comp) in enumerate(zip(prod.factors, components)):
+        rep = arclength_check(factor, comp, grid=16, depth=7)
+        if not rep.passed:
+            return ValidationReport(
+                "product-length", "undetermined", 0, rep.margin,
+                {"component": i, **(rep.witness or {})},
+                {**rep.details, "reason": "component not constant-speed"})
+    lengths = np.array([curve_length(f, c, depth).length
+                        for f, c in zip(prod.factors, components)])
+    expected = float(prod.phi(lengths))
+    measured = curve_length(prod, product_curve(components), depth)
+    margin = abs(measured.length - expected)
+    tol = tau_len(depth, measured.trace[0])
+    return ValidationReport(
+        "product-length", worst(margin, tol)[1], 2**depth, margin,
+        {"factor_lengths": lengths, "expected": expected, "measured": measured.length},
+        {"depth": depth, "tolerance": tol})
+
+
+def product_length_cases():
+    rng = np.random.default_rng(11)
+    plane_lp = LpSpace(2, 3.0, (1.0, 2.0))
+    walk = [tuple(p) for p in np.cumsum(rng.uniform(-1.0, 1.0, (6, 2)), axis=0)]
+    zigzag = polyline(RealLine(), list(np.cumsum(rng.uniform(-1.0, 1.0, 7))))
+    arc = circle_arc((0.5, -1.0), 2.0, 0.3, 2.9)
+    inner = ProductSpace((RealLine(), RealLine()), GluingFunction.lp(2, 1.5))
+    yield plane(GluingFunction.lp(2, 3.0)), [zigzag, segment(0.0, 4.0)]
+    yield ProductSpace((plane_lp, RealLine()), GluingFunction.sum(2)), \
+        [polyline(plane_lp, walk), zigzag]
+    yield ProductSpace((LpSpace(2, 2.0), RealLine()), GluingFunction.max(2)), [arc, zigzag]
+    yield ProductSpace((inner, RealLine()), GluingFunction.euclidean((1.0, 3.0))), \
+        [product_curve([zigzag, segment(1.0, -2.0)]), segment(0.0, 4.0)]
+    yield plane(GluingFunction.coordinate_power(2, 2.0)), [zigzag, segment(0.0, 4.0)]
+    yield plane(), [segment(0.0, 3.0), warped(segment(0.0, 4.0), lambda t: t**2)]
+
+
+@pytest.mark.parametrize("depth", [1, 5, 10, 11, 12, 13])
+def test_product_length_is_the_separately_measured_reference(depth):
+    """Reading the precondition, the factor lengths and the product chords off one
+    evaluation of each component gives the records of separate evaluations."""
+    for prod, comps in product_length_cases():
+        rep = product_curve_length_check(prod, comps, depth)
+        assert rep.to_record() == replaced_product_length(prod, comps, depth).to_record()
+
+
+def test_product_length_evaluates_each_component_once():
+    # on the finer of the depth's grid and the precondition's 16 x 2^7 steps
+    for depth, points in ((8, 2**11 + 1), (13, 2**13 + 1)):
+        calls = []
+        seg = segment(0.0, 2.0)
+        comps = [Curve(lambda ts, k=k: calls.append((k, len(ts))) or seg.at_many(ts))
+                 for k in range(2)]
+        assert product_curve_length_check(plane(), comps, depth).passed
+        assert calls == [(0, points), (1, points)]
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        product_curve_length_check(plane(), [seg, seg], 0)
 
 
 def test_arclength_check_constant_speed_segment():

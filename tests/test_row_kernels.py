@@ -94,6 +94,15 @@ def test_weighted_pnorm_is_the_replaced_formula_bitwise(p, dim):
         assert same_bits(weighted_pnorm(a, p, weights), replaced_pnorm(a, p, weights))
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_weighted_pnorm_of_signed_zero_rows_is_the_replaced_formula(p, dim):
+    """A row of -0.0 sums to +0.0 in numpy; the column fold starts from its first term + 0.0."""
+    a = np.full((3, dim), -0.0)
+    for weights in (None, np.linspace(0.5, 2.0, dim)):
+        assert same_bits(weighted_pnorm(a, p, weights), replaced_pnorm(a, p, weights))
+
+
 # -- the ladder's evaluation plan ------------------------------------------------
 
 CFG = SampleConfig(count=400, seed=3)
