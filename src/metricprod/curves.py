@@ -137,18 +137,13 @@ def curve_length(space, curve: Curve, depth: int = 12) -> LengthResult:
     """Dyadic subdivision length of a curve in the given space."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return _length(_dyadic_chords(space, curve.at_many(_grid(depth)), depth), depth)
-
-
-def _grid(level: int) -> np.ndarray:
-    """The 2^level + 1 dyadic parameters of [0, 1].  Each is exact, so a coarser
-    level's parameters are every 2^k-th of a finer level's."""
-    return np.linspace(0.0, 1.0, 2**level + 1)
+    pts = curve.at_many(np.linspace(0.0, 1.0, 2**depth + 1))
+    return _length(_dyadic_chords(space, pts, depth), depth)
 
 
 def _dyadic_chords(space, pts, depth: int) -> np.ndarray:
     """The chords of every dyadic level to ``depth`` in one batch, from the points at
-    :func:`_grid` ``(depth)``: level d's 2^d chords are ``[2^d - 1, 2^(d+1) - 1)``."""
+    the ``2^depth + 1`` uniform parameters: level d's chords are ``[2^d - 1, 2^(d+1) - 1)``."""
     idx = [np.arange(0, 2**depth + 1, 2 ** (depth - d)) for d in range(depth + 1)]
     return space.distance_batch(space.take(pts, np.concatenate([i[:-1] for i in idx])),
                                 space.take(pts, np.concatenate([i[1:] for i in idx])))
@@ -189,8 +184,9 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
     """
     if len(components) != len(prod.factors):
         raise ValueError("one component curve per factor required")
+    # the dyadic parameters are exact, so a coarser level's are every 2^k-th of these
     level = max(depth, COMPONENT_LEVEL)
-    pts = [comp.at_many(_grid(level)) for comp in components]
+    pts = [comp.at_many(np.linspace(0.0, 1.0, 2**level + 1)) for comp in components]
     chords = [_dyadic_chords(f, p, level) for f, p in zip(prod.factors, pts)]
     for i, (factor, p, c) in enumerate(zip(prod.factors, pts, chords)):
         cuts = factor.take(p, np.arange(0, 2**level + 1, 2**level // COMPONENT_GRID))

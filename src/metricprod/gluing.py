@@ -60,14 +60,10 @@ BLOCK_ROWS = 8192
 
 
 def by_blocks(kernel, n: int, *batches) -> np.ndarray:
-    """``kernel(*batches)`` for a row-wise ``kernel`` and batches of ``n`` rows,
-    evaluated ``BLOCK_ROWS`` rows at a time into one preallocated array.
-
-    Row i of a row-wise kernel's output depends on row i of its inputs alone, so
-    the blocks give the floats one whole call gives.  A batch is an array or a
-    tuple of batches (a product's), sliced leaf by leaf; a leaf of other than ``n``
-    rows (a one-row batch) is passed whole to every block, to broadcast there.
-    Up to one block, the kernel runs on the batches as they are.
+    """``kernel(*batches)`` for a row-wise ``kernel`` (row i of its output reads row i
+    of its inputs alone) and batches of ``n`` rows, run ``BLOCK_ROWS`` rows at a time
+    into one array: the same floats as one call.  A tuple batch (a product's) is sliced
+    leaf by leaf; a leaf of other than ``n`` rows (a one-row batch) broadcasts whole.
     """
     if n <= BLOCK_ROWS:
         return kernel(*batches)
