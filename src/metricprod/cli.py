@@ -388,6 +388,16 @@ def _run_embedding_oracle(ctx, params):
     return dict(probe.to_record(), verdict=PASS)
 
 
+def _run_non_length_space(ctx, params):
+    ends = params.get("endpoints", [[0.0, 0.0], [1.0, 0.0]])
+    if not isinstance(ends, list) or len(ends) != 2:
+        raise ConfigError(f"'endpoints' must be a list of two points, got {ends!r}")
+    plane = ProductSpace((RealLine(), RealLine()), GluingFunction.two_valued(2))
+    return non_length_space_demo(
+        params.number("depth", 8, int), [ctx.point(plane, e) for e in ends],
+        params.number("paths", 5, int), params.number("seed", ctx.default_seed, int))
+
+
 def _builtin_embedding(name: str, prod: ProductSpace):
     axes = prod.phi.axis_values()
     if name.startswith("axis:"):
@@ -414,16 +424,22 @@ def _builtin_embedding(name: str, prod: ProductSpace):
 def _run_alpha(ctx, params):
     prod = ctx.product(params["product"])
     embedding = _builtin_embedding(params.get("embedding", "axis:0"), prod)
+    # the embedding's source is the real line: bases and vectors are its config points
+    line = RealLine()
     vec_spec = params.get("vectors", {"linspace": [-3.0, 3.0, 13]})
     if isinstance(vec_spec, dict) and "linspace" in vec_spec:
-        lo, hi, n = vec_spec["linspace"]
-        vectors = np.linspace(float(lo), float(hi), int(n))
+        spec = vec_spec["linspace"]
+        if not isinstance(spec, list) or len(spec) != 3:
+            raise ConfigError(f"'linspace' must be [lo, hi, count], got {spec!r}")
+        lin = _Fields(zip(("lo", "hi", "count"), spec))
+        vectors = np.linspace(lin.number("lo"), lin.number("hi"), lin.number("count", kind=int))
+    elif isinstance(vec_spec, list):
+        vectors = np.array([ctx.point(line, v) for v in vec_spec])
     else:
-        vectors = np.asarray(vec_spec, float)
-    _, reps = alpha_decompose(embedding, prod,
-                              np.atleast_1d(params.get("base_a", 0.0)),
-                              np.atleast_1d(params.get("base_b", 1.0)),
-                              vectors, cfg=ctx.structure)
+        raise ConfigError(f"'vectors' must be a list or a linspace, got {vec_spec!r}")
+    _, reps = alpha_decompose(embedding, prod, ctx.point(line, params.get("base_a", 0.0)),
+                              ctx.point(line, params.get("base_b", 1.0)), vectors,
+                              cfg=ctx.structure)
     # ``isometric`` expects the alpha-isometry record to pass, ``non-isometric`` to fail
     expect = {"isometric": PASS, "non-isometric": FAIL}.get(params.get("expect"))
     return [_expectation(rep.to_record(), expect, rep.verdict)
@@ -451,9 +467,7 @@ CHECK_RUNNERS = {
     "curve-length": _run_curve_length,
     "product-curve-length": _run_product_length,
     "arclength": _run_arclength,
-    "non-length-space": lambda ctx, p: non_length_space_demo(
-        p.number("depth", 8, int), p.get("endpoints", ((0.0, 0.0), (1.0, 0.0))),
-        p.number("paths", 5, int), p.number("seed", ctx.default_seed, int)),
+    "non-length-space": _run_non_length_space,
     "geodesy": _run_geodesy,
     "component-progress": _run_component_progress,
     "unique-geodesic": _run_uniqueness,

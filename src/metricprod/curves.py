@@ -59,22 +59,23 @@ def polyline(space, points, constant_speed: bool = True) -> Curve:
     """
     if not space.supports_interpolation:
         raise ValueError(f"{space.name} does not support interpolated curves")
-    pts = list(points)
+    pts = [space.check(p) for p in points]
     if len(pts) < 2:
         raise ValueError("polyline needs at least two breakpoints")
+    stacked = space.stack(pts)
     if constant_speed:
-        seglens = np.array([space.distance(a, b) for a, b in zip(pts[:-1], pts[1:])])
+        idx = np.arange(len(pts))
+        seglens = space.distance_batch(space.take(stacked, idx[:-1]), space.take(stacked, idx[1:]))
         keep = seglens > 0
         if not keep.any():
             return segment(pts[0], pts[0])
-        pts = [pts[0]] + [b for b, k in zip(pts[1:], keep) if k]
+        stacked = space.take(stacked, np.concatenate([[0], idx[1:][keep]]))
         seglens = seglens[keep]
         knots = np.concatenate([[0.0], np.cumsum(seglens)]) / seglens.sum()
     else:
         knots = np.linspace(0.0, 1.0, len(pts))
-    stacked = space.stack(pts)
 
-    def evaluator(ts, nseg=len(pts) - 1):
+    def evaluator(ts, nseg=len(knots) - 1):
         ts = np.clip(ts, 0.0, 1.0)
         seg = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, nseg - 1)
         u = (ts - knots[seg]) / (knots[seg + 1] - knots[seg])
@@ -184,6 +185,8 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
     """
     if len(components) != len(prod.factors):
         raise ValueError("one component curve per factor required")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     # the dyadic parameters are exact, so a coarser level's are every 2^k-th of these
     level = max(depth, COMPONENT_LEVEL)
     pts = [comp.at_many(np.linspace(0.0, 1.0, 2**level + 1)) for comp in components]
@@ -198,8 +201,6 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
                 "product-length", UNDETERMINED, 0, rep.margin,
                 {"component": i, **(rep.witness or {})},
                 {**rep.details, "reason": "component not constant-speed"})
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     lengths = np.array([_length(c, depth).length for c in chords])
     expected = float(prod.phi(lengths))
     glued = prod.phi(np.column_stack([c[:2 ** (depth + 1) - 1] for c in chords]))

@@ -242,8 +242,10 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
     candidate coincides with the default geodesic on the grid: no sup
     distance above ``1e-6 * max(1, D)``.  Via points and perturbed
     midpoints are screened in batches; only a candidate that passes the
-    screen is built as a geodesic.
+    screen is built as a geodesic.  A negative ``perturbations`` is refused.
     """
+    if perturbations < 0:
+        raise ValueError(f"perturbations must be >= 0, got {perturbations}")
     cfg = cfg or DEFAULT_SAMPLES
     d = prod.distance(x, y)
     tol = cfg.tol.scaled(d)

@@ -86,12 +86,8 @@ def weighted_pnorm(a: np.ndarray, p: float, weights: np.ndarray | None) -> np.nd
     ``weights=None`` means unit weights.  The p = 1, p = oo and unit-weight
     branches return the same floats as the general formula, with less arithmetic.
     Below 8 columns the terms ``w_j a_j^p`` are folded in column by column, as
-    :func:`rowwise` folds, so no weighted copy of ``a`` is built.  A single vector
-    is reduced as a one-row batch, so a scalar distance is bit for bit the matching
-    row of a batch (numpy sums a 1-D row in another order).
+    :func:`rowwise` folds, so no weighted copy of ``a`` is built.
     """
-    if a.ndim == 1:
-        return weighted_pnorm(a[None], p, weights)[0]
     power = p not in (1.0, math.inf)
     if p != math.inf and a.shape[-1] >= 8:
         terms = a**p if power else a
@@ -195,17 +191,18 @@ class GluingFunction:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, q) -> float | np.ndarray:
+        """Values at the rows of ``q``; a single vector is a one-row batch, so its
+        float is bit for bit the matching row of a batch."""
         arr = np.asarray(q, float)
-        single = arr.ndim == 1
         if arr.shape[-1] != self.dim:
             raise ValueError(f"expected vectors of length {self.dim}, got shape {arr.shape}")
         if (arr < 0).any():
             raise ValueError("quadrant vectors must be componentwise nonnegative")
-        out = np.asarray(by_blocks(self._eval, len(arr), arr) if arr.ndim == 2
-                         else self._eval(arr), float)
+        rows = arr[None] if arr.ndim == 1 else arr
+        out = np.asarray(by_blocks(self._eval, len(rows), rows), float)
         if not np.isfinite(out).all():
             raise ValueError(f"gluing {self.label} has a non-finite value")
-        return float(out) if single else out
+        return float(out[0]) if arr.ndim == 1 else out
 
     def _eval(self, arr: np.ndarray):
         if self.weights is not None:

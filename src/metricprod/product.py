@@ -42,16 +42,9 @@ class ProductSpace(MetricSpace):
 
     # -- metric --------------------------------------------------------------
 
-    def factor_distances(self, x, y) -> np.ndarray:
-        x, y = self._check(x), self._check(y)
-        return np.array([f.distance(xi, yi) for f, xi, yi in zip(self.factors, x, y)])
-
     def factor_distance_batch(self, xs, ys) -> np.ndarray:
         cols = [f.distance_batch(xi, yi) for f, xi, yi in zip(self.factors, xs, ys)]
         return np.column_stack(cols)
-
-    def distance(self, x, y) -> float:
-        return float(self.phi(self.factor_distances(x, y)))
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         glued = by_blocks(lambda x, y: self.phi(self.factor_distance_batch(x, y)),

@@ -144,7 +144,10 @@ class MetricSpace:
     # -- core interface ----------------------------------------------------
 
     def distance(self, x, y) -> float:
-        raise NotImplementedError
+        """Distance between two points: the one-row batch of the checked points, so it
+        is bit for bit the matching row of :meth:`distance_batch`."""
+        return float(self.distance_batch(self.stack([self.check(x)]),
+                                         self.stack([self.check(y)]))[0])
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         """Distances between two batches of points, row by row."""
@@ -154,9 +157,9 @@ class MetricSpace:
         raise NotImplementedError
 
     def check(self, point):
-        """``point`` as the scalar distance reads it; a ValueError if it is not a
-        point of this space.  Batches are not checked, so a caller that stacks
-        points it was given checks each of them first."""
+        """``point`` as its space stacks it; a ValueError if it is not a point of
+        this space.  Batches are not checked, so :meth:`distance` checks both of its
+        points, and any other caller that stacks points it was given checks each first."""
         return self._check(point)
 
     def sample_points(self, count: int, seed=0, radius: float = 1.0) -> list:
@@ -223,9 +226,6 @@ class _Line1D(MetricSpace):
 
     supports_interpolation = True
     coord_dim = 1
-
-    def distance(self, x, y) -> float:
-        return abs(self._check(x) - self._check(y))
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         return np.abs(np.asarray(xs, float) - np.asarray(ys, float))
@@ -339,19 +339,14 @@ class LpSpace(MetricSpace):
             )
         return arr
 
-    def distance(self, x, y) -> float:
-        return float(self._norm(self._check(x) - self._check(y)))
-
     def stack(self, points):
         # a point may be any sequence of coordinates, a tuple too
         return np.asarray(points, float).reshape(len(points), self.dim)
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-        return by_blocks(lambda x, y: self._norm(x - y), max(len(xs), len(ys)), xs, ys)
-
-    def _norm(self, delta: np.ndarray) -> np.ndarray:
-        return weighted_pnorm(np.abs(delta), self.p, self._norm_weights)
+        return by_blocks(lambda x, y: weighted_pnorm(np.abs(x - y), self.p, self._norm_weights),
+                         max(len(xs), len(ys)), xs, ys)
 
     def sample_batch(self, count, seed=0, radius=1.0):
         return rng_stream(seed, 13).uniform(-radius, radius, (count, self.dim))
@@ -451,9 +446,6 @@ class DiscreteSpace(_IndexSpace):
 
     name = "discrete"
 
-    def distance(self, x, y) -> float:
-        return 0.0 if self._check(x) == self._check(y) else 1.0
-
     def distance_batch(self, xs, ys) -> np.ndarray:
         return (np.asarray(xs) != np.asarray(ys)).astype(float)
 
@@ -494,9 +486,6 @@ class FiniteMetricSpace(_IndexSpace):
         if worst > Tolerances().scaled(float(m.max()) if m.size else 1.0):
             raise ValueError(f"triangle inequality fails by {worst}")
         self.matrix = m
-
-    def distance(self, x, y) -> float:
-        return float(self.matrix[self._check(x), self._check(y)])
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         return self.matrix[np.asarray(xs), np.asarray(ys)]

@@ -2,7 +2,8 @@
 
 Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
 in methods of the spaces themselves, so no other module of the package
-passes a catalog class to ``isinstance``.  The weighted p-norm is written
+passes a catalog class to ``isinstance``.  A scalar distance is written once,
+on ``MetricSpace``, as a one-row batch.  The weighted p-norm is written
 once, and a short last axis is reduced only by ``gluing.rowwise``.  Tolerances
 live in one record, ``reports.Tolerances``.  Margin verdicts go through
 ``reports.worst``, where a NaN margin fails.  Construction reads
@@ -42,6 +43,28 @@ def test_no_catalog_isinstance_outside_spaces():
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "spaces.py"
             for line in catalog_isinstance_calls(path)]
     assert hits == []
+
+
+def distance_definitions(path: Path) -> list[str]:
+    """Owners (class or module) of the functions named ``distance`` defined in ``path``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "distance":
+            found.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, node.name if isinstance(node, ast.ClassDef) else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_one_scalar_distance():
+    """Every space reads a scalar distance as the one-row batch ``MetricSpace.distance``
+    stacks, so scalar and batch distances agree by construction."""
+    owners = [owner for path in sorted(PACKAGE.glob("*.py"))
+              for owner in distance_definitions(path)]
+    assert owners == ["spaces.py:MetricSpace"]
 
 
 def pnorm_root_functions(path: Path) -> list[str]:

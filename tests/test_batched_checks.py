@@ -256,6 +256,16 @@ def test_given_points_are_checked():
         midpoint(half, (0.0, 0.0), (1.0, 0.0, 9.0))
     with pytest.raises(ValueError, match=r"does not match lp space of dimension 2"):
         midpoint(LpSpace(2, 1.5), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    # the scalar distance stacks its two points as one-row batches, so it checks them
+    with pytest.raises(ValueError, match=r"^half-line point must be >= 0, got -1.0$"):
+        HalfLine().distance(2.0, -1.0)
+    with pytest.raises(ValueError, match=r"^half-line point must be >= 0, got -0.5$"):
+        NESTED.distance(((0.0, np.zeros(2)), 1.0), ((1.0, np.ones(2)), -0.5))
+    with pytest.raises(ValueError, match=arity):
+        half.distance((0.0, 0.0), (1.0, 0.0, 9.0))
+    with pytest.raises(ValueError, match=r"^point of dimension \(3,\) does not match lp space "
+                                         r"of dimension 2$"):
+        LpSpace(2, 1.5).distance((0.0, 0.0, 1.0), (1.0, 0.0))
 
 
 @pytest.mark.parametrize("space", PRODUCTS + [NESTED], ids=lambda s: json.dumps(s.descriptor()))

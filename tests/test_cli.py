@@ -594,14 +594,24 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
      "tolerance": "loose"},
     {"check": "arclength", "space": "plane", "curve": "diag", "depth": None},
     {"check": "non-length-space", "paths": "some"},
+    {"check": "non-length-space", "endpoints": [[0, 0], [math.inf, 0]]},
+    {"check": "non-length-space", "endpoints": [[0, math.nan], [1, 0]]},
+    {"check": "non-length-space", "endpoints": "ab"},
+    {"check": "non-length-space", "endpoints": [[0, 0]]},
     {"check": "rank-counterexample", "T": math.inf},
     {"check": "embedding-oracle", "space": {"type": "real-line"}, "pattern": [[0, 1], [1, 0]],
      "sample": {"radius": math.nan}},
+    {"check": "alpha-decomposition", "product": "plane", "base_a": math.nan},
+    {"check": "alpha-decomposition", "product": "plane", "vectors": [0.0, math.nan]},
+    {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [math.nan, 1, 5]}},
+    {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [0, 1]}},
 ], ids=["nan-start", "half-line-negative", "lp-3-vector", "inf-via", "inf-end",
         "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
         "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
         "grid-word", "perturbations-inf", "count-word", "expect-length-nan",
-        "tolerance-word", "depth-null", "paths-word", "T-inf", "sample-radius-nan"])
+        "tolerance-word", "depth-null", "paths-word", "endpoints-inf", "endpoints-nan",
+        "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
+        "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short"])
 def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
     code = main(["run", write_config(tmp_path, config_with_checks([check]))])
     captured = capsys.readouterr()

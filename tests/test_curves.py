@@ -296,8 +296,12 @@ def test_product_length_evaluates_each_component_once():
                  for k in range(2)]
         assert product_curve_length_check(plane(), comps, depth).passed
         assert calls == [(0, points), (1, points)]
-    with pytest.raises(ValueError, match="depth must be >= 1"):
-        product_curve_length_check(plane(), [seg, seg], 0)
+    # a depth below 1 is refused before any component is evaluated, warped or not
+    calls.clear()
+    for parts in (comps, [warped(comps[0], lambda t: t**2), comps[1]]):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            product_curve_length_check(plane(), parts, 0)
+    assert calls == []
 
 
 def test_arclength_check_constant_speed_segment():

@@ -161,6 +161,17 @@ def test_uniqueness_with_explicit_selector_sets():
     assert rep.failed
 
 
+def test_uniqueness_refuses_negative_perturbations(monkeypatch):
+    # a negative count would slice the directions from their end; it is refused first
+    calls = []
+    original = ProductSpace.distance_batch
+    monkeypatch.setattr(ProductSpace, "distance_batch",
+                        lambda self, *args: calls.append(1) or original(self, *args))
+    with pytest.raises(ValueError, match=r"^perturbations must be >= 0, got -3$"):
+        uniqueness_probe(plane(), (0.0, 0.0), (1.0, 1.0), perturbations=-3)
+    assert calls == []
+
+
 def test_busemann_affine_segments_in_plane():
     space = LpSpace(2, 2.0)
     g1 = factor_geodesic(space, (0.0, 0.0), (3.0, 0.0))
