@@ -432,11 +432,14 @@ def _run_alpha(ctx, params):
         if not isinstance(spec, list) or len(spec) != 3:
             raise ConfigError(f"'linspace' must be [lo, hi, count], got {spec!r}")
         lin = _Fields(zip(("lo", "hi", "count"), spec))
-        vectors = np.linspace(lin.number("lo"), lin.number("hi"), lin.number("count", kind=int))
-    elif isinstance(vec_spec, list):
+        lo, hi, count = lin.number("lo"), lin.number("hi"), lin.number("count", kind=int)
+        if count < 1:
+            raise ConfigError(f"'linspace' count must be >= 1, got {count}")
+        vectors = np.linspace(lo, hi, count)
+    elif isinstance(vec_spec, list) and vec_spec:
         vectors = np.array([ctx.point(line, v) for v in vec_spec])
     else:
-        raise ConfigError(f"'vectors' must be a list or a linspace, got {vec_spec!r}")
+        raise ConfigError(f"'vectors' must be a nonempty list or a linspace, got {vec_spec!r}")
     _, reps = alpha_decompose(embedding, prod, ctx.point(line, params.get("base_a", 0.0)),
                               ctx.point(line, params.get("base_b", 1.0)), vectors,
                               cfg=ctx.structure)

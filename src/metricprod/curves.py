@@ -271,9 +271,13 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
     from .spaces import RealLine
 
     prod = ProductSpace((RealLine(), RealLine()), GluingFunction.two_valued(2))
-    (ax, ay), (bx, by) = endpoints
-    a = (float(ax), float(ay))
-    b = (float(bx), float(by))
+    try:
+        ends = np.asarray(endpoints, float)
+    except (TypeError, ValueError):                 # ragged, or not numbers
+        ends = np.empty(0)
+    if ends.shape != (2, 2) or not np.isfinite(ends).all():
+        raise ValueError(f"endpoints must be two finite points of the plane, got {endpoints!r}")
+    a, b = (tuple(map(float, end)) for end in ends)
     if a == b:
         return ValidationReport("non-length-space-demo", PASS, 0, 0.0,
                                 {"endpoints": [a, b]},

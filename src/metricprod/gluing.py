@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import FAIL, PASS, UNDETERMINED, ValidationReport, worst
-from .sampling import (DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig, quadrant_samples, rng_stream,
-                       signed_samples)
+from .sampling import (DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig, chain, quadrant_rows,
+                       quadrant_stream, rng_stream, signed_stream, uniform_stream)
 
 #: p of the norm-type kinds: ``sum``, ``max`` and ``weighted-euclidean`` are weighted-lp
 #: gluings at p = 1, oo and 2 with their own label and descriptor (and unit weights).
@@ -301,72 +301,119 @@ def _report(condition, verdict, samples, margin, witness, **details):
     return ValidationReport(condition, verdict, int(samples), float(margin), witness, dict(details))
 
 
+def scan(n: int, draws, kernel, tail=None):
+    """``kernel`` over the first ``n`` rows of the streams ``draws``, drawn ``BLOCK_ROWS``
+    rows at a time, and then over ``tail`` (one batch per stream) when one is given.
+
+    ``kernel(*blocks)`` returns ``(outs, picks)``: arrays whose last axis runs over the
+    block's rows, and the rows of the block to keep.  Returns the outputs written into
+    full-length arrays, and ``{row: [the one-row batch of each stream]}`` at every pick.
+    The first largest of a margin lies in the first block that holds it and is that
+    block's own first largest (a NaN counting as largest), so a kernel that picks the
+    ``np.argmax`` of each of its margins keeps every witness :func:`worst` can choose.
+    """
+    def blocks():
+        for at in range(0, n, BLOCK_ROWS):
+            yield [draw(min(BLOCK_ROWS, n - at)) for draw in draws]
+        if tail is not None:
+            yield tail
+
+    total = n + (0 if tail is None else len(tail[0]))
+    full, kept, at = None, {}, 0
+    for block in blocks():
+        outs, picks = kernel(*block)
+        k = outs[0].shape[-1]
+        if full is None:
+            full = [np.empty(o.shape[:-1] + (total,), o.dtype) for o in outs]
+        for f, o in zip(full, outs):
+            f[..., at:at + k] = o
+        for i in set(np.ravel(picks).tolist()):
+            kept[at + i] = [_block(b, [i], k) for b in block]
+        at += k
+    if full is None:
+        raise ValueError("no margins were sampled")
+    return full, kept
+
+
+def _uniform(cfg: SampleConfig, stream: int, lo: float, hi: float, dim: int | None = None):
+    return uniform_stream(rng_stream(cfg.seed, stream), lo, hi, dim)
+
+
 def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
     """Zero exactly at the origin, positive elsewhere (sampled)."""
     cfg = cfg or DEFAULT_SAMPLES
-    q = quadrant_samples(phi.dim, cfg, stream=1)
-    vals = np.asarray(phi(q), float)
+
+    def block(q):       # the values off the origin; rows at the origin read oo
+        vals = np.where(rowwise(np.maximum, q) > 0, phi(q), math.inf)
+        return [vals], [np.argmin(vals)]
+
+    (vals,), kept = scan(quadrant_rows(phi.dim, cfg), [quadrant_stream(phi.dim, cfg, 1)], block)
     at_zero = float(phi(np.zeros(phi.dim)))
-    nonzero = rowwise(np.maximum, q) > 0
-    min_nz = float(vals[nonzero].min()) if nonzero.any() else math.inf
+    j = int(np.argmin(vals))
+    min_nz = float(vals[j])
     bad_zero = at_zero > ZERO_FLOOR
     bad_nz = min_nz <= ZERO_FLOOR
     if bad_zero and not bad_nz:
         witness = {"q": np.zeros(phi.dim), "value": at_zero}
     else:
-        witness = {"q": q[nonzero][np.argmin(vals[nonzero])], "value": min_nz}
+        witness = {"q": kept[j][0][0], "value": min_nz}
     margin = max(at_zero, ZERO_FLOOR - min_nz)
     verdict = FAIL if (bad_zero or bad_nz) else PASS
-    return _report("definiteness", verdict, len(q), margin, witness,
+    return _report("definiteness", verdict, len(vals), margin, witness,
                    value_at_zero=at_zero, min_nonzero_value=min_nz)
 
 
-def _triangle_shapes(phi: GluingFunction, cfg: SampleConfig):
-    """Sample triples for the quadrant triangle condition, with their values.
+#: (j, k, l) of the quadrant triangle rung: value(j) <= value(k) + value(l) when
+#: the hypothesis j <= k + l holds componentwise.
+_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
-    Yields (tag, (a, b, c), (phi(a), phi(b), phi(c))) where the
-    hypothesis-bearing triple is (a, b, c); every permutation whose
-    componentwise hypothesis holds is checked (the strongest reading of the
-    condition).  The shared blocks p and q are evaluated once each.
-    """
-    dim = phi.dim
-    p = quadrant_samples(dim, cfg, stream=2)
-    q = quadrant_samples(dim, cfg, stream=3)
-    n = min(len(p), len(q))
-    p, q = p[:n], q[:n]
-    vp, vq = np.asarray(phi(p), float), np.asarray(phi(q), float)
-    u = rng_stream(cfg.seed, 303).uniform(0.0, 1.0, (n, dim))
-    v = rng_stream(cfg.seed, 304).uniform(0.0, 1.0, (n, dim))
+
+def _triangle_shapes(p, q, u, v):
+    """The hypothesis-bearing triples ``(tag, a, b, c)``, row for row in the quadrant
+    blocks p, q and the uniforms u, v.  Every permutation whose componentwise
+    hypothesis holds is checked (the strongest reading of the condition)."""
     # doubling shape: a <= 2b forces value(a) <= 2 value(b)
-    for tag, a, b, c, vb, vc in (("interior", u * (p + q), p, q, vp, vq),
-                                 ("sum", p + q, p, q, vp, vq),
-                                 ("doubling", 2.0 * v * q, q, q, vq, vq)):
-        yield tag, (a, b, c), (np.asarray(phi(a), float), vb, vc)
+    return (("interior", u * (p + q), p, q), ("sum", p + q, p, q),
+            ("doubling", 2.0 * v * q, q, q))
 
 
 def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
-    """Generalized triangle condition over sampled quadrant triples."""
+    """Generalized triangle condition over sampled quadrant triples.
+
+    Margin row ``3 s + m`` is permutation m of shape s, -oo where its hypothesis
+    fails; a row whose hypothesis never holds is dropped.  The shared blocks p and q
+    are evaluated once each.
+    """
     cfg = cfg or DEFAULT_SAMPLES
-    blocks = []       # (shape, triple, values, (j, k, l)), one per margin block
-    margins = []
-    checked = 0
-    scale = 1.0
-    for tag, triple, vals in _triangle_shapes(phi, cfg):
-        scale = max(scale, *(float(v.max(initial=0.0)) for v in vals))
-        for j, k, l in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            hyp = rowwise(np.logical_and, triple[j] <= triple[k] + triple[l])
-            if not hyp.any():
-                continue
-            checked += int(hyp.sum())
-            blocks.append((tag, triple, vals, (j, k, l)))
-            margins.append(np.where(hyp, vals[j] - vals[k] - vals[l], -math.inf))
-    margins = np.vstack(margins)
-    worst_at, verdict = worst(margins, cfg.tol.scaled(scale))
-    block, i = divmod(worst_at, margins.shape[1])
-    tag, triple, vals, (j, k, l) = blocks[block]
-    witness = {"shape": tag, "target": triple[j][i], "left": triple[k][i],
-               "right": triple[l][i], "values": [float(vals[n][i]) for n in (j, k, l)]}
-    return _report("quadrant-triangle", verdict, checked, margins.flat[worst_at], witness,
+    dim = phi.dim
+    checked = np.zeros(3 * len(_PERMUTATIONS), int)      # rows whose hypothesis holds
+
+    def block(p, q, u, v):
+        vp, vq = phi(p), phi(q)
+        values, margins = [], []
+        for _, *triple in _triangle_shapes(p, q, u, v):
+            vals = (phi(triple[0]), vp if triple[1] is p else vq, vq)
+            values.append(vals)
+            for j, k, l in _PERMUTATIONS:
+                hyp = rowwise(np.logical_and, triple[j] <= triple[k] + triple[l])
+                checked[len(margins)] += np.count_nonzero(hyp)
+                margins.append(np.where(hyp, vals[j] - vals[k] - vals[l], -math.inf))
+        margins = np.array(margins)
+        return [margins, np.array(values)], np.argmax(margins, axis=-1)
+
+    draws = [quadrant_stream(dim, cfg, 2), quadrant_stream(dim, cfg, 3),
+             _uniform(cfg, 303, 0.0, 1.0, dim), _uniform(cfg, 304, 0.0, 1.0, dim)]
+    (margins, values), kept = scan(quadrant_rows(dim, cfg), draws, block)
+    rows = np.flatnonzero(checked)
+    margins = margins[rows]
+    worst_at, verdict = worst(margins, cfg.tol.scaled(values.max(initial=0.0)))
+    r, i = divmod(worst_at, margins.shape[1])
+    shape, perm = divmod(int(rows[r]), 3)
+    tag, *triple = _triangle_shapes(*kept[i])[shape]
+    j, k, l = _PERMUTATIONS[perm]
+    witness = {"shape": tag, "target": triple[j][0], "left": triple[k][0],
+               "right": triple[l][0], "values": [float(values[shape, m, i]) for m in (j, k, l)]}
+    return _report("quadrant-triangle", verdict, checked.sum(), margins.flat[worst_at], witness,
                    reading="all permutations with valid hypothesis")
 
 
@@ -381,67 +428,72 @@ def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig | None = None) 
     return _norm_conditions(phi, cfg, check_definiteness(phi, cfg))
 
 
+def _lower_blocks(p, u):
+    """The blocks of q <= p, row for row, that the monotonicity rung pairs with p."""
+    blocks = [u * p, p, np.zeros_like(p)]
+    for j in range(p.shape[1]):
+        reduced = p.copy()
+        reduced[:, j] = 0.0
+        blocks.append(reduced)
+    return blocks
+
+
 def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
                      definite: ValidationReport) -> list[ValidationReport]:
     """:func:`check_norm_conditions`; positivity on the quadrant is ``definite``."""
     dim = phi.dim
+    n = quadrant_rows(dim, cfg)
     reports = [_relabel(definite, "positivity")]
 
-    # monotonicity: componentwise q <= p must not raise the value; row i pairs
-    # block i // n of the q blocks with p[i % n], and phi(p) is evaluated once
-    p = quadrant_samples(dim, cfg, stream=4)
-    n = len(p)
-    u = rng_stream(cfg.seed, 404).uniform(0.0, 1.0, p.shape)
-    lower_blocks = [u * p, p, np.zeros_like(p)]
-    for j in range(dim):
-        reduced = p.copy()
-        reduced[:, j] = 0.0
-        lower_blocks.append(reduced)
-    vp = np.asarray(phi(p), float)
-    vrest = np.asarray(phi(np.vstack([lower_blocks[0], *lower_blocks[2:]])), float)
-    vlo = np.concatenate([vrest[:n], vp, vrest[n:]])
-    vhi = np.tile(vp, len(lower_blocks))
-    margins = vlo - vhi
-    i, verdict = worst(margins, cfg.tol.scaled(vhi.max(initial=0.0)))
-    reports.append(_report("monotonicity", verdict, len(vlo), float(margins[i]),
-                           {"q": lower_blocks[i // n][i % n], "p": p[i % n],
-                            "values": [float(vlo[i]), float(vhi[i])]}))
+    # monotonicity: componentwise q <= p must not raise the value; margin row b
+    # pairs lower block b with p, and phi(p) is evaluated once
+    def monotone(p, u):
+        vp = phi(p)
+        vlo = np.array([vp if q is p else phi(q) for q in _lower_blocks(p, u)])
+        return [vlo, vp], np.argmax(vlo - vp, axis=-1)
 
-    # subadditivity
-    a = quadrant_samples(dim, cfg, stream=5)
-    b = quadrant_samples(dim, cfg, stream=6)
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    eye = np.eye(dim)
-    extra_a = np.repeat(eye, dim, axis=0)
-    extra_b = np.tile(eye, (dim, 1))
-    a = np.vstack([extra_a, a])
-    b = np.vstack([extra_b, b])
-    va, vb = np.asarray(phi(a), float), np.asarray(phi(b), float)
-    vsum = np.asarray(phi(a + b), float)
-    margins = vsum - va - vb
+    draws = [quadrant_stream(dim, cfg, 4), _uniform(cfg, 404, 0.0, 1.0, dim)]
+    (vlo, vp), kept = scan(n, draws, monotone)
+    margins = vlo - vp
+    at, verdict = worst(margins, cfg.tol.scaled(vp.max(initial=0.0)))
+    b, i = divmod(at, n)
+    p, u = kept[i]
+    reports.append(_report("monotonicity", verdict, margins.size, margins.flat[at],
+                           {"q": _lower_blocks(p, u)[b][0], "p": p[0],
+                            "values": [float(vlo.flat[at]), float(vp[i])]}))
+
+    # subadditivity: the axis pairs (e_i, e_j) first, then the sampled pairs
+    def subadditive(a, b):
+        va, vb, vsum = phi(a), phi(b), phi(a + b)
+        margins = vsum - va - vb
+        return [margins, va, vb, vsum], [np.argmax(margins)]
+
+    eye, axes = np.eye(dim), np.arange(dim * dim)
+    draws = [chain(eye[axes // dim], quadrant_stream(dim, cfg, 5)),
+             chain(eye[axes % dim], quadrant_stream(dim, cfg, 6))]
+    (margins, va, vb, vsum), kept = scan(dim * dim + n, draws, subadditive)
     i, verdict = worst(margins, cfg.tol.scaled(va.max(initial=0.0), vb.max(initial=0.0)))
-    reports.append(_report("subadditivity", verdict, len(a), float(margins[i]),
-                           {"p": a[i], "q": b[i], "values": [float(vsum[i]), float(va[i]), float(vb[i])]}))
+    a, b = kept[i]
+    reports.append(_report("subadditivity", verdict, len(margins), margins[i],
+                           {"p": a[0], "q": b[0],
+                            "values": [float(vsum[i]), float(va[i]), float(vb[i])]}))
 
-    # positive homogeneity
-    q = quadrant_samples(dim, cfg, stream=7)
-    corner_rows = min(len(q), 16)
-    lam_rand = rng_stream(cfg.seed, 505).uniform(0.0, 4.0, len(q))
-    lam_blocks = [lam_rand]
-    q_blocks = [q]
-    for lam0 in (0.0, 1e-6, 0.5, 1.0, 2.0, 3.0, 10.0):
-        lam_blocks.append(np.full(corner_rows, lam0))
-        q_blocks.append(q[:corner_rows])
-    lam = np.concatenate(lam_blocks)
-    qq = np.vstack(q_blocks)
-    scaled = np.asarray(phi(lam[:, None] * qq), float)
-    expected = lam * np.asarray(phi(qq), float)
-    diffs = np.abs(scaled - expected)
-    tols = cfg.tol.metric * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
-    i, verdict = worst(diffs - tols)
-    reports.append(_report("homogeneity", verdict, len(qq), float(diffs[i]),
-                           {"lambda": float(lam[i]), "q": qq[i],
+    # positive homogeneity: sampled scales, then fixed scales on the first rows
+    def homogeneous(q, lam):
+        scaled, expected = phi(lam[:, None] * q), lam * phi(q)
+        diffs = np.abs(scaled - expected)
+        tols = cfg.tol.metric * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
+        return [diffs - tols, diffs, scaled, expected], [np.argmax(diffs - tols)]
+
+    head = quadrant_stream(dim, cfg, 7)(min(n, 16))
+    fixed = (0.0, 1e-6, 0.5, 1.0, 2.0, 3.0, 10.0)
+    tail = [np.resize(head, (len(fixed) * len(head), dim)), np.repeat(fixed, len(head))]
+    draws = [quadrant_stream(dim, cfg, 7), _uniform(cfg, 505, 0.0, 4.0)]
+    (margins, diffs, scaled, expected), kept = scan(n, draws, homogeneous, tail)
+    i, verdict = worst(margins)
+    q, lam = kept[i]
+    reports.append(_report("homogeneity", verdict, len(margins), diffs[i],
+                           {"lambda": float(lam[0]), "q": q[0],
                             "values": [float(scaled[i]), float(expected[i])]}))
     return reports
 
@@ -450,26 +502,32 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
     """Squared value must split as the sum of squared axis contributions."""
     cfg = cfg or DEFAULT_SAMPLES
     dim = phi.dim
-    rng = rng_stream(cfg.seed, 606)
-    lam = rng.uniform(0.0, cfg.radius, (cfg.count, dim))
-    lam[lam <= 0] = 1e-6
     ones = np.ones(dim)
-    corners = np.vstack([ones, 0.5 * ones, cfg.radius * ones,
-                         np.linspace(1.0, 2.0, dim)[None, :]])
-    lam = np.vstack([corners, lam])
-    lhs = np.asarray(phi(lam), float) ** 2
-    rhs = np.zeros(len(lam))
-    for i in range(dim):
-        axis = np.zeros_like(lam)
-        axis[:, i] = lam[:, i]
-        rhs += np.asarray(phi(axis), float) ** 2
-    diffs = np.abs(lhs - rhs)
-    tols = cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))
-    i, verdict = worst(diffs - tols)
-    margin_at_ones = float(abs(lhs[0] - rhs[0]))
-    return _report("axis-pythagoras", verdict, len(lam), float(diffs[i]),
-                   {"lambda": lam[i], "lhs": float(lhs[i]), "rhs": float(rhs[i])},
-                   margin_at_ones=margin_at_ones)
+    corners = np.array([ones, 0.5 * ones, cfg.radius * ones, np.linspace(1.0, 2.0, dim)])
+    draw = _uniform(cfg, 606, 0.0, cfg.radius, dim)
+
+    def positive(k):
+        lam = draw(k)
+        lam[lam <= 0] = 1e-6
+        return lam
+
+    def pythagorean(lam):
+        lhs = phi(lam) ** 2
+        rhs = np.zeros(len(lam))
+        for i in range(dim):
+            axis = np.zeros_like(lam)
+            axis[:, i] = lam[:, i]
+            rhs += phi(axis) ** 2
+        diffs = np.abs(lhs - rhs)
+        margins = diffs - cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))
+        return [margins, diffs, lhs, rhs], [np.argmax(margins)]
+
+    (margins, diffs, lhs, rhs), kept = scan(len(corners) + cfg.count,
+                                            [chain(corners, positive)], pythagorean)
+    i, verdict = worst(margins)
+    return _report("axis-pythagoras", verdict, len(margins), diffs[i],
+                   {"lambda": kept[i][0][0], "lhs": float(lhs[i]), "rhs": float(rhs[i])},
+                   margin_at_ones=float(abs(lhs[0] - rhs[0])))
 
 
 def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None, *,
@@ -494,35 +552,41 @@ def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None,
         return _report("strict-convexity", PASS, 0, 0.0, None, reason="dim 1")
     psi = phi.symmetrized()
     eye = np.eye(dim)
-    corner_x, corner_y = [], []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            corner_x += [eye[i], eye[i] + eye[j]]
-            corner_y += [eye[j], eye[i] - eye[j]]
-    x = signed_samples(dim, cfg, stream=8)
-    y = signed_samples(dim, cfg, stream=9)
-    if corner_x:
-        x = np.vstack([np.array(corner_x), x])
-        y = np.vstack([np.array(corner_y), y])
-    nx = np.asarray(psi(x), float)
-    ny = np.asarray(psi(y), float)
-    keep = (nx > 1e-12) & (ny > 1e-12)
-    xu = x[keep] / nx[keep, None]
-    yu = y[keep] / ny[keep, None]
-    sep = (np.asarray(psi(xu - yu), float) >= SEPARATION) & \
-          (np.asarray(psi(xu + yu), float) >= SEPARATION)
-    xu, yu = xu[sep], yu[sep]
-    if len(xu) == 0:
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    corner_x = np.array([r for i, j in pairs for r in (eye[i], eye[i] + eye[j])])
+    corner_y = np.array([r for i, j in pairs for r in (eye[j], eye[i] - eye[j])])
+
+    def admissible(x, y):
+        nx, ny = psi(x), psi(y)
+        keep = (nx > 1e-12) & (ny > 1e-12)
+        xu = x[keep] / nx[keep, None]
+        yu = y[keep] / ny[keep, None]
+        sep = (psi(xu - yu) >= SEPARATION) & (psi(xu + yu) >= SEPARATION)
+        keep[keep] = sep
+        mids = np.zeros(len(x))
+        mids[keep] = psi((xu[sep] + yu[sep]) / 2.0)
+        return [keep, mids, nx, ny], []
+
+    corners = len(corner_x)
+    draws = [chain(corner_x, signed_stream(dim, cfg, 8)),
+             chain(corner_y, signed_stream(dim, cfg, 9))]
+    (keep, mids, nx, ny), _ = scan(corners + cfg.count, draws, admissible)
+    rows = np.flatnonzero(keep)
+    if len(rows) == 0:
         return _report("strict-convexity", UNDETERMINED, 0, 0.0, None,
                        reason="no admissible pairs sampled")
-    mids = np.asarray(psi((xu + yu) / 2.0), float)
+    mids = mids[rows]
     # ties within float noise resolve to the earliest (corner) pair so that
     # exact witnesses beat sampled ones; a NaN midpoint is picked first
     i = int(np.argmax((mids >= mids.max() - 1e-12) | np.isnan(mids)))
+    g = rows[i]
+    # the band needs the global max, so the one winning pair is drawn again alone
+    x, y = ((corner_x[g], corner_y[g]) if g < corners else
+            (signed_stream(dim, cfg, s, g - corners)(1)[0] for s in (8, 9)))
     margin = float(mids[i]) - 1.0
     verdict = PASS if mids[i] < 1.0 - cfg.tol.strict else FAIL
-    witness = {"x": xu[i], "y": yu[i], "midpoint_norm": float(mids[i])}
-    return _report("strict-convexity", verdict, len(xu), margin, witness,
+    witness = {"x": x / nx[g], "y": y / ny[g], "midpoint_norm": float(mids[i])}
+    return _report("strict-convexity", verdict, len(rows), margin, witness,
                    separation=SEPARATION, tau_strict=cfg.tol.strict)
 
 
@@ -565,27 +629,27 @@ def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None 
     """Norm axioms of the symmetrization on all of R^n (sampled)."""
     cfg = cfg or DEFAULT_SAMPLES
     psi = phi.symmetrized()
-    x = signed_samples(phi.dim, cfg, stream=21)
-    y = signed_samples(phi.dim, cfg, stream=22)
-    vx = np.asarray(psi(x), float)
-    vy = np.asarray(psi(y), float)
     # psi(x) = phi(|x|), so psi is positive off the origin exactly when phi
     # is definite
     reports = [_relabel(check_definiteness(phi, cfg), "psi-positivity")]
 
-    lam = rng_stream(cfg.seed, 707).uniform(-3.0, 3.0, len(x))
-    scaled = np.asarray(psi(lam[:, None] * x), float)
-    expected = np.abs(lam) * vx
-    diffs = np.abs(scaled - expected)
-    i, verdict = worst(diffs, cfg.tol.scaled(float(expected.max(initial=0.0))))
-    reports.append(_report("psi-homogeneity", verdict,
-                           len(x), float(diffs[i]),
-                           {"lambda": float(lam[i]), "x": x[i]}))
+    def axioms(x, y, lam):
+        vx, vy = psi(x), psi(y)
+        expected = np.abs(lam) * vx
+        diffs = np.abs(psi(lam[:, None] * x) - expected)
+        margins = psi(x + y) - vx - vy
+        return [diffs, expected, margins, vx, vy], [np.argmax(diffs), np.argmax(margins)]
 
-    vsum = np.asarray(psi(x + y), float)
-    margins = vsum - vx - vy
+    draws = [signed_stream(phi.dim, cfg, 21), signed_stream(phi.dim, cfg, 22),
+             _uniform(cfg, 707, -3.0, 3.0)]
+    (diffs, expected, margins, vx, vy), kept = scan(cfg.count, draws, axioms)
+    i, verdict = worst(diffs, cfg.tol.scaled(float(expected.max(initial=0.0))))
+    x, _, lam = kept[i]
+    reports.append(_report("psi-homogeneity", verdict, len(diffs), diffs[i],
+                           {"lambda": float(lam[0]), "x": x[0]}))
     i, verdict = worst(margins, cfg.tol.scaled(float(vx.max(initial=0.0)),
                                                float(vy.max(initial=0.0))))
-    reports.append(_report("psi-subadditivity", verdict,
-                           len(x), float(margins[i]), {"x": x[i], "y": y[i]}))
+    x, y, _ = kept[i]
+    reports.append(_report("psi-subadditivity", verdict, len(margins), margins[i],
+                           {"x": x[0], "y": y[0]}))
     return reports

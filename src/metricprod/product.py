@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gluing import GluingClass, GluingFunction, by_blocks, rowwise
+from .gluing import GluingClass, GluingFunction, by_blocks, rowwise, scan
 from .reports import FAIL, PASS, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig
 from .spaces import DeclaredProperties, MetricSpace
@@ -93,11 +93,10 @@ class ProductSpace(MetricSpace):
 
     # -- batch plumbing --------------------------------------------------------
 
-    def sample_batch(self, count, seed=0, radius=1.0):
+    def sample_stream(self, seed=0, radius=1.0):
         base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-        return tuple(
-            f.sample_batch(count, base + [i], radius) for i, f in enumerate(self.factors)
-        )
+        draws = [f.sample_stream(base + [i], radius) for i, f in enumerate(self.factors)]
+        return lambda k: tuple(draw(k) for draw in draws)
 
     def stack(self, points):
         # the factors fix the arity, so an empty list still stacks to a tuple
@@ -136,30 +135,38 @@ def verify_metric_axioms(prod: ProductSpace,
     """Sampled metric axioms for a glued product.
 
     Returns three reports: identity of indiscernibles, symmetry, and the
-    triangle inequality over ``cfg.count`` sampled point triples.  Margins
-    are reported raw so tightness can be inspected.
+    triangle inequality over ``cfg.count`` sampled point triples, drawn and
+    measured one row block at a time.  Margins are reported raw so tightness
+    can be inspected.
     """
     cfg = cfg or DEFAULT_SAMPLES
-    xs = prod.sample_batch(cfg.count, [cfg.seed, 1], cfg.radius)
-    ys = prod.sample_batch(cfg.count, [cfg.seed, 2], cfg.radius)
-    zs = prod.sample_batch(cfg.count, [cfg.seed, 3], cfg.radius)
+
+    def axioms(xs, ys, zs):
+        self_d = prod.distance_batch(xs, xs)
+        fd = prod.factor_distance_batch(xs, ys)
+        dxy = np.asarray(prod.phi(fd), float)
+        distinct = np.where(rowwise(np.maximum, fd) > 0, dxy, np.inf)   # oo on equal pairs
+        diffs = np.abs(dxy - prod.distance_batch(ys, xs))
+        dxz, dyz = prod.distance_batch(xs, zs), prod.distance_batch(ys, zs)
+        margins = dxz - dxy - dyz
+        picks = [np.argmax(self_d), np.argmin(distinct), np.argmax(diffs), np.argmax(margins)]
+        return [self_d, distinct, diffs, margins, dxy, dxz, dyz], picks
+
+    draws = [prod.sample_stream([cfg.seed, s], cfg.radius) for s in (1, 2, 3)]
+    (self_d, distinct, diffs, margins, dxy, dxz, dyz), kept = scan(cfg.count, draws, axioms)
     reports = []
 
     # identity of indiscernibles
-    self_d = prod.distance_batch(xs, xs)
-    fd = prod.factor_distance_batch(xs, ys)
-    dxy = np.asarray(prod.phi(fd), float)
-    distinct = rowwise(np.maximum, fd) > 0
     worst_self = float(self_d.max())
-    min_distinct = float(dxy[distinct].min()) if distinct.any() else np.inf
+    j = int(np.argmin(distinct))
+    min_distinct = float(distinct[j])
     bad = worst_self > ZERO_FLOOR or min_distinct <= ZERO_FLOOR
     i = int(np.argmax(self_d))
-    witness = {"point": prod.point_at(xs, i), "self_distance": worst_self}
+    witness = {"point": prod.point_at(kept[i][0], 0), "self_distance": worst_self}
     if min_distinct <= ZERO_FLOOR:
-        j = int(np.argmin(np.where(distinct, dxy, np.inf)))
         witness = {
-            "x": prod.point_at(xs, j),
-            "y": prod.point_at(ys, j),
+            "x": prod.point_at(kept[j][0], 0),
+            "y": prod.point_at(kept[j][1], 0),
             "distance": float(dxy[j]),
         }
     reports.append(ValidationReport(
@@ -168,24 +175,19 @@ def verify_metric_axioms(prod: ProductSpace,
         {"min_distinct_distance": min_distinct}))
 
     # symmetry
-    dyx = prod.distance_batch(ys, xs)
-    diffs = np.abs(dxy - dyx)
     i, verdict = worst(diffs, cfg.tol.scaled(float(dxy.max(initial=0.0))))
     reports.append(ValidationReport(
         "symmetry", verdict, cfg.count, float(diffs[i]),
-        {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i)}, {}))
+        {"x": prod.point_at(kept[i][0], 0), "y": prod.point_at(kept[i][1], 0)}, {}))
 
     # triangle inequality
-    dyz = prod.distance_batch(ys, zs)
-    dxz = prod.distance_batch(xs, zs)
-    margins = dxz - dxy - dyz
     tol = cfg.tol.scaled(float(dxz.max(initial=0.0)))
     i, verdict = worst(margins, tol)
+    x, y, z = (prod.point_at(batch, 0) for batch in kept[i])
     reports.append(ValidationReport(
         "triangle-inequality", verdict, cfg.count,
         float(margins[i]),
-        {"x": prod.point_at(xs, i), "y": prod.point_at(ys, i),
-         "z": prod.point_at(zs, i),
+        {"x": x, "y": y, "z": z,
          "distances": [float(dxz[i]), float(dxy[i]), float(dyz[i])]},
         {"tolerance": tol}))
     return reports

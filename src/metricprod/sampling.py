@@ -3,7 +3,9 @@
 All checks draw quasi-uniform points from a bounded box plus a fixed block
 of deliberate corner cases (axis vectors, equal vectors, zero, tiny
 components).  The corner block comes first so that deterministic witnesses
-win argmax ties.
+win argmax ties.  Each sampler is a stream, ``draw(k)`` returning its next ``k``
+rows, so a check can hold one block of rows at a time; the whole-array samplers
+are one draw of their stream.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ class SampleConfig:
     seed: int = 0
     radius: float = 10.0
     tol: Tolerances = Tolerances()
+
+    def __post_init__(self):
+        # a stream takes any row count, so a negative one must not reach it
+        if self.count < 0:
+            raise ValueError(f"sample count must be >= 0, got {self.count}")
 
 
 DEFAULT_SAMPLES = SampleConfig()
@@ -61,22 +68,59 @@ def quadrant_corners(dim: int, radius: float) -> np.ndarray:
     return np.array(rows)
 
 
-def quadrant_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray:
-    """Corner block followed by ``cfg.count`` uniform draws in [0, radius]^dim.
+def uniform_stream(rng: np.random.Generator, lo: float, hi: float, dim: int | None = None):
+    """A stream: ``draw(k)`` returns the generator's next ``k`` uniforms in [lo, hi), as
+    ``k`` rows of ``dim`` when ``dim`` is given.  A generator fills a C-order array one
+    double at a time, and ``uniform(lo, hi)`` is ``lo + (hi - lo) * u`` for its next double
+    ``u``, so drawing in chunks, scaled in place, gives the floats of one ``uniform`` call."""
+    if not np.isfinite(hi - lo):                    # as ``uniform`` refuses it
+        raise OverflowError(f"uniform range [{lo}, {hi}) exceeds valid bounds")
 
-    The draws are written in place: ``uniform(0, radius)`` is ``0 + radius * u``
-    for the stream's next double ``u``, the same floats and the same stream.
-    """
-    corners = quadrant_corners(dim, cfg.radius)
-    out = np.empty((len(corners) + cfg.count, dim))
-    out[:len(corners)] = corners
-    draws = out[len(corners):]
-    rng_stream(cfg.seed, 101, stream).random(out=draws)
-    draws *= cfg.radius
-    return out
+    def draw(k: int) -> np.ndarray:
+        out = rng.random(k if dim is None else (k, dim))
+        out *= hi - lo
+        out += lo
+        return out
+    return draw
+
+
+def chain(head: np.ndarray, draw):
+    """A stream: the rows of ``head`` first, then those of the stream ``draw``."""
+    taken = 0
+
+    def next_rows(k: int) -> np.ndarray:
+        nonlocal taken
+        first = head[taken:taken + k]
+        taken += k
+        return draw(k) if not len(first) else np.concatenate([first, draw(k - len(first))])
+    return next_rows
+
+
+def quadrant_stream(dim: int, cfg: SampleConfig, stream: int = 0):
+    """The corner block, then uniform draws in [0, radius]^dim: the stream of
+    :func:`quadrant_samples`."""
+    rng = rng_stream(cfg.seed, 101, stream)
+    return chain(quadrant_corners(dim, cfg.radius), uniform_stream(rng, 0.0, cfg.radius, dim))
+
+
+def quadrant_rows(dim: int, cfg: SampleConfig) -> int:
+    """Rows of :func:`quadrant_samples`: the corner block and ``cfg.count`` draws."""
+    return len(quadrant_corners(dim, cfg.radius)) + cfg.count
+
+
+def quadrant_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray:
+    """Corner block followed by ``cfg.count`` uniform draws in [0, radius]^dim."""
+    return quadrant_stream(dim, cfg, stream)(quadrant_rows(dim, cfg))
+
+
+def signed_stream(dim: int, cfg: SampleConfig, stream: int = 0, start: int = 0):
+    """Uniform draws in [-radius, radius]^dim (no corner block) from row ``start`` on:
+    row i starts at the stream's double ``i * dim``, which PCG64 ``advance`` reaches."""
+    rng = rng_stream(cfg.seed, 202, stream)
+    rng.bit_generator.advance(int(start) * dim)
+    return uniform_stream(rng, -cfg.radius, cfg.radius, dim)
 
 
 def signed_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray:
-    """Uniform draws in [-radius, radius]^dim (no corner block)."""
-    rng = rng_stream(cfg.seed, 202, stream)
-    return rng.uniform(-cfg.radius, cfg.radius, size=(cfg.count, dim))
+    """The first ``cfg.count`` rows of :func:`signed_stream`."""
+    return signed_stream(dim, cfg, stream)(cfg.count)

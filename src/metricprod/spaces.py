@@ -32,7 +32,7 @@ import numpy as np
 
 from .gluing import by_blocks, pnorm_weights, weighted_pnorm
 from .reports import Tolerances
-from .sampling import ZERO_FLOOR, rng_stream
+from .sampling import ZERO_FLOOR, rng_stream, uniform_stream
 
 INFINITY = math.inf
 
@@ -153,8 +153,14 @@ class MetricSpace:
         """Distances between two batches of points, row by row."""
         raise NotImplementedError
 
-    def sample_batch(self, count: int, seed=0, radius: float = 1.0):
+    def sample_stream(self, seed=0, radius: float = 1.0):
+        """The deterministic sample stream of ``seed``: ``draw(k)`` returns its next ``k``
+        points as a batch, so drawing in chunks gives the rows of one whole draw."""
         raise NotImplementedError
+
+    def sample_batch(self, count: int, seed=0, radius: float = 1.0):
+        """The first ``count`` points of the sample stream, in one draw."""
+        return self.sample_stream(seed, radius)(count)
 
     def check(self, point):
         """``point`` as its space stacks it; a ValueError if it is not a point of
@@ -263,8 +269,8 @@ class RealLine(_Line1D):
             known_minkowski_rank=1,
         )
 
-    def sample_batch(self, count, seed=0, radius=1.0):
-        return rng_stream(seed, 11).uniform(-radius, radius, count)
+    def sample_stream(self, seed=0, radius=1.0):
+        return uniform_stream(rng_stream(seed, 11), -radius, radius)
 
     def descriptor(self):
         return {"type": "real-line"}
@@ -288,8 +294,8 @@ class HalfLine(_Line1D):
             known_minkowski_rank=0,
         )
 
-    def sample_batch(self, count, seed=0, radius=1.0):
-        return rng_stream(seed, 12).uniform(0.0, radius, count)
+    def sample_stream(self, seed=0, radius=1.0):
+        return uniform_stream(rng_stream(seed, 12), 0.0, radius)
 
     def descriptor(self):
         return {"type": "half-line"}
@@ -348,8 +354,8 @@ class LpSpace(MetricSpace):
         return by_blocks(lambda x, y: weighted_pnorm(np.abs(x - y), self.p, self._norm_weights),
                          max(len(xs), len(ys)), xs, ys)
 
-    def sample_batch(self, count, seed=0, radius=1.0):
-        return rng_stream(seed, 13).uniform(-radius, radius, (count, self.dim))
+    def sample_stream(self, seed=0, radius=1.0):
+        return uniform_stream(rng_stream(seed, 13), -radius, radius, self.dim)
 
     def offset(self, point, directions, scales):
         return np.asarray(point, float) + scales[:, None] * directions
@@ -431,8 +437,9 @@ class _IndexSpace(MetricSpace):
             raise ValueError(f"index {i} out of range for {self.size}-point space")
         return idx
 
-    def sample_batch(self, count, seed=0, radius=1.0):
-        return rng_stream(seed, 14).integers(0, self.size, count)
+    def sample_stream(self, seed=0, radius=1.0):
+        rng = rng_stream(seed, 14)
+        return lambda k: rng.integers(0, self.size, k)
 
     def point_from_json(self, obj):
         return self._check(_finite(float(obj)))

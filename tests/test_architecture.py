@@ -4,7 +4,8 @@ Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
 in methods of the spaces themselves, so no other module of the package
 passes a catalog class to ``isinstance``.  A scalar distance is written once,
 on ``MetricSpace``, as a one-row batch.  The weighted p-norm is written
-once, and a short last axis is reduced only by ``gluing.rowwise``.  Tolerances
+once, and a short last axis is reduced only by ``gluing.rowwise``.  The checks
+copy no whole sample block with ``vstack`` or ``tile``.  Tolerances
 live in one record, ``reports.Tolerances``.  Margin verdicts go through
 ``reports.worst``, where a NaN margin fails.  Construction reads
 ``ProductSpace.gluing_class``; only the checks sample a classification.
@@ -120,6 +121,15 @@ def test_rows_are_reduced_by_the_column_fold():
     instead.  The arclength check (``_arclength``) sums 2^depth chords per piece, a long axis."""
     owners = {owner for path in sorted(PACKAGE.glob("*.py")) for owner in row_reductions(path)}
     assert owners == {"gluing.py:rowwise", "curves.py:_arclength"}
+
+
+def test_checks_stack_no_whole_sample_copies():
+    """The ladder rungs and the metric axioms draw and evaluate one row block at a time
+    (``gluing.scan``); a ``vstack`` or ``tile`` there would copy the samples whole."""
+    hits = [f"{name}:{node.lineno}" for name in ("gluing.py", "product.py")
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in ("vstack", "tile")]
+    assert hits == []
 
 
 def module_names(path: Path) -> list[str]:

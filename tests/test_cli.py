@@ -605,13 +605,17 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
     {"check": "alpha-decomposition", "product": "plane", "vectors": [0.0, math.nan]},
     {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [math.nan, 1, 5]}},
     {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [0, 1]}},
+    {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [0, 1, -1]}},
+    {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [0, 1, 0]}},
+    {"check": "alpha-decomposition", "product": "plane", "vectors": []},
 ], ids=["nan-start", "half-line-negative", "lp-3-vector", "inf-via", "inf-end",
         "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
         "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
         "grid-word", "perturbations-inf", "count-word", "expect-length-nan",
         "tolerance-word", "depth-null", "paths-word", "endpoints-inf", "endpoints-nan",
         "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
-        "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short"])
+        "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short",
+        "alpha-linspace-negative", "alpha-linspace-zero", "alpha-vectors-empty"])
 def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
     code = main(["run", write_config(tmp_path, config_with_checks([check]))])
     captured = capsys.readouterr()

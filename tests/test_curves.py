@@ -365,6 +365,17 @@ def test_non_length_space_demo_identical_endpoints():
     assert rep.details["length"] == 0.0
 
 
+@pytest.mark.parametrize("endpoints", [((0.0, 0.0), (math.inf, 0.0)),
+                                       ((0.0, math.nan), (1.0, 0.0)),
+                                       ((0.0, 0.0), (1.0, 0.0, 2.0)),
+                                       ((0.0, 0.0),), ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))],
+                         ids=["inf", "nan", "three-coordinates", "one-point", "three-points"])
+def test_non_length_space_demo_refuses_bad_endpoints(endpoints):
+    """Given from Python, the endpoints are checked before any path is sampled."""
+    with pytest.raises(ValueError, match="endpoints must be two finite points"):
+        non_length_space_demo(4, endpoints)
+
+
 def test_non_length_space_demo_degenerate_offset():
     rep = non_length_space_demo(depth=4, endpoints=((0.0, 0.0), (1e-12, 0.0)))
     assert rep.verdict == "undetermined"

@@ -1,19 +1,23 @@
-"""Peak traced memory of the two biggest batch checks.
+"""Peak traced memory of the biggest batch checks.
 
-Gluing evaluations and lp distances run in row blocks, and the quadrant
-samples are drawn into their final array, so the full-size temporaries of
-those kernels are gone.  Before blocking, the classify call below peaked at
+Gluing evaluations and lp distances run in row blocks, and the checks draw
+and evaluate their samples one row block at a time, keeping only per-row
+values and margins whole.  Before blocking, the classify call below peaked at
 92 MB and the metric-axiom call at 88 MB under ``tracemalloc`` (numpy 2.4);
-blocked, 60 MB and 64 MB.  The bound sits between the two.
+with blocked kernels, 60 MB and 64 MB; with streamed samples, 13.2 MB and
+15.8 MB, and the norm conditions and strict convexity at 11.1 MB.  The bound
+is the largest of these plus about 30%.
 """
 
 import tracemalloc
 
+import pytest
+
 from metricprod import (DiscreteSpace, GluingFunction, LpSpace, ProductSpace, RealLine,
-                        SampleConfig, classify)
+                        SampleConfig, check_norm_conditions, check_strict_convexity, classify)
 from metricprod.product import verify_metric_axioms
 
-PEAK_BYTES = 70e6
+PEAK_BYTES = 20e6
 
 
 def traced_peak(fn) -> float:
@@ -25,9 +29,17 @@ def traced_peak(fn) -> float:
         tracemalloc.stop()
 
 
+PHI = GluingFunction.lp(6, 1.5, [1, 2, 3, 1, 2, 3])
+
+
 def test_classify_peak_at_50k_samples():
-    phi = GluingFunction.lp(6, 1.5, [1, 2, 3, 1, 2, 3])
-    assert traced_peak(lambda: classify(phi, SampleConfig(count=50_000, seed=0))) < PEAK_BYTES
+    assert traced_peak(lambda: classify(PHI, SampleConfig(count=50_000, seed=0))) < PEAK_BYTES
+
+
+@pytest.mark.parametrize("check", [check_norm_conditions, check_strict_convexity],
+                         ids=lambda check: check.__name__)
+def test_rung_peak_at_50k_samples(check):
+    assert traced_peak(lambda: check(PHI, SampleConfig(count=50_000, seed=0))) < PEAK_BYTES
 
 
 def test_metric_axioms_peak_at_200k_triples():

@@ -204,8 +204,10 @@ def test_monotonicity_evaluates_p_once(phi, eval_rows):
     definite = len(quadrant_samples(dim, CFG, stream=1))
     sub = dim * dim + min(len(quadrant_samples(dim, CFG, stream=s)) for s in (5, 6))
     homogeneity = len(quadrant_samples(dim, CFG, stream=7))
-    homogeneity += 7 * min(homogeneity, 16)
-    # definiteness, monotonicity (phi(p), then the other q blocks), subadditivity, homogeneity
-    assert eval_rows == [definite, 1, n, (dim + 2) * n, sub, sub, sub, homogeneity, homogeneity]
+    fixed = 7 * min(homogeneity, 16)
+    # definiteness, monotonicity (phi(p), then each other q block), subadditivity,
+    # homogeneity (the sampled scales, then the fixed scales on the first rows)
+    assert eval_rows == [definite, 1, n, *[n] * (dim + 2), sub, sub, sub,
+                         homogeneity, homogeneity, fixed, fixed]
     monotonicity = next(r for r in reports if r.condition == "monotonicity")
     assert record(monotonicity) == record(stacked_monotonicity(replaced_kernel(phi), CFG))
