@@ -204,6 +204,7 @@ CHECKS = [check_definiteness, check_quadrant_triangle, check_norm_conditions,
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")     # inf - inf
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e308 * lam
 @pytest.mark.parametrize("count", COUNTS)
 def test_streamed_checks_are_the_one_block_checks(count, whole):
     cfg = SampleConfig(count=count, seed=4, radius=3.0)
@@ -214,6 +215,7 @@ def test_streamed_checks_are_the_one_block_checks(count, whole):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("count", COUNTS)
 def test_first_nan_of_a_late_block_is_the_witness(count):
     cfg = SampleConfig(count=count, seed=4, radius=3.0)
