@@ -238,8 +238,11 @@ class RunContext:
             raise ConfigError(f"bad point {obj!r}: {exc}") from exc
 
     def sample_config(self, params: _Fields) -> SampleConfig:
+        count = params.number("samples", self.default_samples, int)
+        if count < 0:
+            raise ConfigError(f"field 'samples' must be >= 0, got {count}")
         return SampleConfig(
-            count=params.number("samples", self.default_samples, int),
+            count=count,
             seed=params.number("seed", self.default_seed, int),
             radius=params.number("radius", 10.0),
             tol=self.tol,

@@ -338,7 +338,7 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     p1, p2 = g1.at_many(u * g1.length), g2.at_many(u * g2.length)
     ii, jj = np.divmod(np.arange(fine * fine), fine)
     dmat = space.distance_batch(space.take(p1, ii), space.take(p2, jj)).reshape(fine, fine)
-    even = dmat[::2, ::2]                            # values at grid points
+    even = np.ascontiguousarray(dmat[::2, ::2])      # values at grid points, contiguous
     window = np.lib.stride_tricks.sliding_window_view(dmat, (grid, grid))  # dmat[a + c, b + d]
     # margins[a, b, c, d] = window[a, b, c, d] - (even[a, b] + even[c, d]) / 2 equals its
     # twin margins[c, d, a, b] bit for bit (NaN too), which comes first in C order when c < a;

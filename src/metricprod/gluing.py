@@ -143,8 +143,8 @@ class GluingFunction:
             self.weights, self._norm_weights = pnorm_weights(
                 self.dim, self.p, None if kind in _UNWEIGHTED else weights)
         elif kind == "coordinate-power":
-            if self.exponent is None:
-                raise ValueError("coordinate-power needs an exponent")
+            if not (self.exponent is not None and self.exponent >= 0):   # NaN included
+                raise ValueError("coordinate-power needs an exponent >= 0")
             if not 0 <= self.coordinate < self.dim:
                 raise ValueError("coordinate out of range")
         elif kind == "custom":
@@ -302,37 +302,38 @@ def _report(condition, verdict, samples, margin, witness, **details):
 
 
 def scan(n: int, draws, kernel, tail=None):
-    """``kernel`` over the first ``n`` rows of the streams ``draws``, drawn ``BLOCK_ROWS``
+    """Reduce ``kernel`` over the first ``n`` rows of the streams ``draws``, drawn ``BLOCK_ROWS``
     rows at a time, and then over ``tail`` (one batch per stream) when one is given.
 
-    ``kernel(*blocks)`` returns ``(outs, picks)``: arrays whose last axis runs over the
-    block's rows, and the rows of the block to keep.  Returns the outputs written into
-    full-length arrays, and ``{row: [the one-row batch of each stream]}`` at every pick.
-    The first largest of a margin lies in the first block that holds it and is that
-    block's own first largest (a NaN counting as largest), so a kernel that picks the
-    ``np.argmax`` of each of its margins keeps every witness :func:`worst` can choose.
+    ``kernel(*blocks)`` returns ``(margins, values)``, two lists of arrays over the block's
+    rows.  Returns ``(best, peaks)``: for each margin row, its first largest (a NaN first),
+    the values at that row and the one-row batch of each stream there; and the largest of
+    each value row (a NaN first, at least 0).  The first largest of a row lies in the first
+    block that holds it and is that block's own first largest, so ``best`` holds what
+    :func:`worst` would pick over whole rows, bit for bit.  Each block and its outputs are
+    dropped before the next draw, so memory holds one block whatever ``n``.
     """
+    if not n and tail is None:
+        raise ValueError("no margins were sampled")
+
     def blocks():
         for at in range(0, n, BLOCK_ROWS):
-            yield [draw(min(BLOCK_ROWS, n - at)) for draw in draws]
+            k = min(BLOCK_ROWS, n - at)
+            yield k, [draw(k) for draw in draws]
         if tail is not None:
-            yield tail
+            yield len(tail[0]), tail
 
-    total = n + (0 if tail is None else len(tail[0]))
-    full, kept, at = None, {}, 0
-    for block in blocks():
-        outs, picks = kernel(*block)
-        k = outs[0].shape[-1]
-        if full is None:
-            full = [np.empty(o.shape[:-1] + (total,), o.dtype) for o in outs]
-        for f, o in zip(full, outs):
-            f[..., at:at + k] = o
-        for i in set(np.ravel(picks).tolist()):
-            kept[at + i] = [_block(b, [i], k) for b in block]
-        at += k
-    if full is None:
-        raise ValueError("no margins were sampled")
-    return full, kept
+    best, peaks = [], 0.0
+    for k, block in blocks():
+        margins, values = kernel(*block)
+        peaks = np.maximum(peaks, [v.max(initial=0.0) for v in values])
+        for r, m in enumerate(margins):
+            i = int(np.argmax(m))
+            # a later block wins a row only with a larger margin, or the row's first NaN
+            if r == len(best) or not (np.isnan(best[r][0]) or best[r][0] >= m[i]):
+                best[r:r + 1] = [(m[i], [v[i] for v in values], [_block(b, [i], k) for b in block])]
+        del block, margins, values
+    return best, peaks
 
 
 def _uniform(cfg: SampleConfig, stream: int, lo: float, hi: float, dim: int | None = None):
@@ -343,23 +344,22 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> 
     """Zero exactly at the origin, positive elsewhere (sampled)."""
     cfg = cfg or DEFAULT_SAMPLES
 
-    def block(q):       # the values off the origin; rows at the origin read oo
-        vals = np.where(rowwise(np.maximum, q) > 0, phi(q), math.inf)
-        return [vals], [np.argmin(vals)]
+    def block(q):       # minus the values off the origin; rows at the origin read -oo
+        return [np.where(rowwise(np.maximum, q) > 0, -phi(q), -math.inf)], []
 
-    (vals,), kept = scan(quadrant_rows(phi.dim, cfg), [quadrant_stream(phi.dim, cfg, 1)], block)
+    n = quadrant_rows(phi.dim, cfg)
+    [(least, _, (q,))], _ = scan(n, [quadrant_stream(phi.dim, cfg, 1)], block)
     at_zero = float(phi(np.zeros(phi.dim)))
-    j = int(np.argmin(vals))
-    min_nz = float(vals[j])
+    min_nz = -float(least)
     bad_zero = at_zero > ZERO_FLOOR
     bad_nz = min_nz <= ZERO_FLOOR
     if bad_zero and not bad_nz:
         witness = {"q": np.zeros(phi.dim), "value": at_zero}
     else:
-        witness = {"q": kept[j][0][0], "value": min_nz}
+        witness = {"q": q[0], "value": min_nz}
     margin = max(at_zero, ZERO_FLOOR - min_nz)
     verdict = FAIL if (bad_zero or bad_nz) else PASS
-    return _report("definiteness", verdict, len(vals), margin, witness,
+    return _report("definiteness", verdict, n, margin, witness,
                    value_at_zero=at_zero, min_nonzero_value=min_nz)
 
 
@@ -393,27 +393,25 @@ def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None
         values, margins = [], []
         for _, *triple in _triangle_shapes(p, q, u, v):
             vals = (phi(triple[0]), vp if triple[1] is p else vq, vq)
-            values.append(vals)
+            values += vals
             for j, k, l in _PERMUTATIONS:
                 hyp = rowwise(np.logical_and, triple[j] <= triple[k] + triple[l])
                 checked[len(margins)] += np.count_nonzero(hyp)
                 margins.append(np.where(hyp, vals[j] - vals[k] - vals[l], -math.inf))
-        margins = np.array(margins)
-        return [margins, np.array(values)], np.argmax(margins, axis=-1)
+        return margins, values
 
     draws = [quadrant_stream(dim, cfg, 2), quadrant_stream(dim, cfg, 3),
              _uniform(cfg, 303, 0.0, 1.0, dim), _uniform(cfg, 304, 0.0, 1.0, dim)]
-    (margins, values), kept = scan(quadrant_rows(dim, cfg), draws, block)
+    best, peaks = scan(quadrant_rows(dim, cfg), draws, block)
     rows = np.flatnonzero(checked)
-    margins = margins[rows]
-    worst_at, verdict = worst(margins, cfg.tol.scaled(values.max(initial=0.0)))
-    r, i = divmod(worst_at, margins.shape[1])
+    r, verdict = worst([best[s][0] for s in rows], cfg.tol.scaled(np.max(peaks)))
     shape, perm = divmod(int(rows[r]), 3)
-    tag, *triple = _triangle_shapes(*kept[i])[shape]
+    margin, values, kept = best[rows[r]]
+    tag, *triple = _triangle_shapes(*kept)[shape]
     j, k, l = _PERMUTATIONS[perm]
     witness = {"shape": tag, "target": triple[j][0], "left": triple[k][0],
-               "right": triple[l][0], "values": [float(values[shape, m, i]) for m in (j, k, l)]}
-    return _report("quadrant-triangle", verdict, checked.sum(), margins.flat[worst_at], witness,
+               "right": triple[l][0], "values": [float(values[3 * shape + m]) for m in (j, k, l)]}
+    return _report("quadrant-triangle", verdict, checked.sum(), margin, witness,
                    reading="all permutations with valid hypothesis")
 
 
@@ -449,52 +447,46 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     # pairs lower block b with p, and phi(p) is evaluated once
     def monotone(p, u):
         vp = phi(p)
-        vlo = np.array([vp if q is p else phi(q) for q in _lower_blocks(p, u)])
-        return [vlo, vp], np.argmax(vlo - vp, axis=-1)
+        vlo = [vp if q is p else phi(q) for q in _lower_blocks(p, u)]
+        return [lo - vp for lo in vlo], [vp, *vlo]
 
     draws = [quadrant_stream(dim, cfg, 4), _uniform(cfg, 404, 0.0, 1.0, dim)]
-    (vlo, vp), kept = scan(n, draws, monotone)
-    margins = vlo - vp
-    at, verdict = worst(margins, cfg.tol.scaled(vp.max(initial=0.0)))
-    b, i = divmod(at, n)
-    p, u = kept[i]
-    reports.append(_report("monotonicity", verdict, margins.size, margins.flat[at],
+    best, (vp_peak, *_) = scan(n, draws, monotone)
+    b, verdict = worst([m for m, _, _ in best], cfg.tol.scaled(vp_peak))
+    margin, (vp, *vlo), (p, u) = best[b]
+    reports.append(_report("monotonicity", verdict, len(best) * n, margin,
                            {"q": _lower_blocks(p, u)[b][0], "p": p[0],
-                            "values": [float(vlo.flat[at]), float(vp[i])]}))
+                            "values": [float(vlo[b]), float(vp)]}))
 
     # subadditivity: the axis pairs (e_i, e_j) first, then the sampled pairs
     def subadditive(a, b):
         va, vb, vsum = phi(a), phi(b), phi(a + b)
-        margins = vsum - va - vb
-        return [margins, va, vb, vsum], [np.argmax(margins)]
+        return [vsum - va - vb], [va, vb, vsum]
 
     eye, axes = np.eye(dim), np.arange(dim * dim)
     draws = [chain(eye[axes // dim], quadrant_stream(dim, cfg, 5)),
              chain(eye[axes % dim], quadrant_stream(dim, cfg, 6))]
-    (margins, va, vb, vsum), kept = scan(dim * dim + n, draws, subadditive)
-    i, verdict = worst(margins, cfg.tol.scaled(va.max(initial=0.0), vb.max(initial=0.0)))
-    a, b = kept[i]
-    reports.append(_report("subadditivity", verdict, len(margins), margins[i],
-                           {"p": a[0], "q": b[0],
-                            "values": [float(vsum[i]), float(va[i]), float(vb[i])]}))
+    [(margin, (va, vb, vsum), (a, b))], peaks = scan(dim * dim + n, draws, subadditive)
+    _, verdict = worst([margin], cfg.tol.scaled(*peaks[:2]))
+    reports.append(_report("subadditivity", verdict, dim * dim + n, margin,
+                           {"p": a[0], "q": b[0], "values": [float(vsum), float(va), float(vb)]}))
 
     # positive homogeneity: sampled scales, then fixed scales on the first rows
     def homogeneous(q, lam):
         scaled, expected = phi(lam[:, None] * q), lam * phi(q)
         diffs = np.abs(scaled - expected)
         tols = cfg.tol.metric * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
-        return [diffs - tols, diffs, scaled, expected], [np.argmax(diffs - tols)]
+        return [diffs - tols], [diffs, scaled, expected]
 
     head = quadrant_stream(dim, cfg, 7)(min(n, 16))
     fixed = (0.0, 1e-6, 0.5, 1.0, 2.0, 3.0, 10.0)
     tail = [np.resize(head, (len(fixed) * len(head), dim)), np.repeat(fixed, len(head))]
     draws = [quadrant_stream(dim, cfg, 7), _uniform(cfg, 505, 0.0, 4.0)]
-    (margins, diffs, scaled, expected), kept = scan(n, draws, homogeneous, tail)
-    i, verdict = worst(margins)
-    q, lam = kept[i]
-    reports.append(_report("homogeneity", verdict, len(margins), diffs[i],
+    [(margin, (diff, scaled, expected), (q, lam))], _ = scan(n, draws, homogeneous, tail)
+    _, verdict = worst([margin])
+    reports.append(_report("homogeneity", verdict, n + len(tail[0]), diff,
                            {"lambda": float(lam[0]), "q": q[0],
-                            "values": [float(scaled[i]), float(expected[i])]}))
+                            "values": [float(scaled), float(expected)]}))
     return reports
 
 
@@ -519,15 +511,16 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
             axis[:, i] = lam[:, i]
             rhs += phi(axis) ** 2
         diffs = np.abs(lhs - rhs)
-        margins = diffs - cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))
-        return [margins, diffs, lhs, rhs], [np.argmax(margins)]
+        at_ones.append(diffs[0])            # row 0 of the first block is the ones corner
+        return [diffs - cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))], [diffs, lhs, rhs]
 
-    (margins, diffs, lhs, rhs), kept = scan(len(corners) + cfg.count,
-                                            [chain(corners, positive)], pythagorean)
-    i, verdict = worst(margins)
-    return _report("axis-pythagoras", verdict, len(margins), diffs[i],
-                   {"lambda": kept[i][0][0], "lhs": float(lhs[i]), "rhs": float(rhs[i])},
-                   margin_at_ones=float(abs(lhs[0] - rhs[0])))
+    at_ones = []
+    n = len(corners) + cfg.count
+    [(margin, (diff, lhs, rhs), (lam,))], _ = scan(n, [chain(corners, positive)], pythagorean)
+    _, verdict = worst([margin])
+    return _report("axis-pythagoras", verdict, n, diff,
+                   {"lambda": lam[0], "lhs": float(lhs), "rhs": float(rhs)},
+                   margin_at_ones=float(at_ones[0]))
 
 
 def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None, *,
@@ -556,37 +549,39 @@ def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None,
     corner_x = np.array([r for i, j in pairs for r in (eye[i], eye[i] + eye[j])])
     corner_y = np.array([r for i, j in pairs for r in (eye[j], eye[i] - eye[j])])
 
+    # ties within float noise resolve to the earliest (corner) pair, so that exact
+    # witnesses beat sampled ones: the winner is the first midpoint >= max - 1e-12, a
+    # prefix-maximum record, so only the records within 1e-12 of the running maximum are
+    # kept.  phi refuses a non-finite value, so every midpoint is finite.
+    band, admitted = [], 0
+
     def admissible(x, y):
+        nonlocal admitted
         nx, ny = psi(x), psi(y)
         keep = (nx > 1e-12) & (ny > 1e-12)
         xu = x[keep] / nx[keep, None]
         yu = y[keep] / ny[keep, None]
         sep = (psi(xu - yu) >= SEPARATION) & (psi(xu + yu) >= SEPARATION)
-        keep[keep] = sep
-        mids = np.zeros(len(x))
-        mids[keep] = psi((xu[sep] + yu[sep]) / 2.0)
-        return [keep, mids, nx, ny], []
+        rows = np.flatnonzero(keep)[sep]
+        mids = psi((xu[sep] + yu[sep]) / 2.0)
+        admitted += len(rows)
+        top = np.maximum.accumulate(np.concatenate([[band[-1][0] if band else -math.inf], mids]))
+        cut = top[-1] - 1e-12
+        records = np.flatnonzero((mids > top[:-1]) & (mids >= cut))
+        band[:] = [b for b in band if b[0] >= cut] + [
+            (mids[i], x[r] / nx[r], y[r] / ny[r]) for i, r in zip(records, rows[records])]
+        return [], []
 
-    corners = len(corner_x)
     draws = [chain(corner_x, signed_stream(dim, cfg, 8)),
              chain(corner_y, signed_stream(dim, cfg, 9))]
-    (keep, mids, nx, ny), _ = scan(corners + cfg.count, draws, admissible)
-    rows = np.flatnonzero(keep)
-    if len(rows) == 0:
+    scan(len(corner_x) + cfg.count, draws, admissible)
+    if not band:
         return _report("strict-convexity", UNDETERMINED, 0, 0.0, None,
                        reason="no admissible pairs sampled")
-    mids = mids[rows]
-    # ties within float noise resolve to the earliest (corner) pair so that
-    # exact witnesses beat sampled ones; a NaN midpoint is picked first
-    i = int(np.argmax((mids >= mids.max() - 1e-12) | np.isnan(mids)))
-    g = rows[i]
-    # the band needs the global max, so the one winning pair is drawn again alone
-    x, y = ((corner_x[g], corner_y[g]) if g < corners else
-            (signed_stream(dim, cfg, s, g - corners)(1)[0] for s in (8, 9)))
-    margin = float(mids[i]) - 1.0
-    verdict = PASS if mids[i] < 1.0 - cfg.tol.strict else FAIL
-    witness = {"x": x / nx[g], "y": y / ny[g], "midpoint_norm": float(mids[i])}
-    return _report("strict-convexity", verdict, len(rows), margin, witness,
+    mid, x, y = band[0]
+    verdict = PASS if mid < 1.0 - cfg.tol.strict else FAIL
+    return _report("strict-convexity", verdict, admitted, float(mid) - 1.0,
+                   {"x": x, "y": y, "midpoint_norm": float(mid)},
                    separation=SEPARATION, tau_strict=cfg.tol.strict)
 
 
@@ -637,19 +632,15 @@ def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None 
         vx, vy = psi(x), psi(y)
         expected = np.abs(lam) * vx
         diffs = np.abs(psi(lam[:, None] * x) - expected)
-        margins = psi(x + y) - vx - vy
-        return [diffs, expected, margins, vx, vy], [np.argmax(diffs), np.argmax(margins)]
+        return [diffs, psi(x + y) - vx - vy], [expected, vx, vy]
 
     draws = [signed_stream(phi.dim, cfg, 21), signed_stream(phi.dim, cfg, 22),
              _uniform(cfg, 707, -3.0, 3.0)]
-    (diffs, expected, margins, vx, vy), kept = scan(cfg.count, draws, axioms)
-    i, verdict = worst(diffs, cfg.tol.scaled(float(expected.max(initial=0.0))))
-    x, _, lam = kept[i]
-    reports.append(_report("psi-homogeneity", verdict, len(diffs), diffs[i],
+    ((diff, _, (x, _, lam)), (margin, _, (x2, y, _))), peaks = scan(cfg.count, draws, axioms)
+    _, verdict = worst([diff], cfg.tol.scaled(float(peaks[0])))
+    reports.append(_report("psi-homogeneity", verdict, cfg.count, diff,
                            {"lambda": float(lam[0]), "x": x[0]}))
-    i, verdict = worst(margins, cfg.tol.scaled(float(vx.max(initial=0.0)),
-                                               float(vy.max(initial=0.0))))
-    x, y, _ = kept[i]
-    reports.append(_report("psi-subadditivity", verdict, len(margins), margins[i],
-                           {"x": x[0], "y": y[0]}))
+    _, verdict = worst([margin], cfg.tol.scaled(float(peaks[1]), float(peaks[2])))
+    reports.append(_report("psi-subadditivity", verdict, cfg.count, margin,
+                           {"x": x2[0], "y": y[0]}))
     return reports

@@ -145,49 +145,40 @@ def verify_metric_axioms(prod: ProductSpace,
         self_d = prod.distance_batch(xs, xs)
         fd = prod.factor_distance_batch(xs, ys)
         dxy = np.asarray(prod.phi(fd), float)
-        distinct = np.where(rowwise(np.maximum, fd) > 0, dxy, np.inf)   # oo on equal pairs
+        distinct = np.where(rowwise(np.maximum, fd) > 0, -dxy, -np.inf)   # -oo on equal pairs
         diffs = np.abs(dxy - prod.distance_batch(ys, xs))
         dxz, dyz = prod.distance_batch(xs, zs), prod.distance_batch(ys, zs)
-        margins = dxz - dxy - dyz
-        picks = [np.argmax(self_d), np.argmin(distinct), np.argmax(diffs), np.argmax(margins)]
-        return [self_d, distinct, diffs, margins, dxy, dxz, dyz], picks
+        return [self_d, distinct, diffs, dxz - dxy - dyz], [dxy, dxz, dyz]
 
     draws = [prod.sample_stream([cfg.seed, s], cfg.radius) for s in (1, 2, 3)]
-    (self_d, distinct, diffs, margins, dxy, dxz, dyz), kept = scan(cfg.count, draws, axioms)
+    best, (dxy_peak, dxz_peak, _) = scan(cfg.count, draws, axioms)
+    (worst_self, _, (point, _, _)), (least, _, (x, y, _)), (diff, _, (sx, sy, _)), \
+        (margin, (dxy, dxz, dyz), kept) = best
     reports = []
 
-    # identity of indiscernibles
-    worst_self = float(self_d.max())
-    j = int(np.argmin(distinct))
-    min_distinct = float(distinct[j])
+    # identity of indiscernibles: the distinct pair at least distance -least
+    min_distinct = -float(least)
     bad = worst_self > ZERO_FLOOR or min_distinct <= ZERO_FLOOR
-    i = int(np.argmax(self_d))
-    witness = {"point": prod.point_at(kept[i][0], 0), "self_distance": worst_self}
+    witness = {"point": prod.point_at(point, 0), "self_distance": float(worst_self)}
     if min_distinct <= ZERO_FLOOR:
-        witness = {
-            "x": prod.point_at(kept[j][0], 0),
-            "y": prod.point_at(kept[j][1], 0),
-            "distance": float(dxy[j]),
-        }
+        witness = {"x": prod.point_at(x, 0), "y": prod.point_at(y, 0), "distance": min_distinct}
     reports.append(ValidationReport(
         "identity-of-indiscernibles", FAIL if bad else PASS, cfg.count,
-        max(worst_self, ZERO_FLOOR - min_distinct), witness,
+        max(float(worst_self), ZERO_FLOOR - min_distinct), witness,
         {"min_distinct_distance": min_distinct}))
 
     # symmetry
-    i, verdict = worst(diffs, cfg.tol.scaled(float(dxy.max(initial=0.0))))
+    _, verdict = worst([diff], cfg.tol.scaled(float(dxy_peak)))
     reports.append(ValidationReport(
-        "symmetry", verdict, cfg.count, float(diffs[i]),
-        {"x": prod.point_at(kept[i][0], 0), "y": prod.point_at(kept[i][1], 0)}, {}))
+        "symmetry", verdict, cfg.count, float(diff),
+        {"x": prod.point_at(sx, 0), "y": prod.point_at(sy, 0)}, {}))
 
     # triangle inequality
-    tol = cfg.tol.scaled(float(dxz.max(initial=0.0)))
-    i, verdict = worst(margins, tol)
-    x, y, z = (prod.point_at(batch, 0) for batch in kept[i])
+    tol = cfg.tol.scaled(float(dxz_peak))
+    _, verdict = worst([margin], tol)
+    x, y, z = (prod.point_at(batch, 0) for batch in kept)
     reports.append(ValidationReport(
-        "triangle-inequality", verdict, cfg.count,
-        float(margins[i]),
-        {"x": x, "y": y, "z": z,
-         "distances": [float(dxz[i]), float(dxy[i]), float(dyz[i])]},
+        "triangle-inequality", verdict, cfg.count, float(margin),
+        {"x": x, "y": y, "z": z, "distances": [float(dxz), float(dxy), float(dyz)]},
         {"tolerance": tol}))
     return reports

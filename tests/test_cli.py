@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from metricprod import GluingClass, GluingFunction, SampleConfig, Tolerances
+from metricprod import GluingClass, GluingFunction, SampleConfig, Tolerances, __version__
 from metricprod.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -675,3 +675,36 @@ def test_curve_in_its_space_is_measured(tmp_path, capsys):
     assert code == EXIT_OK
     assert records[0]["length"] == pytest.approx(math.pi, abs=1e-6)
     assert records[1]["witness"]["measured"] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("check, message", [
+    ({"check": "classify", "phi": "g", "samples": -5}, "field 'samples' must be >= 0, got -5"),
+    ({"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": -1}},
+     "exponent >= 0"),
+    ({"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": math.nan}},
+     "exponent >= 0"),
+], ids=["samples-negative", "exponent-negative", "exponent-nan"])
+def test_negative_sample_count_or_exponent_is_config_error(tmp_path, capsys, check, message):
+    config = config_with_checks([check])
+    config["phis"]["g"] = {"type": "sum", "dim": 2}
+    code = main(["run", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_zero_exponent_is_a_gluing(tmp_path, capsys):
+    config = config_with_checks([{"check": "classify", "samples": 100, "phi": {
+        "type": "coordinate-power", "dim": 1, "exponent": 0}}])
+    code = main(["run", write_config(tmp_path, config), "--format", "json"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert record["class"] == "not-a-metric-product"
+
+
+def test_module_runs_as_the_command():
+    proc = subprocess.run([sys.executable, "-m", "metricprod", "--version"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == __version__

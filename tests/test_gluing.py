@@ -393,3 +393,13 @@ def test_sampled_ladder_agrees_with_the_proven_class(phi):
                                  GluingFunction.custom(2, lambda q: q.sum(axis=-1))], ids=repr)
 def test_only_weighted_p_norms_have_a_proven_class(phi):
     assert phi.known_class is None
+
+
+@pytest.mark.parametrize("exponent", [-1.0, -1e-300, math.nan])
+def test_coordinate_power_refuses_a_negative_or_nan_exponent(exponent):
+    with pytest.raises(ValueError, match="exponent >= 0"):
+        GluingFunction.coordinate_power(2, exponent)
+
+
+def test_coordinate_power_takes_exponent_zero():
+    assert GluingFunction.coordinate_power(2, 0.0)(np.array([0.0, 3.0])) == 1.0
