@@ -608,6 +608,9 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
     {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [0, 1, -1]}},
     {"check": "alpha-decomposition", "product": "plane", "vectors": {"linspace": [0, 1, 0]}},
     {"check": "alpha-decomposition", "product": "plane", "vectors": []},
+    {"check": "classify", "phi": "eu", "samples": -5},
+    {"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": -1}},
+    {"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": math.nan}},
 ], ids=["nan-start", "half-line-negative", "lp-3-vector", "inf-via", "inf-end",
         "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
         "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
@@ -615,7 +618,8 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
         "tolerance-word", "depth-null", "paths-word", "endpoints-inf", "endpoints-nan",
         "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
         "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short",
-        "alpha-linspace-negative", "alpha-linspace-zero", "alpha-vectors-empty"])
+        "alpha-linspace-negative", "alpha-linspace-zero", "alpha-vectors-empty",
+        "samples-negative", "exponent-negative", "exponent-nan"])
 def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
     code = main(["run", write_config(tmp_path, config_with_checks([check]))])
     captured = capsys.readouterr()
@@ -675,32 +679,6 @@ def test_curve_in_its_space_is_measured(tmp_path, capsys):
     assert code == EXIT_OK
     assert records[0]["length"] == pytest.approx(math.pi, abs=1e-6)
     assert records[1]["witness"]["measured"] == pytest.approx(5.0)
-
-
-@pytest.mark.parametrize("check, message", [
-    ({"check": "classify", "phi": "g", "samples": -5}, "field 'samples' must be >= 0, got -5"),
-    ({"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": -1}},
-     "exponent >= 0"),
-    ({"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": math.nan}},
-     "exponent >= 0"),
-], ids=["samples-negative", "exponent-negative", "exponent-nan"])
-def test_negative_sample_count_or_exponent_is_config_error(tmp_path, capsys, check, message):
-    config = config_with_checks([check])
-    config["phis"]["g"] = {"type": "sum", "dim": 2}
-    code = main(["run", write_config(tmp_path, config)])
-    captured = capsys.readouterr()
-    assert code == EXIT_CONFIG
-    assert captured.out == ""
-    assert message in captured.err
-
-
-def test_zero_exponent_is_a_gluing(tmp_path, capsys):
-    config = config_with_checks([{"check": "classify", "samples": 100, "phi": {
-        "type": "coordinate-power", "dim": 1, "exponent": 0}}])
-    code = main(["run", write_config(tmp_path, config), "--format", "json"])
-    record = json.loads(capsys.readouterr().out)
-    assert code == EXIT_OK
-    assert record["class"] == "not-a-metric-product"
 
 
 def test_module_runs_as_the_command():

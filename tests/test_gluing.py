@@ -403,3 +403,43 @@ def test_coordinate_power_refuses_a_negative_or_nan_exponent(exponent):
 
 def test_coordinate_power_takes_exponent_zero():
     assert GluingFunction.coordinate_power(2, 0.0)(np.array([0.0, 3.0])) == 1.0
+
+
+def noisy_max(q):
+    """The max gluing scaled by 1 + 5e-12 sin(...): many midpoint norms lie within a few
+    1e-12 of each other, so the strict rung's tie band decides its witness."""
+    return np.maximum(q[:, 0], q[:, 1]) * (1 + 5e-12 * np.sin(1e3 * q[:, 0] + 2e3 * q[:, 1]))
+
+
+def whole_strict_convexity(phi, cfg):
+    """Reference: the strict rung's midpoint norms over all pairs at once, and the first
+    admissible pair within 1e-12 of the largest."""
+    from metricprod.gluing import SEPARATION
+    from metricprod.sampling import signed_samples
+
+    psi = phi.symmetrized()
+    x = np.concatenate([[[1.0, 0.0], [1.0, 1.0]], signed_samples(2, cfg, 8)])
+    y = np.concatenate([[[0.0, 1.0], [1.0, -1.0]], signed_samples(2, cfg, 9)])
+    nx, ny = psi(x), psi(y)
+    keep = (nx > 1e-12) & (ny > 1e-12)
+    xu, yu = x[keep] / nx[keep, None], y[keep] / ny[keep, None]
+    sep = (psi(xu - yu) >= SEPARATION) & (psi(xu + yu) >= SEPARATION)
+    rows = np.flatnonzero(keep)[sep]
+    mids = psi((xu[sep] + yu[sep]) / 2.0)
+    i = int(np.argmax(mids >= mids.max() - 1e-12))
+    g = rows[i]
+    return float(mids[i]), x[g] / nx[g], y[g] / ny[g], len(rows)
+
+
+@pytest.mark.parametrize("block_rows", [16, 1000, 10**9])
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_strict_tie_band_is_the_whole_array_rule(monkeypatch, block_rows, seed):
+    import metricprod.gluing as gluing
+
+    phi, cfg = GluingFunction.custom(2, noisy_max), SampleConfig(count=3000, seed=seed)
+    mid, x, y, admitted = whole_strict_convexity(phi, cfg)
+    monkeypatch.setattr(gluing, "BLOCK_ROWS", block_rows)
+    rep = check_strict_convexity(phi, cfg, norm_reports=[])
+    assert rep.witness["midpoint_norm"] == mid and rep.margin == mid - 1.0
+    assert rep.witness["x"].tobytes() == x.tobytes() and rep.witness["y"].tobytes() == y.tobytes()
+    assert rep.samples == admitted
