@@ -313,7 +313,8 @@ def _run_curve_length(ctx, params):
 def _run_product_length(ctx, params):
     prod = ctx.product(params["product"])
     comps = [ctx.curve(c, f) for c, f in zip(params["components"], prod.factors, strict=True)]
-    return product_curve_length_check(prod, comps, params.number("depth", ctx.default_depth, int))
+    return product_curve_length_check(prod, comps, params.number("depth", ctx.default_depth, int),
+                                      ctx.tol)
 
 
 def _run_arclength(ctx, params):
@@ -401,11 +402,13 @@ def _run_non_length_space(ctx, params):
         params.number("paths", 5, int), params.number("seed", ctx.default_seed, int))
 
 
-def _builtin_embedding(name: str, prod: ProductSpace):
-    axes = prod.phi.axis_values()
-    if name.startswith("axis:"):
-        i = int(name.split(":", 1)[1])
-        scale = 1.0 / axes[i]
+def _builtin_embedding(name, prod: ProductSpace):
+    if isinstance(name, str) and name.startswith("axis:"):
+        index = name[len("axis:"):]
+        if not (index.isdecimal() and int(index) < len(prod.factors)):
+            raise ConfigError(f"embedding {name!r} needs an index 0 <= i < {len(prod.factors)}")
+        i = int(index)
+        scale = 1.0 / prod.phi.axis_values()[i]
 
         def axis_embed(v, i=i, scale=scale):
             return tuple(float(v[0]) * scale if j == i else 0.0

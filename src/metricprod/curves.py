@@ -172,7 +172,8 @@ def _length(chords: np.ndarray, depth: int) -> LengthResult:
 COMPONENT_GRID, COMPONENT_DEPTH, COMPONENT_LEVEL = 16, 7, 11
 
 
-def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -> ValidationReport:
+def product_curve_length_check(prod, components: list[Curve], depth: int = 12,
+                               tol: Tolerances = Tolerances()) -> ValidationReport:
     """Product curve length must equal the gluing of the factor lengths.
 
     Components must be (scaled-)arclength parameterized in their factors: a
@@ -195,7 +196,7 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
         cuts = factor.take(p, np.arange(0, 2**level + 1, 2**level // COMPONENT_GRID))
         rep = _arclength(factor, _length(c, COMPONENT_DEPTH),
                          c[2**COMPONENT_LEVEL - 1:2 ** (COMPONENT_LEVEL + 1) - 1], cuts,
-                         COMPONENT_GRID, COMPONENT_DEPTH, Tolerances())
+                         COMPONENT_GRID, COMPONENT_DEPTH, tol)
         if not rep.passed:
             return ValidationReport(
                 "product-length", UNDETERMINED, 0, rep.margin,
@@ -215,7 +216,7 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12) -
 
 
 def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
-                    tol: Tolerances | None = None) -> ValidationReport:
+                    tol: Tolerances = Tolerances()) -> ValidationReport:
     """Restriction lengths must scale linearly in the parameter interval.
 
     The length of ``[i/grid, j/grid]`` is a difference of prefix sums of one
@@ -226,8 +227,7 @@ def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
     pts = curve.at_many(np.linspace(0.0, 1.0, grid * step + 1))
     idx = np.arange(grid * step + 1)
     chords = space.distance_batch(space.take(pts, idx[:-1]), space.take(pts, idx[1:]))
-    return _arclength(space, total, chords, space.take(pts, idx[::step]), grid, depth,
-                      tol or Tolerances())
+    return _arclength(space, total, chords, space.take(pts, idx[::step]), grid, depth, tol)
 
 
 def _arclength(space, total: LengthResult, chords: np.ndarray, cuts, grid: int, depth: int,

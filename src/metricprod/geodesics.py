@@ -19,7 +19,7 @@ from .curves import Curve
 from .gluing import GluingClass
 from .product import ProductSpace
 from .reports import PASS, UNDETERMINED, ValidationReport, worst
-from .sampling import DEFAULT_SAMPLES, rng_stream
+from .sampling import DEFAULT_SAMPLES, SampleConfig, rng_stream
 from .spaces import MetricSpace, lerp, where
 
 
@@ -59,7 +59,8 @@ def factor_geodesic(space: MetricSpace, x, y, selector="affine") -> Geodesic:
     return Geodesic(space, x, y, *space.geodesic_route(x, y, kind, idx))
 
 
-def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=None) -> Geodesic:
+def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
+                     cfg: SampleConfig = DEFAULT_SAMPLES) -> Geodesic:
     """Geodesic in a glued product of geodesic factors.
 
     Requires the gluing to classify at least norm-induced; otherwise there
@@ -67,7 +68,6 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None, cfg=Non
     the route is the two-segment concatenation through the given point,
     valid only if that point splits the endpoint distance additively.
     """
-    cfg = cfg or DEFAULT_SAMPLES
     _require_geodesic_product(prod, cfg)
     d = prod.distance(x, y)
     if d == 0:
@@ -107,7 +107,8 @@ def _require_geodesic_product(prod: ProductSpace, cfg) -> None:
             raise ValueError(f"factor {f.name} is not geodesic")
 
 
-def geodesic_between(space: MetricSpace, x, y, selector="affine", cfg=None) -> Geodesic:
+def geodesic_between(space: MetricSpace, x, y, selector="affine",
+                     cfg: SampleConfig = DEFAULT_SAMPLES) -> Geodesic:
     """Geodesic in a factor, or in a product from "affine" or one selector per factor."""
     if isinstance(space, ProductSpace):
         if isinstance(selector, list):
@@ -160,17 +161,16 @@ def _sync_route(space: MetricSpace, xs, ys, ds: np.ndarray):
     return lambda ts: lerp(xs, end, np.where(flat, ts, ts / scale))
 
 
-def midpoint(space: MetricSpace, x, y, cfg=None):
-    _require_geodesic(space, cfg or DEFAULT_SAMPLES)
+def midpoint(space: MetricSpace, x, y, cfg: SampleConfig = DEFAULT_SAMPLES):
+    _require_geodesic(space, cfg)
     xs, ys = space.stack([space.check(x)]), space.stack([space.check(y)])
     ds = space.distance_batch(xs, ys)
     return space.point_at(_sync_route(space, xs, ys, ds)(ds / 2.0), 0)
 
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
-                 cfg=None) -> ValidationReport:
+                 cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Definitional check: distances along the path equal parameter gaps."""
-    cfg = cfg or DEFAULT_SAMPLES
     d = geo.length
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
@@ -189,11 +189,10 @@ def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
 
 
 def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
-                             cfg=None) -> ValidationReport:
+                             cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Factor distances along a product geodesic grow proportionally: the
     i-th component at parameter t sits at fraction t/D of its factor
     distance."""
-    cfg = cfg or DEFAULT_SAMPLES
     d = geo.length
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
@@ -231,22 +230,20 @@ def _coordinate_directions(n: int) -> list:
     return dirs
 
 
-def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 64,
-                     perturbations: int = 64, seed: int = 0, cfg=None) -> ValidationReport:
+def uniqueness_probe(prod: ProductSpace, x, y, grid: int = 64, perturbations: int = 64,
+                     seed: int = 0, cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Search for distinct geodesics between two product points.
 
-    Candidates come from three sources: explicit selector sets, corner
-    routes through per-factor via points, and a midpoint perturbation
-    search (alternative midpoints at distance D/2 from both endpoints
-    induce two-segment geodesics).  The verdict is pass when every
-    candidate coincides with the default geodesic on the grid: no sup
-    distance above ``1e-6 * max(1, D)``.  Via points and perturbed
+    Candidates come from two sources: corner routes through per-factor via
+    points, and a midpoint perturbation search (alternative midpoints at
+    distance D/2 from both endpoints induce two-segment geodesics).  The
+    verdict is pass when every candidate coincides with the default geodesic
+    on the grid: no sup distance above ``1e-6 * max(1, D)``.  Via points and perturbed
     midpoints are screened in batches; only a candidate that passes the
     screen is built as a geodesic.  A negative ``perturbations`` is refused.
     """
     if perturbations < 0:
         raise ValueError(f"perturbations must be >= 0, got {perturbations}")
-    cfg = cfg or DEFAULT_SAMPLES
     d = prod.distance(x, y)
     tol = cfg.tol.scaled(d)
     threshold = 1e-6 * max(1.0, d)
@@ -255,14 +252,6 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
         return ValidationReport("unique-geodesic", PASS, 1, 0.0, None,
                                 {"reason": "degenerate endpoints"})
     candidates = [base]
-
-    for sel in selector_sets or []:
-        if isinstance(sel, dict):
-            candidates.append(product_geodesic(
-                prod, x, y, selectors=sel.get("factor_selectors"),
-                via=sel.get("via"), cfg=cfg))
-        else:
-            candidates.append(product_geodesic(prod, x, y, selectors=sel, cfg=cfg))
 
     # corner routes: finish one subset of the factors first; vias[k] takes factor i from y
     # where bit i of k + 1 is set; a screened via splits d and so passes construction
@@ -319,7 +308,7 @@ def uniqueness_probe(prod: ProductSpace, x, y, selector_sets=None, grid: int = 6
 
 def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
                              grid: int = 32, tau: float | None = None,
-                             cfg=None) -> ValidationReport:
+                             cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Joint midpoint convexity of the distance between two geodesics.
 
     Both geodesics are renormalized to [0, 1]; the distance is evaluated
@@ -332,7 +321,6 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    cfg = cfg or DEFAULT_SAMPLES
     fine = 2 * grid - 1
     u = np.linspace(0.0, 1.0, fine)
     p1, p2 = g1.at_many(u * g1.length), g2.at_many(u * g2.length)
@@ -362,7 +350,8 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
 
 
 def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
-                          radius: float = 5.0, triangles=None, cfg=None) -> ValidationReport:
+                          radius: float = 5.0, triangles=None,
+                          cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Euclidean comparison of geodesic midpoints (the flat case).
 
     For each triangle (p, q, r): the distance from p to the geodesic
@@ -371,7 +360,6 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     for nonzero bounds is out of scope.  The sides, the screen of degenerate
     triangles, the midpoints and their distances are each one batch.
     """
-    cfg = cfg or DEFAULT_SAMPLES
     if triangles is None:
         triangles = list(zip(*(space.sample_points(count, [seed, s], radius) for s in (7, 8, 9))))
     else:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import FAIL, PASS, UNDETERMINED, ValidationReport, worst
-from .sampling import (DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig, chain, quadrant_rows,
-                       quadrant_stream, rng_stream, signed_stream, uniform_stream)
+from .sampling import (DEFAULT_SAMPLES, SampleConfig, chain, quadrant_rows, quadrant_stream,
+                       rng_stream, signed_stream, uniform_stream, zero_floor_verdict)
 
 #: p of the norm-type kinds: ``sum``, ``max`` and ``weighted-euclidean`` are weighted-lp
 #: gluings at p = 1, oo and 2 with their own label and descriptor (and unit weights).
@@ -238,9 +238,8 @@ class GluingFunction:
             return GluingClass.NORM_INDUCED
         return GluingClass.STRICTLY_CONVEX_NORM
 
-    def classification(self, cfg: SampleConfig | None = None) -> "Classification":
+    def classification(self, cfg: SampleConfig = DEFAULT_SAMPLES) -> "Classification":
         """Memoized :func:`classify` for this instance."""
-        cfg = cfg or DEFAULT_SAMPLES
         if cfg not in self._class_cache:
             self._class_cache[cfg] = classify(self, cfg)
         return self._class_cache[cfg]
@@ -340,9 +339,8 @@ def _uniform(cfg: SampleConfig, stream: int, lo: float, hi: float, dim: int | No
     return uniform_stream(rng_stream(cfg.seed, stream), lo, hi, dim)
 
 
-def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
+def check_definiteness(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Zero exactly at the origin, positive elsewhere (sampled)."""
-    cfg = cfg or DEFAULT_SAMPLES
 
     def block(q):       # minus the values off the origin; rows at the origin read -oo
         return [np.where(rowwise(np.maximum, q) > 0, -phi(q), -math.inf)], []
@@ -351,14 +349,11 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig | None = None) -> 
     [(least, _, (q,))], _ = scan(n, [quadrant_stream(phi.dim, cfg, 1)], block)
     at_zero = float(phi(np.zeros(phi.dim)))
     min_nz = -float(least)
-    bad_zero = at_zero > ZERO_FLOOR
-    bad_nz = min_nz <= ZERO_FLOOR
-    if bad_zero and not bad_nz:
+    margin, verdict, near_zero = zero_floor_verdict(at_zero, min_nz)
+    if verdict == FAIL and not near_zero:
         witness = {"q": np.zeros(phi.dim), "value": at_zero}
     else:
         witness = {"q": q[0], "value": min_nz}
-    margin = max(at_zero, ZERO_FLOOR - min_nz)
-    verdict = FAIL if (bad_zero or bad_nz) else PASS
     return _report("definiteness", verdict, n, margin, witness,
                    value_at_zero=at_zero, min_nonzero_value=min_nz)
 
@@ -377,14 +372,13 @@ def _triangle_shapes(p, q, u, v):
             ("doubling", 2.0 * v * q, q, q))
 
 
-def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
+def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Generalized triangle condition over sampled quadrant triples.
 
     Margin row ``3 s + m`` is permutation m of shape s, -oo where its hypothesis
-    fails; a row whose hypothesis never holds is dropped.  The shared blocks p and q
-    are evaluated once each.
+    fails, so a row whose hypothesis never holds cannot decide: the ``sum`` shape's
+    identity permutation always holds.  The shared blocks p and q are evaluated once each.
     """
-    cfg = cfg or DEFAULT_SAMPLES
     dim = phi.dim
     checked = np.zeros(3 * len(_PERMUTATIONS), int)      # rows whose hypothesis holds
 
@@ -403,10 +397,9 @@ def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig | None = None
     draws = [quadrant_stream(dim, cfg, 2), quadrant_stream(dim, cfg, 3),
              _uniform(cfg, 303, 0.0, 1.0, dim), _uniform(cfg, 304, 0.0, 1.0, dim)]
     best, peaks = scan(quadrant_rows(dim, cfg), draws, block)
-    rows = np.flatnonzero(checked)
-    r, verdict = worst([best[s][0] for s in rows], cfg.tol.scaled(np.max(peaks)))
-    shape, perm = divmod(int(rows[r]), 3)
-    margin, values, kept = best[rows[r]]
+    r, verdict = worst([m for m, _, _ in best], cfg.tol.scaled(np.max(peaks)))
+    shape, perm = divmod(r, 3)
+    margin, values, kept = best[r]
     tag, *triple = _triangle_shapes(*kept)[shape]
     j, k, l = _PERMUTATIONS[perm]
     witness = {"shape": tag, "target": triple[j][0], "left": triple[k][0],
@@ -420,9 +413,8 @@ def _relabel(report: ValidationReport, condition: str) -> ValidationReport:
                    report.witness, **report.details)
 
 
-def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig | None = None) -> list[ValidationReport]:
+def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> list[ValidationReport]:
     """Positivity, monotonicity, subadditivity, positive homogeneity."""
-    cfg = cfg or DEFAULT_SAMPLES
     return _norm_conditions(phi, cfg, check_definiteness(phi, cfg))
 
 
@@ -490,9 +482,8 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     return reports
 
 
-def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) -> ValidationReport:
+def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Squared value must split as the sum of squared axis contributions."""
-    cfg = cfg or DEFAULT_SAMPLES
     dim = phi.dim
     ones = np.ones(dim)
     corners = np.array([ones, 0.5 * ones, cfg.radius * ones, np.linspace(1.0, 2.0, dim)])
@@ -523,7 +514,7 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig | None = None) 
                    margin_at_ones=float(at_ones[0]))
 
 
-def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None, *,
+def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES, *,
                            norm_reports: list[ValidationReport] | None = None) -> ValidationReport:
     """Midpoints of distinct unit vectors must drop strictly below norm 1.
 
@@ -532,7 +523,6 @@ def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None,
     signal at the fixed absolute threshold.  At dim 1 the rung passes unsampled:
     every norm on R is a multiple of ``|x|``, so strictly convex (and Euclidean).
     """
-    cfg = cfg or DEFAULT_SAMPLES
     if norm_reports is None:
         norm_reports = check_norm_conditions(phi, cfg)
     failed = [r.condition for r in norm_reports if r.failed]
@@ -585,29 +575,22 @@ def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig | None = None,
                    separation=SEPARATION, tau_strict=cfg.tol.strict)
 
 
-def classify(phi: GluingFunction, cfg: SampleConfig | None = None) -> Classification:
+def classify(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> Classification:
     """Run the full ladder and return the highest supported class."""
-    cfg = cfg or DEFAULT_SAMPLES
     definite = check_definiteness(phi, cfg)
     triangle = check_quadrant_triangle(phi, cfg)
     norm = _norm_conditions(phi, cfg, definite)
     strict = check_strict_convexity(phi, cfg, norm_reports=norm)
     pythagoras = check_axis_pythagoras(phi, cfg)
     reports = {r.condition: r for r in [definite, triangle, *norm, strict, pythagoras]}
-    if definite.failed or triangle.failed:
-        cls = GluingClass.NOT_A_METRIC_PRODUCT
-    elif any(r.failed for r in norm):
-        cls = GluingClass.METRIC_COMPATIBLE
-    elif not strict.passed:
-        cls = GluingClass.NORM_INDUCED
-    elif pythagoras.failed:
-        cls = GluingClass.STRICTLY_CONVEX_NORM
-    else:
-        cls = GluingClass.SCALAR_PRODUCT_INDUCED
-    return Classification(cls, reports)
+    # rung k of GluingClass holds on the reports of rungs[:k]: the class is the rung below
+    # the first whose reports do not all pass
+    rungs = ([definite, triangle], norm, [strict], [pythagoras])
+    held = [all(r.passed for r in rung) for rung in rungs] + [False]
+    return Classification(list(GluingClass)[held.index(False)], reports)
 
 
-def scalar_product_weights(phi: GluingFunction, cfg: SampleConfig | None = None) -> np.ndarray:
+def scalar_product_weights(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> np.ndarray:
     """Axis weights of the induced scalar product.
 
     Only meaningful for scalar-product class gluings; the product inner
@@ -620,9 +603,9 @@ def scalar_product_weights(phi: GluingFunction, cfg: SampleConfig | None = None)
     return phi.axis_values() ** 2
 
 
-def check_symmetrized_norm_axioms(phi: GluingFunction, cfg: SampleConfig | None = None) -> list[ValidationReport]:
+def check_symmetrized_norm_axioms(phi: GluingFunction,
+                                  cfg: SampleConfig = DEFAULT_SAMPLES) -> list[ValidationReport]:
     """Norm axioms of the symmetrization on all of R^n (sampled)."""
-    cfg = cfg or DEFAULT_SAMPLES
     psi = phi.symmetrized()
     # psi(x) = phi(|x|), so psi is positive off the origin exactly when phi
     # is definite

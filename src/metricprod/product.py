@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .gluing import GluingClass, GluingFunction, by_blocks, rowwise, scan
-from .reports import FAIL, PASS, ValidationReport, worst
-from .sampling import DEFAULT_SAMPLES, ZERO_FLOOR, SampleConfig
+from .reports import ValidationReport, worst
+from .sampling import DEFAULT_SAMPLES, SampleConfig, zero_floor_verdict
 from .spaces import DeclaredProperties, MetricSpace
 
 
@@ -63,7 +63,7 @@ class ProductSpace(MetricSpace):
 
     # -- classification-driven structure --------------------------------------
 
-    def gluing_class(self, cfg: SampleConfig | None = None) -> GluingClass:
+    def gluing_class(self, cfg: SampleConfig = DEFAULT_SAMPLES) -> GluingClass:
         """The class construction reads: proven for weighted p-norms, sampled otherwise."""
         return self.phi.known_class or self.phi.classification(cfg).gluing_class
 
@@ -131,7 +131,7 @@ class ProductSpace(MetricSpace):
 
 
 def verify_metric_axioms(prod: ProductSpace,
-                         cfg: SampleConfig | None = None) -> list[ValidationReport]:
+                         cfg: SampleConfig = DEFAULT_SAMPLES) -> list[ValidationReport]:
     """Sampled metric axioms for a glued product.
 
     Returns three reports: identity of indiscernibles, symmetry, and the
@@ -139,7 +139,6 @@ def verify_metric_axioms(prod: ProductSpace,
     measured one row block at a time.  Margins are reported raw so tightness
     can be inspected.
     """
-    cfg = cfg or DEFAULT_SAMPLES
 
     def axioms(xs, ys, zs):
         self_d = prod.distance_batch(xs, xs)
@@ -158,13 +157,12 @@ def verify_metric_axioms(prod: ProductSpace,
 
     # identity of indiscernibles: the distinct pair at least distance -least
     min_distinct = -float(least)
-    bad = worst_self > ZERO_FLOOR or min_distinct <= ZERO_FLOOR
+    floor_margin, verdict, near_zero = zero_floor_verdict(float(worst_self), min_distinct)
     witness = {"point": prod.point_at(point, 0), "self_distance": float(worst_self)}
-    if min_distinct <= ZERO_FLOOR:
+    if near_zero:
         witness = {"x": prod.point_at(x, 0), "y": prod.point_at(y, 0), "distance": min_distinct}
     reports.append(ValidationReport(
-        "identity-of-indiscernibles", FAIL if bad else PASS, cfg.count,
-        max(float(worst_self), ZERO_FLOOR - min_distinct), witness,
+        "identity-of-indiscernibles", verdict, cfg.count, floor_margin, witness,
         {"min_distinct_distance": min_distinct}))
 
     # symmetry

@@ -18,7 +18,7 @@ from .gluing import GluingClass, GluingFunction
 from .geodesics import Geodesic
 from .product import ProductSpace
 from .reports import FAIL, Tolerances, ValidationReport, worst
-from .sampling import DEFAULT_SAMPLES
+from .sampling import DEFAULT_SAMPLES, SampleConfig
 from .spaces import CATALOG_NOTE, FiniteMetricSpace, HalfLine, MetricSpace
 
 KLEINER_HYPOTHESES = "locally compact, convex, cocompactly acting isometry group"
@@ -68,7 +68,7 @@ def declared_rank(space: MetricSpace) -> RankRecord:
 
 
 def product_rank(prod: ProductSpace, assert_kleiner_hypotheses: bool = False,
-                 cfg=None) -> RankRecord:
+                 cfg: SampleConfig = DEFAULT_SAMPLES) -> RankRecord:
     """Sum of factor ranks, exact or as a lower bound.
 
     The additive value is reported only when the gluing's class (proven
@@ -253,7 +253,7 @@ def _factor_gaps(prod: ProductSpace, embedding, base: np.ndarray,
 
 
 def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
-                    source_norm=None, cfg=None):
+                    source_norm=None, cfg: SampleConfig = DEFAULT_SAMPLES):
     """Decompose a claimed isometric embedding into per-factor gauges.
 
     Verifies, on the vector grid: the isometry identity (glued gauges
@@ -262,7 +262,6 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     gauge over the first 16 vectors.  A failed isometry identity is
     reported, with the decomposition still returned for inspection.
     """
-    cfg = cfg or DEFAULT_SAMPLES
     cls = prod.gluing_class(cfg)
     if not cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         raise ValueError(

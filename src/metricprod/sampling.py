@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import Tolerances
+from .reports import FAIL, PASS, Tolerances, worst
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,16 @@ def rng_stream(seed, *stream: int) -> np.random.Generator:
 #: fixed, not a run tolerance: the corner probes below sit at 1e-6, and a floor
 #: that followed a ``metric`` override there would read them as zero.
 ZERO_FLOOR = 1e-9
+
+
+def zero_floor_verdict(at_zero: float, least: float) -> tuple[float, str, bool]:
+    """"Zero at zero, positive elsewhere" read against :data:`ZERO_FLOOR`, from the value
+    at zero and the least value elsewhere: the margin, the verdict (a NaN fails) and
+    whether ``least`` reads as zero."""
+    near_zero = not least > ZERO_FLOOR
+    margins = [at_zero, ZERO_FLOOR - least]
+    verdict = PASS if at_zero <= ZERO_FLOOR and not near_zero else FAIL
+    return margins[worst(margins)[0]], verdict, near_zero
 
 
 def quadrant_corners(dim: int, radius: float) -> np.ndarray:
@@ -113,12 +123,9 @@ def quadrant_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray
     return quadrant_stream(dim, cfg, stream)(quadrant_rows(dim, cfg))
 
 
-def signed_stream(dim: int, cfg: SampleConfig, stream: int = 0, start: int = 0):
-    """Uniform draws in [-radius, radius]^dim (no corner block) from row ``start`` on:
-    row i starts at the stream's double ``i * dim``, which PCG64 ``advance`` reaches."""
-    rng = rng_stream(cfg.seed, 202, stream)
-    rng.bit_generator.advance(int(start) * dim)
-    return uniform_stream(rng, -cfg.radius, cfg.radius, dim)
+def signed_stream(dim: int, cfg: SampleConfig, stream: int = 0):
+    """Uniform draws in [-radius, radius]^dim (no corner block)."""
+    return uniform_stream(rng_stream(cfg.seed, 202, stream), -cfg.radius, cfg.radius, dim)
 
 
 def signed_samples(dim: int, cfg: SampleConfig, stream: int = 0) -> np.ndarray:

@@ -168,6 +168,33 @@ def test_only_two_tau_parameters():
     assert sorted(params) == ["busemann_convexity_check(tau)", "finite_embedding_oracle(tau)"]
 
 
+def sample_config_defaults(path: Path) -> dict[str, str | None]:
+    """``{function: default}`` for the public functions in ``path`` with a ``cfg``
+    parameter; ``None`` where it has no default."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[0] != "_":
+            args = node.args.posonlyargs + node.args.args
+            defaults = [None] * (len(args) - len(node.args.defaults)) + node.args.defaults
+            for arg, default in [*zip(args, defaults),
+                                 *zip(node.args.kwonlyargs, node.args.kw_defaults)]:
+                if arg.arg == "cfg":
+                    found[f"{path.name}:{node.name}"] = default and ast.unparse(default)
+    return found
+
+
+def test_sample_config_defaults_to_the_default_budget():
+    """A public ``cfg`` parameter defaults to ``DEFAULT_SAMPLES`` itself, not to a ``None``
+    that the body rebinds; the sample streams of ``sampling.py`` take it as required."""
+    defaults = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        defaults.update(sample_config_defaults(path))
+    assert len(defaults) > 20
+    wrong = {name: default for name, default in defaults.items()
+             if default != (None if name.startswith("sampling.py:") else "DEFAULT_SAMPLES")}
+    assert wrong == {}
+
+
 def test_every_check_runner_is_in_the_golden_corpus():
     """Byte-identity of the golden outputs guards every entry of the check table."""
     from metricprod.cli import CHECK_RUNNERS, DEMOS

@@ -611,6 +611,10 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
     {"check": "classify", "phi": "eu", "samples": -5},
     {"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": -1}},
     {"check": "classify", "phi": {"type": "coordinate-power", "dim": 1, "exponent": math.nan}},
+    {"check": "alpha-decomposition", "product": "plane", "embedding": "axis:-1"},
+    {"check": "alpha-decomposition", "product": "plane", "embedding": "axis:x"},
+    {"check": "alpha-decomposition", "product": "plane", "embedding": "axis:5"},
+    {"check": "alpha-decomposition", "product": "plane", "embedding": 5},
 ], ids=["nan-start", "half-line-negative", "lp-3-vector", "inf-via", "inf-end",
         "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
         "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
@@ -619,7 +623,8 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
         "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
         "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short",
         "alpha-linspace-negative", "alpha-linspace-zero", "alpha-vectors-empty",
-        "samples-negative", "exponent-negative", "exponent-nan"])
+        "samples-negative", "exponent-negative", "exponent-nan", "embedding-axis-negative",
+        "embedding-axis-word", "embedding-axis-past-factors", "embedding-number"])
 def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
     code = main(["run", write_config(tmp_path, config_with_checks([check]))])
     captured = capsys.readouterr()
@@ -679,6 +684,21 @@ def test_curve_in_its_space_is_measured(tmp_path, capsys):
     assert code == EXIT_OK
     assert records[0]["length"] == pytest.approx(math.pi, abs=1e-6)
     assert records[1]["witness"]["measured"] == pytest.approx(5.0)
+
+
+def test_metric_override_reaches_the_product_length_precondition(tmp_path, capsys, monkeypatch):
+    import metricprod.curves as curves
+
+    seen = []
+    original = curves._arclength
+    monkeypatch.setattr(curves, "_arclength",
+                        lambda *args: seen.append(args[-1]) or original(*args))
+    config = config_with_checks([{"check": "product-curve-length", "product": "plane",
+                                  "components": ["c3", "c3"]}])
+    config["curves"]["c3"] = {"kind": "segment", "space": {"type": "real-line"},
+                              "start": 0, "end": 3}
+    run_records(tmp_path, capsys, config, "--tolerance", "metric=1e-6")
+    assert seen == [Tolerances(metric=1e-6)] * 2
 
 
 def test_module_runs_as_the_command():

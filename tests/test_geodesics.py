@@ -154,11 +154,11 @@ def test_uniqueness_fails_for_max_via_wander():
     assert rep.witness["sup_distance"] > 0.1
 
 
-def test_uniqueness_with_explicit_selector_sets():
+def test_uniqueness_corner_routes_alone_find_the_l1_detour():
     prod = plane(GluingFunction.sum(2))
-    rep = uniqueness_probe(prod, (0.0, 0.0), (1.0, 1.0),
-                           selector_sets=[{"via": (1.0, 0.0)}], perturbations=0)
+    rep = uniqueness_probe(prod, (0.0, 0.0), (1.0, 1.0), perturbations=0)
     assert rep.failed
+    assert rep.witness["geodesics"][1] == "via([1.0, 0.0])"
 
 
 def test_uniqueness_refuses_negative_perturbations(monkeypatch):

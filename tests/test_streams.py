@@ -115,13 +115,6 @@ def test_catalog_draws_are_the_uniform_calls_they_replaced():
                      np.concatenate([corners, rng_stream(6, 101, 3).uniform(0.0, r, (n, 4))]))
 
 
-@pytest.mark.parametrize("start", [0, 1, B - 1, B, 3 * B + 4])
-def test_signed_stream_from_a_row_is_that_row(start):
-    cfg = SampleConfig(count=3 * B + 5, seed=2)
-    whole = signed_samples(5, cfg, 9)
-    assert same_bits(signed_stream(5, cfg, 9, start)(1), whole[start:start + 1])
-
-
 @pytest.mark.parametrize("radius", [math.inf, math.nan])
 def test_non_finite_sample_range_is_refused_as_uniform_refuses_it(radius):
     with pytest.raises(OverflowError):
