@@ -484,9 +484,8 @@ CHECK_RUNNERS = {
     "cat0-four-point": _run_cat0,
     "declared-rank": lambda ctx, p: dict(declared_rank(ctx.space(p["space"])).to_record(),
                                          verdict=PASS),
-    "product-rank": lambda ctx, p: dict(product_rank(
-        ctx.product(p["space"]), bool(p.get("assert_kleiner", False)),
-        ctx.structure).to_record(), verdict=PASS),
+    "product-rank": lambda ctx, p: dict(product_rank(ctx.product(p["space"]),
+                                                     ctx.structure).to_record(), verdict=PASS),
     "rank-counterexample": lambda ctx, p: counterexample_sum_halflines(
         p.number("T", 10.0), p.number("grid", 101, int)),
     "embedding-oracle": _run_embedding_oracle,
@@ -707,7 +706,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank record for a named space")
     p.add_argument("config")
     p.add_argument("--space", required=True)
-    p.add_argument("--assert-kleiner", action="store_true")
     _add_common(p)
 
     p = sub.add_parser("demo", help="run a built-in demonstration")
@@ -750,7 +748,7 @@ def _rank_check(args, config) -> dict:
     space_def = _section(config, "spaces").get(args.space)
     check = "product-rank" if isinstance(space_def, dict) and \
         space_def.get("type") == "product" else "declared-rank"
-    return {"check": check, "space": args.space, "assert_kleiner": args.assert_kleiner}
+    return {"check": check, "space": args.space}
 
 
 #: Subcommands that run one check against the objects of a config file.

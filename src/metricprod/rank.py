@@ -21,12 +21,6 @@ from .reports import FAIL, Tolerances, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, SampleConfig
 from .spaces import CATALOG_NOTE, FiniteMetricSpace, HalfLine, MetricSpace
 
-KLEINER_HYPOTHESES = "locally compact, convex, cocompactly acting isometry group"
-QE_WARNING = ("quasi-Euclidean rank is not additive without a strictly convex "
-              "gluing norm; equality with the Minkowski rank holds only under "
-              "the declared hypotheses")
-
-
 class BudgetExceededError(RuntimeError):
     """Exhaustive search budget exceeded."""
 
@@ -39,8 +33,6 @@ class RankRecord:
     rank: int | None
     provenance: str   # declared | strict-norm-additivity | superadditive-lower-bound
     additivity_guaranteed: bool = True
-    quasi_euclidean_equal: bool = False
-    euclidean_rank: int | None = None
     notes: tuple = ()
 
     def to_record(self) -> dict:
@@ -50,8 +42,6 @@ class RankRecord:
             "rank": self.rank,
             "provenance": self.provenance,
             "additivity_guaranteed": self.additivity_guaranteed,
-            "quasi_euclidean_equal": self.quasi_euclidean_equal,
-            "euclidean_rank": self.euclidean_rank,
             "notes": list(self.notes),
         }
 
@@ -59,47 +49,29 @@ class RankRecord:
 def declared_rank(space: MetricSpace) -> RankRecord:
     """Rank from catalog metadata; unknown spaces stay unknown."""
     rank = space.properties.known_minkowski_rank
-    euclid = None
-    if getattr(space, "p", None) == 2.0:
-        euclid = rank
     notes = (CATALOG_NOTE,) if rank is not None else ("rank unknown for this space",)
     return RankRecord(space.name if rank is not None else repr(space),
-                      rank, "declared", euclidean_rank=euclid, notes=notes)
+                      rank, "declared", notes=notes)
 
 
-def product_rank(prod: ProductSpace, assert_kleiner_hypotheses: bool = False,
-                 cfg: SampleConfig = DEFAULT_SAMPLES) -> RankRecord:
+def product_rank(prod: ProductSpace, cfg: SampleConfig = DEFAULT_SAMPLES) -> RankRecord:
     """Sum of factor ranks, exact or as a lower bound.
 
     The additive value is reported only when the gluing's class (proven
-    for weighted p-norms, sampled otherwise) reaches strictly-convex-norm.  ``assert_kleiner_hypotheses`` is a
-    user declaration (never verified here) that lets the quasi-Euclidean
-    rank inherit the same value.
+    for weighted p-norms, sampled otherwise) reaches strictly-convex-norm.
     """
-    parts = []
-    for f in prod.factors:
-        rec = product_rank(f, cfg=cfg) if isinstance(f, ProductSpace) else declared_rank(f)
-        parts.append(rec)
+    parts = [product_rank(f, cfg) if isinstance(f, ProductSpace) else declared_rank(f)
+             for f in prod.factors]
     label = "product(" + ", ".join(r.space for r in parts) + ")"
     if any(r.rank is None for r in parts):
-        return RankRecord(label, None, "declared",
-                          notes=("factor rank unknown",))
+        return RankRecord(label, None, "declared", notes=("factor rank unknown",))
     total = sum(r.rank for r in parts)
     cls = prod.gluing_class(cfg)
     if cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
-        notes = []
-        if assert_kleiner_hypotheses:
-            notes.append(f"quasi-Euclidean equality under declared hypotheses: {KLEINER_HYPOTHESES}")
-        return RankRecord(label, total, "strict-norm-additivity",
-                          additivity_guaranteed=True,
-                          quasi_euclidean_equal=assert_kleiner_hypotheses,
-                          notes=tuple(notes))
-    notes = ["additivity not guaranteed: gluing is not strictly convex",
-             "value is the superadditive lower bound"]
-    if assert_kleiner_hypotheses:
-        notes.append(QE_WARNING)
-    return RankRecord(label, total, "superadditive-lower-bound",
-                      additivity_guaranteed=False, notes=tuple(notes))
+        return RankRecord(label, total, "strict-norm-additivity")
+    return RankRecord(label, total, "superadditive-lower-bound", additivity_guaranteed=False,
+                      notes=("additivity not guaranteed: gluing is not strictly convex",
+                             "value is the superadditive lower bound"))
 
 
 def counterexample_geodesic(T: float = 10.0) -> Geodesic:

@@ -31,12 +31,6 @@ def test_declared_ranks():
     assert declared_rank(RealLine()).rank == 1
 
 
-def test_euclidean_rank_reported_only_for_lp2():
-    assert declared_rank(LpSpace(3, 2.0)).euclidean_rank == 3
-    assert declared_rank(LpSpace(3, 1.5)).euclidean_rank is None
-    assert declared_rank(HalfLine()).euclidean_rank is None
-
-
 def test_product_rank_additive_for_weighted_euclidean():
     prod = ProductSpace((RealLine(), HalfLine()), GluingFunction.euclidean((1.0, 1.0)))
     rec = product_rank(prod, cfg=CFG)
@@ -66,16 +60,16 @@ def test_product_rank_nested():
     assert product_rank(outer, cfg=CFG).rank == 2
 
 
-def test_kleiner_flag_is_declarative():
-    prod = ProductSpace((RealLine(), RealLine()), GluingFunction.lp(2, 3.0))
-    rec = product_rank(prod, assert_kleiner_hypotheses=True, cfg=CFG)
-    assert rec.quasi_euclidean_equal
-    rec = product_rank(prod, cfg=CFG)
-    assert not rec.quasi_euclidean_equal
-    sum_prod = ProductSpace((RealLine(), RealLine()), GluingFunction.sum(2))
-    rec = product_rank(sum_prod, assert_kleiner_hypotheses=True, cfg=CFG)
-    assert not rec.quasi_euclidean_equal
-    assert any("not additive" in n for n in rec.notes)
+@pytest.mark.parametrize("record", [
+    lambda: declared_rank(LpSpace(3, 2.0)),
+    lambda: declared_rank(HalfLine()),
+    lambda: product_rank(ProductSpace((RealLine(), RealLine()), GluingFunction.lp(2, 3.0)), CFG),
+    lambda: product_rank(ProductSpace((RealLine(), RealLine()), GluingFunction.sum(2)), CFG),
+], ids=["declared-lp2", "declared-half-line", "additive", "lower-bound"])
+def test_rank_records_carry_only_the_rank_and_its_provenance(record):
+    """A rank record states the rank and what licensed it; it echoes no declaration."""
+    assert list(record().to_record()) == ["check", "space", "rank", "provenance",
+                                          "additivity_guaranteed", "notes"]
 
 
 # -- the counterexample ---------------------------------------------------------
