@@ -13,6 +13,7 @@ seed: records carry no wall clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -403,27 +404,20 @@ def _run_non_length_space(ctx, params):
 
 
 def _builtin_embedding(name, prod: ProductSpace):
+    """The embedding ``name`` names.  Its scale is measured at its first call, so after
+    ``alpha_decompose`` refuses a gluing whose axis value may be 0."""
+    n = len(prod.factors)
     if isinstance(name, str) and name.startswith("axis:"):
         index = name[len("axis:"):]
-        if not (index.isdecimal() and int(index) < len(prod.factors)):
-            raise ConfigError(f"embedding {name!r} needs an index 0 <= i < {len(prod.factors)}")
+        if not (index.isdecimal() and int(index) < n):
+            raise ConfigError(f"embedding {name!r} needs an index 0 <= i < {n}")
         i = int(index)
-        scale = 1.0 / prod.phi.axis_values()[i]
-
-        def axis_embed(v, i=i, scale=scale):
-            return tuple(float(v[0]) * scale if j == i else 0.0
-                         for j in range(len(prod.factors)))
-
-        return axis_embed
+        scale = functools.cache(lambda: 1.0 / prod.phi.axis_values()[i])
+        return lambda v: tuple(float(v[0]) * scale() if j == i else 0.0 for j in range(n))
     if name in ("diagonal", "diagonal-rescaled"):
-        scale = 1.0
-        if name == "diagonal-rescaled":
-            scale = 1.0 / float(prod.phi(np.ones(prod.phi.dim)))
-
-        def diag_embed(v, scale=scale):
-            return tuple(float(v[0]) * scale for _ in range(len(prod.factors)))
-
-        return diag_embed
+        scale = functools.cache(lambda: 1.0 / float(prod.phi(np.ones(n)))
+                                if name == "diagonal-rescaled" else 1.0)
+        return lambda v: tuple(float(v[0]) * scale() for _ in range(n))
     raise ConfigError(f"unknown builtin embedding {name!r}")
 
 

@@ -10,6 +10,7 @@ wander) rather than generic numeric search, so they are exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -17,10 +18,10 @@ import numpy as np
 
 from .curves import Curve
 from .gluing import GluingClass
-from .product import ProductSpace
+from .product import ProductSpace, _sync
 from .reports import PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, SampleConfig, rng_stream
-from .spaces import MetricSpace, lerp, where
+from .spaces import MetricSpace, where
 
 
 @dataclass
@@ -36,27 +37,36 @@ class Geodesic(Curve):
     descriptor: str = "affine"
 
 
-def _parse_selector(selector):
-    if selector is None or selector == "affine":
-        return ("affine", None)
-    if isinstance(selector, (tuple, list)) and len(selector) == 2 and selector[0] == "corner":
-        return ("corner", int(selector[1]))
-    if isinstance(selector, str) and selector.startswith("corner"):
-        inner = selector[len("corner"):].strip("()")
-        return ("corner", int(inner))
-    raise ValueError(f"unknown geodesic selector {selector!r}")
+def _corner_index(selector):
+    """The coordinate a factor's corner selector names; None for the default route."""
+    pair = isinstance(selector, (tuple, list)) and len(selector) == 2 and type(selector[1]) is int
+    text = f"{selector[0]}({selector[1]})" if pair else selector
+    if text is None or text == "affine":
+        return None
+    if not (isinstance(text, str) and re.fullmatch(r"corner\(-?[0-9]+\)", text)):
+        raise ValueError(f"unknown geodesic selector {selector!r}")
+    return int(text[len("corner("):-1])
 
 
-def factor_geodesic(space: MetricSpace, x, y, selector="affine") -> Geodesic:
-    """Closed-form constant-speed geodesic in a catalog factor space.
+def geodesic_between(space: MetricSpace, x, y, selector="affine",
+                     cfg: SampleConfig = DEFAULT_SAMPLES) -> Geodesic:
+    """Geodesic in a factor, or in a product from "affine" or one selector per factor.
 
-    The affine segment is the default everywhere it is a geodesic.  The
-    corner selector picks alternative representatives where geodesics are
-    not unique: an axis-first route for the p=1 norm, a bounded wander of
-    one coordinate for the sup norm.
+    Without a selector it is the default route, a one-row batch of
+    :meth:`~MetricSpace.route`.  The corner selector picks alternative
+    representatives where geodesics are not unique: an axis-first route for the
+    p=1 norm, a bounded wander of one coordinate for the sup norm.
     """
-    kind, idx = _parse_selector(selector)
-    return Geodesic(space, x, y, *space.geodesic_route(x, y, kind, idx))
+    if isinstance(space, ProductSpace):
+        return product_geodesic(space, x, y, None if selector == "affine" else selector,
+                                cfg=cfg)
+    _require_geodesic(space, cfg)
+    xs, ys = space.stack([space.check(x)]), space.stack([space.check(y)])
+    ds = space.distance_batch(xs, ys)
+    idx = _corner_index(selector)
+    route = None if idx is None else space.corner_route(x, y, idx)
+    return Geodesic(space, x, y, float(ds[0]),
+                    *(route or (space.route(xs, ys, ds), _descriptor(space, x, y, ds[0]))))
 
 
 def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
@@ -64,108 +74,76 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
     """Geodesic in a glued product of geodesic factors.
 
     Requires the gluing to classify at least norm-induced; otherwise there
-    is no geodesic guarantee and construction is refused.  With ``via``
-    the route is the two-segment concatenation through the given point,
-    valid only if that point splits the endpoint distance additively.
+    is no geodesic guarantee and construction is refused.  ``selectors``, one
+    per factor, sync the factor geodesics they name.  With ``via`` the route is
+    the two-segment concatenation through the given point, valid only if that
+    point splits the endpoint distance additively; it takes no selectors.
+    Between equal endpoints every route is the constant one.
     """
-    _require_geodesic_product(prod, cfg)
-    d = prod.distance(x, y)
-    if d == 0:
-        return Geodesic(prod, x, y, *prod.affine_route(x, y, d))
-
-    if via is not None:
-        d1 = prod.distance(x, via)
-        d2 = prod.distance(via, y)
-        if abs(d1 + d2 - d) > cfg.tol.scaled(d):
+    if via is not None and selectors is not None:
+        raise ValueError("a via route takes no factor selectors")
+    _require_geodesic(prod, cfg)
+    xs, ys = prod.stack([prod.check(x)]), prod.stack([prod.check(y)])
+    d, route = prod.distance_batch(xs, ys), None
+    if selectors is not None:
+        if not isinstance(selectors, (list, tuple)) or len(selectors) != len(prod.factors):
+            raise ValueError(f"a product geodesic takes a list of factor selectors, one per "
+                             f"factor ({len(prod.factors)}), got {selectors!r}")
+        comps = [geodesic_between(f, xi, yi, sel, cfg)
+                 for f, xi, yi, sel in zip(prod.factors, x, y, selectors)]
+        route = (_sync([c.at_many for c in comps], [c.length for c in comps], d),
+                 f"sync[{','.join(c.descriptor for c in comps)}]")
+    elif via is not None:
+        vs = prod.stack([prod.check(via)])
+        d1, d2 = prod.distance_batch(xs, vs), prod.distance_batch(vs, ys)
+        if abs(d1 + d2 - d)[0] > cfg.tol.scaled(d[0]):
             raise ValueError("via point does not split the distance additively")
-        g1 = product_geodesic(prod, x, via, selectors, cfg=cfg)
-        g2 = product_geodesic(prod, via, y, selectors, cfg=cfg)
-
-        def via_eval(ts, d1=d1):
-            first = g1.at_many(np.clip(ts, 0.0, max(d1, 0.0)))
-            second = g2.at_many(np.clip(ts - d1, 0.0, g2.length))
-            return prod.where(ts <= d1, first, second)
-
-        return Geodesic(prod, x, y, d, via_eval,
-                        descriptor=f"via({prod.point_to_json(via)})")
-
-    comps = [geodesic_between(f, xi, yi, sel, cfg) for f, xi, yi, sel
-             in zip(prod.factors, x, y, selectors or ["affine"] * len(prod.factors))]
-    desc = ",".join(c.descriptor for c in comps)
-    return Geodesic(prod, x, y, d, _sync([c.at_many for c in comps], [c.length for c in comps], d),
-                    descriptor=f"sync[{desc}]")
-
-
-def _require_geodesic_product(prod: ProductSpace, cfg) -> None:
-    """The refusals of product geodesic construction, raised before any route is built."""
-    cls = prod.gluing_class(cfg)
-    if not cls.at_least(GluingClass.NORM_INDUCED):
-        raise ValueError(
-            f"gluing classifies as {cls.value}; geodesic construction needs norm-induced")
-    for f in prod.factors:
-        if f.properties.is_geodesic is not True:
-            raise ValueError(f"factor {f.name} is not geodesic")
-
-
-def geodesic_between(space: MetricSpace, x, y, selector="affine",
-                     cfg: SampleConfig = DEFAULT_SAMPLES) -> Geodesic:
-    """Geodesic in a factor, or in a product from "affine" or one selector per factor."""
-    if isinstance(space, ProductSpace):
-        if isinstance(selector, list):
-            return product_geodesic(space, x, y, selectors=selector, cfg=cfg)
-        if selector not in (None, "affine"):
-            raise ValueError(f"a product geodesic takes a list of factor selectors, "
-                             f"got {selector!r}")
-        return product_geodesic(space, x, y, cfg=cfg)
-    return factor_geodesic(space, x, y, selector)
+        route = _via_route(prod, xs, vs, ys, d1, d2), f"via({prod.point_to_json(via)})"
+    if route is None or d[0] == 0:
+        route = prod.route(xs, ys, d), _descriptor(prod, x, y, d[0])
+    return Geodesic(prod, x, y, float(d[0]), *route)
 
 
 def _require_geodesic(space: MetricSpace, cfg) -> None:
-    """The refusals of default geodesic construction in ``space``, nested products included."""
+    """The refusals of geodesic construction in ``space``, nested products included,
+    raised before any endpoint is measured."""
     if isinstance(space, ProductSpace):
-        _require_geodesic_product(space, cfg)
+        cls = space.gluing_class(cfg)
+        if not cls.at_least(GluingClass.NORM_INDUCED):
+            raise ValueError(
+                f"gluing classifies as {cls.value}; geodesic construction needs norm-induced")
+        for f in space.factors:
+            if f.properties.is_geodesic is not True:
+                raise ValueError(f"factor {f.name} is not geodesic")
         for f in space.factors:
             _require_geodesic(f, cfg)
     elif not space.supports_interpolation:
         raise ValueError(f"{space.name} is not a geodesic space in the catalog")
 
 
-def _sync(routes, lengths, ds):
-    """The sync arithmetic of product routes: at parameters ``ts``, factor i runs
-    along ``routes[i]``, of length ``lengths[i]``, to ``ts * (lengths[i] / ds)``.
-
-    Rows of length 0 pass ``ts`` to factor routes that stay at their start.
-    """
-    flat = ds == 0
-    scale = np.where(flat, 1.0, ds)
-    return lambda ts: tuple(route(np.where(flat, ts, ts * (ell / scale)))
-                            for route, ell in zip(routes, lengths))
+def _descriptor(space: MetricSpace, x, y, d: float) -> str:
+    """Name of the default route from ``x`` to ``y``, of length ``d``: read off the
+    factor lengths, a route of length 0 is constant."""
+    if d == 0 or not isinstance(space, ProductSpace):
+        return "affine" if d else "constant"
+    return "sync[" + ",".join(_descriptor(f, xi, yi, f.distance(xi, yi))
+                              for f, xi, yi in zip(space.factors, x, y)) + "]"
 
 
-def _sync_route(space: MetricSpace, xs, ys, ds: np.ndarray):
-    """Evaluator of the default geodesics from ``xs[k]`` to ``ys[k]``, of lengths
-    ``ds[k]``: at parameters ``ts`` it returns row k at ``ts[k]``, and one-row batches
-    broadcast against the parameters.
-
-    A product syncs its factors' routes (:func:`_sync`), measured here once; a
-    segment runs ``ts / ds`` of the way, and a row of length 0 stays at its start.
-    The refusals are :func:`_require_geodesic`'s, raised by the callers.
-    """
-    flat = ds == 0
-    if isinstance(space, ProductSpace):
-        ys = space.where(flat, xs, ys)
-        ells = [f.distance_batch(x, y) for f, x, y in zip(space.factors, xs, ys)]
-        return _sync([_sync_route(f, x, y, ell) for f, x, y, ell
-                      in zip(space.factors, xs, ys, ells)], ells, ds)
-    end, scale = where(flat, xs, ys), np.where(flat, 1.0, ds)
-    return lambda ts: lerp(xs, end, np.where(flat, ts, ts / scale))
+def _via_route(prod: ProductSpace, xs, vs, ys, d1, d2):
+    """Evaluator of the two-segment routes from ``xs[k]`` through ``vs[k]`` to ``ys[k]``,
+    in the batch convention of :meth:`~MetricSpace.route`: the default route of length
+    ``d1[k]`` to the via point, then that of length ``d2[k]`` on."""
+    first, second = prod.route(xs, vs, d1), prod.route(vs, ys, d2)
+    return lambda ts: prod.where(ts <= d1, first(np.clip(ts, 0.0, d1)),
+                                 second(np.clip(ts - d1, 0.0, d2)))
 
 
 def midpoint(space: MetricSpace, x, y, cfg: SampleConfig = DEFAULT_SAMPLES):
     _require_geodesic(space, cfg)
     xs, ys = space.stack([space.check(x)]), space.stack([space.check(y)])
     ds = space.distance_batch(xs, ys)
-    return space.point_at(_sync_route(space, xs, ys, ds)(ds / 2.0), 0)
+    return space.point_at(space.route(xs, ys, ds)(ds / 2.0), 0)
 
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
@@ -239,8 +217,9 @@ def uniqueness_probe(prod: ProductSpace, x, y, grid: int = 64, perturbations: in
     distance D/2 from both endpoints induce two-segment geodesics).  The
     verdict is pass when every candidate coincides with the default geodesic
     on the grid: no sup distance above ``1e-6 * max(1, D)``.  Via points and perturbed
-    midpoints are screened in batches; only a candidate that passes the
-    screen is built as a geodesic.  A negative ``perturbations`` is refused.
+    midpoints are screened in batches, and the via routes of the candidates that pass
+    are compared with the default route in one more.  A negative ``perturbations``
+    is refused.
     """
     if perturbations < 0:
         raise ValueError(f"perturbations must be >= 0, got {perturbations}")
@@ -251,18 +230,18 @@ def uniqueness_probe(prod: ProductSpace, x, y, grid: int = 64, perturbations: in
     if d <= tol:
         return ValidationReport("unique-geodesic", PASS, 1, 0.0, None,
                                 {"reason": "degenerate endpoints"})
-    candidates = [base]
+    vias = []           # the via point of every candidate that passes its screen
 
-    # corner routes: finish one subset of the factors first; vias[k] takes factor i from y
-    # where bit i of k + 1 is set; a screened via splits d and so passes construction
+    # corner routes: finish one subset of the factors first; corners[k] takes factor i from
+    # y where bit i of k + 1 is set
     xb, yb = prod.stack([x]), prod.stack([y])
     n = len(prod.factors)
     if n > 1:
         bits = np.arange(1, 2**n - 1)[:, None] >> np.arange(n) & 1
-        vias = tuple(where(bits[:, i] == 1, yi, xi) for i, (xi, yi) in enumerate(zip(xb, yb)))
-        d1, d2 = prod.distance_batch(xb, vias), prod.distance_batch(vias, yb)
-        for k in np.flatnonzero((tol < d1) & (tol < d2) & (abs(d1 + d2 - d) <= tol)):
-            candidates.append(product_geodesic(prod, x, y, via=prod.point_at(vias, k), cfg=cfg))
+        corners = tuple(where(bits[:, i] == 1, yi, xi) for i, (xi, yi) in enumerate(zip(xb, yb)))
+        d1, d2 = prod.distance_batch(xb, corners), prod.distance_batch(corners, yb)
+        vias += [prod.point_at(corners, k) for k in
+                 np.flatnonzero((tol < d1) & (tol < d2) & (abs(d1 + d2 - d) <= tol))]
 
     # midpoint perturbation search: per direction, the first delta whose offset of the
     # midpoint lies off it at d/2 from both ends, screened in one batch per delta
@@ -286,24 +265,25 @@ def uniqueness_probe(prod: ProductSpace, x, y, grid: int = 64, perturbations: in
                         & (abs(prod.distance_batch(xb, cands[-1]) - d / 2.0) <= 0.5 * tol)
                         & (abs(prod.distance_batch(cands[-1], yb) - d / 2.0) <= 0.5 * tol))
         chosen = prod.where(hits[0], cands[0], cands[1])
-        for k in np.flatnonzero(hits[0] | hits[1]):
-            candidates.append(product_geodesic(prod, x, y, via=prod.point_at(chosen, k), cfg=cfg))
-            accepted += 1
+        found = [prod.point_at(chosen, k) for k in np.flatnonzero(hits[0] | hits[1])]
+        vias += found
+        accepted = len(found)
 
-    ts = np.linspace(0.0, d, grid)
-    base_pts = base.at_many(ts)
-    # sup distance of each candidate from the base geodesic; the base itself is at 0
-    sups = [0.0] + [float(prod.distance_batch(base_pts, cand.at_many(ts)).max())
-                    for cand in candidates[1:]]
+    # sup distance of each candidate from the default route on the grid, the default
+    # route first at 0: row j * len(vias) + c of the batch is candidate c at ts[j]
+    sups = [0.0]
+    if vias:
+        ts = np.repeat(np.linspace(0.0, d, grid), len(vias))
+        vb = prod.take(prod.stack(vias), np.tile(np.arange(len(vias)), grid))
+        d1, d2 = prod.distance_batch(xb, vb), prod.distance_batch(vb, yb)
+        dist = prod.distance_batch(base.at_many(ts), _via_route(prod, xb, vb, yb, d1, d2)(ts))
+        sups += dist.reshape(grid, -1).max(axis=0).tolist()
     k, verdict = worst(sups, threshold)
-    witness = {"geodesics": [base.descriptor, candidates[k].descriptor],
+    witness = {"geodesics": [base.descriptor, f"via({prod.point_to_json(vias[k - 1])})"],
                "sup_distance": sups[k]} if k else None
-    return ValidationReport("unique-geodesic", verdict, len(candidates), sups[k],
-                            witness,
-                            {"distinct_threshold": threshold,
-                             "candidates": len(candidates),
-                             "perturbation_hits": accepted,
-                             "length": d})
+    return ValidationReport("unique-geodesic", verdict, len(sups), sups[k], witness,
+                            {"distinct_threshold": threshold, "candidates": len(sups),
+                             "perturbation_hits": accepted, "length": d})
 
 
 def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
@@ -379,7 +359,7 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     ps, qs, rs = (space.take(u, rows) for u in (ps, qs, rs))
     a, b, c = a[rows], b[rows], c[rows]
     _require_geodesic(space, cfg)
-    mids = _sync_route(space, qs, rs, c)(c / 2.0)
+    mids = space.route(qs, rs, c)(c / 2.0)
     comparison = (2 * a * a + 2 * b * b - c * c) / 4.0
     comparison = np.sqrt(np.where(comparison > 0.0, comparison, 0.0))
     margins = space.distance_batch(ps, mids) - comparison

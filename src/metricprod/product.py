@@ -112,6 +112,15 @@ class ProductSpace(MetricSpace):
             start += f.coord_dim
         return tuple(parts)
 
+    def route(self, xs, ys, ds):
+        """Each factor runs its own default route at its share of the speed
+        (:func:`_sync`), its lengths measured here once; a row of length 0 stays at its
+        start."""
+        ys = self.where(ds == 0, xs, ys)
+        ells = [f.distance_batch(x, y) for f, x, y in zip(self.factors, xs, ys)]
+        return _sync([f.route(x, y, ell) for f, x, y, ell in zip(self.factors, xs, ys, ells)],
+                     ells, ds)
+
     # -- (de)serialization -------------------------------------------------------
 
     def descriptor(self):
@@ -128,6 +137,18 @@ class ProductSpace(MetricSpace):
 
     def point_to_json(self, point):
         return [f.point_to_json(p) for f, p in zip(self.factors, self._check(point))]
+
+
+def _sync(routes, lengths, ds):
+    """The sync arithmetic of product routes: at parameters ``ts``, factor i runs
+    along ``routes[i]``, of length ``lengths[i]``, to ``ts * (lengths[i] / ds)``.
+
+    Rows of length 0 pass ``ts`` to factor routes that stay at their start.
+    """
+    flat = ds == 0
+    scale = np.where(flat, 1.0, ds)
+    return lambda ts: tuple(route(np.where(flat, ts, ts * (ell / scale)))
+                            for route, ell in zip(routes, lengths))
 
 
 def verify_metric_axioms(prod: ProductSpace,

@@ -13,7 +13,8 @@ functions directly.
 
 Each space also owns the geometry the catalog knows in closed form: its
 coordinate count (``coord_dim``), moves along coordinate directions
-(``offset``) and its geodesic routes (``geodesic_route``).
+(``offset``), its default geodesic routes (``route``, a batch) and the corner
+routes of its non-unique geodesics (``corner_route``).
 
 Spaces are immutable after construction and every operation is a pure
 function of its arguments, so instances are safe to share between threads.
@@ -196,21 +197,21 @@ class MetricSpace:
         direction ``directions[k]``, one row per direction."""
         raise NotImplementedError
 
-    def geodesic_route(self, x, y, kind: str, idx):
-        """Closed-form unit-speed geodesic from ``x`` to ``y``.
-
-        ``kind`` is ``"affine"`` or ``"corner"`` (with coordinate ``idx``).
-        Returns ``(d, evaluator, descriptor)``: the distance, a map from
-        parameters in [0, d] to a batch, and the route's name.
+    def route(self, xs, ys, ds: np.ndarray):
+        """Evaluator of the default geodesics from ``xs[k]`` to ``ys[k]``, of lengths
+        ``ds[k]``: at parameters ``ts`` it returns row k at ``ts[k]``, and one-row batches
+        broadcast against the parameters.  A segment runs ``ts / ds`` of the way, and a
+        row of length 0 stays at its start.  The refusals of construction are the callers'.
         """
-        raise ValueError(f"{self.name} is not a geodesic space in the catalog")
+        flat = ds == 0
+        end, scale = where(flat, xs, ys), np.where(flat, 1.0, ds)
+        return lambda ts: lerp(xs, end, np.where(flat, ts, ts / scale))
 
-    def affine_route(self, x, y, d: float):
-        """The constant-speed segment as a route: ``a + u*(b - a)``, u = ts/d."""
-        a, b = self.stack([x]), self.stack([y])
-        if d == 0:
-            return 0.0, lambda ts: lerp(a, a, ts), "constant"
-        return d, lambda ts: lerp(a, b, ts / d), "affine"
+    def corner_route(self, x, y, idx: int):
+        """``(evaluator, descriptor)`` of a unit-speed geodesic from ``x`` to ``y`` other
+        than the default route, chosen by coordinate ``idx``; None where the default
+        route is the only geodesic."""
+        raise ValueError(f"{self.name} is not a geodesic space in the catalog")
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -239,11 +240,8 @@ class _Line1D(MetricSpace):
     def offset(self, point, directions, scales):
         return float(point) + scales * directions[:, 0]
 
-    def geodesic_route(self, x, y, kind, idx):
-        if kind != "affine":
-            raise ValueError("one-dimensional factors have only the affine geodesic")
-        x, y = float(x), float(y)
-        return self.affine_route(x, y, self.distance(x, y))
+    def corner_route(self, x, y, idx):
+        raise ValueError("one-dimensional factors have only the affine geodesic")
 
     def point_from_json(self, obj):
         return self._check(_finite(float(obj)))
@@ -360,45 +358,41 @@ class LpSpace(MetricSpace):
     def offset(self, point, directions, scales):
         return np.asarray(point, float) + scales[:, None] * directions
 
-    def geodesic_route(self, x, y, kind, idx):
-        """Affine everywhere; with ``corner`` an axis-first route for p=1 and
-        a bounded wander of one coordinate for p=oo."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        d = self.distance(x, y)
-        affine = self.affine_route(x, y, d)
-        if d == 0 or kind == "affine":
-            return affine
+    def corner_route(self, x, y, idx):
+        """An axis-first route for p=1 and a bounded wander of one coordinate for p=oo."""
+        a, b = self.stack([x]), self.stack([y])
+        d = float(self.distance_batch(a, b)[0])
+        if d == 0:
+            return None
         if not 0 <= idx < self.dim:
             raise ValueError("corner coordinate out of range")
+        x, y = a[0], b[0]
         if self.p == 1.0:
-            corner = x.copy()
-            corner[idx] = y[idx]
+            c = a.copy()
+            c[0, idx] = y[idx]
             s1 = float(self.weights[idx] * abs(y[idx] - x[idx]))
             if s1 <= 0 or s1 >= d:
-                return affine
-            a, c, b = x[None, :], corner[None, :], y[None, :]
+                return None
 
             def corner_eval(ts):
                 first = lerp(a, c, np.clip(ts / s1, 0.0, 1.0))
                 second = lerp(c, b, np.clip((ts - s1) / (d - s1), 0.0, 1.0))
                 return where(ts <= s1, first, second)
 
-            return d, corner_eval, f"corner({idx})"
+            return corner_eval, f"corner({idx})"
         if self.p == INFINITY:
             # wander the chosen coordinate within its unused speed budget
             budget = 1.0 / self.weights[idx] - abs(y[idx] - x[idx]) / d
             if budget <= ZERO_FLOOR:
-                return affine
+                return None
             beta = 0.5 * budget
-            line = affine[1]
 
             def wander_eval(ts):
-                pts = line(ts)
+                pts = lerp(a, b, ts / d)
                 pts[:, idx] += beta * np.minimum(ts, d - ts)
                 return pts
 
-            return d, wander_eval, f"wander({idx})"
+            return wander_eval, f"wander({idx})"
         raise ValueError(f"p={self.p:g} factors are uniquely geodesic; corner selector invalid")
 
     def descriptor(self):

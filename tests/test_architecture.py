@@ -3,7 +3,8 @@
 Only ``spaces.py`` may branch on catalog classes: per-space behaviour lives
 in methods of the spaces themselves, so no other module of the package
 passes a catalog class to ``isinstance``.  A scalar distance is written once,
-on ``MetricSpace``, as a one-row batch.  The weighted p-norm is written
+on ``MetricSpace``, as a one-row batch, and a default geodesic route once per kind
+of space, as a batch.  The weighted p-norm is written
 once, and a short last axis is reduced only by ``gluing.rowwise``.  The checks
 copy no whole sample block with ``vstack`` or ``tile``.  Tolerances
 live in one record, ``reports.Tolerances``.  Margin verdicts go through
@@ -46,12 +47,12 @@ def test_no_catalog_isinstance_outside_spaces():
     assert hits == []
 
 
-def distance_definitions(path: Path) -> list[str]:
-    """Owners (class or module) of the functions named ``distance`` defined in ``path``."""
+def definitions(path: Path, name: str) -> list[str]:
+    """Owners (class or module) of the functions named ``name`` defined in ``path``."""
     found = []
 
     def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "distance":
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
             found.append(f"{path.name}:{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, node.name if isinstance(node, ast.ClassDef) else owner)
@@ -64,8 +65,17 @@ def test_one_scalar_distance():
     """Every space reads a scalar distance as the one-row batch ``MetricSpace.distance``
     stacks, so scalar and batch distances agree by construction."""
     owners = [owner for path in sorted(PACKAGE.glob("*.py"))
-              for owner in distance_definitions(path)]
+              for owner in definitions(path, "distance")]
     assert owners == ["spaces.py:MetricSpace"]
+
+
+def test_one_default_route():
+    """A default geodesic is a batch of ``route``: a segment on ``MetricSpace``, the
+    synced factor routes on ``ProductSpace``.  Geodesic objects, midpoints, via routes
+    and uniqueness candidates all evaluate through it."""
+    owners = [owner for path in sorted(PACKAGE.glob("*.py"))
+              for owner in definitions(path, "route")]
+    assert owners == ["product.py:ProductSpace", "spaces.py:MetricSpace"]
 
 
 def pnorm_root_functions(path: Path) -> list[str]:

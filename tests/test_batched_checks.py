@@ -2,9 +2,10 @@
 
 Each record must equal, field by field and bit for bit, the record of a scalar
 reference written here: one triangle or one direction at a time, through scalar
-distances, per-direction offsets, the factor routes of ``factor_geodesic`` and the
-route objects of ``product_geodesic``.
-The number of scalar product distances must not grow with the sample size.
+distances, per-direction offsets and geodesic points written by hand, each factor
+on its segment ``x + u*(y - x)``.  The references call no geodesic constructor
+except to raise its refusals.  The number of scalar product distances must not grow
+with the sample size, nor that of batched ones with the perturbations.
 """
 
 import json
@@ -22,7 +23,6 @@ from metricprod import (
     ProductSpace,
     RealLine,
     cat0_four_point_check,
-    factor_geodesic,
     geodesic_between,
     midpoint,
     product_geodesic,
@@ -50,11 +50,14 @@ def as_json(space, point):
 
 
 def scalar_at(space, x, y, t):
-    """Reference: the default geodesic from x to y at parameter t, each factor on its own
-    route at its sync share ``t * (l_i / d)``, a product of length 0 at its start."""
-    if not isinstance(space, ProductSpace):
-        return factor_geodesic(space, x, y).at(t)
+    """Reference: the default geodesic from x to y at parameter t.  A factor runs its
+    segment ``x + u*(y - x)`` at u = t / d; a product runs each factor on its own
+    route at its sync share ``t * (l_i / d)``; a route of length 0 stays at its start."""
     d = space.distance(x, y)
+    if not isinstance(space, ProductSpace):
+        x, y = space.check(x), space.check(y)
+        u, y = (t / d, y) if d else (t, x)
+        return x + u * (y - x)
     if d == 0:
         return tuple(scalar_at(f, xi, xi, t) for f, xi in zip(space.factors, x))
     return tuple(scalar_at(f, xi, yi, t * (f.distance(xi, yi) / d))
@@ -114,24 +117,38 @@ def scalar_offset(space, point, vec, scale):
     return np.asarray(point, float) + scale * np.asarray(vec, float)
 
 
+def scalar_descriptor(space, x, y):
+    """Reference: the name of the default geodesic from x to y."""
+    if space.distance(x, y) == 0:
+        return "constant"
+    if not isinstance(space, ProductSpace):
+        return "affine"
+    return f"sync[{','.join(map(scalar_descriptor, space.factors, x, y))}]"
+
+
+def scalar_via_at(prod, x, via, y, t):
+    """Reference: the two-segment route from x through via to y at parameter t."""
+    d1, d2 = prod.distance(x, via), prod.distance(via, y)
+    return scalar_at(prod, x, via, t) if t <= d1 else scalar_at(prod, via, y, min(t - d1, d2))
+
+
 def scalar_uniqueness(prod, x, y, grid=64, perturbations=64, seed=0):
     """Reference: the uniqueness probe one via point and one direction at a time."""
     cfg = DEFAULT_SAMPLES
     d = prod.distance(x, y)
     tol = cfg.tol.scaled(d)
     threshold = 1e-6 * max(1.0, d)
-    base = product_geodesic(prod, x, y, cfg=cfg)
     if d <= tol:
         return ValidationReport("unique-geodesic", PASS, 1, 0.0, None,
                                 {"reason": "degenerate endpoints"})
-    candidates = [base]
+    vias = []
     n = len(prod.factors)
     for mask in range(1, 2**n - 1):
         via = tuple(y[i] if mask >> i & 1 else x[i] for i in range(n))
         d1, d2 = prod.distance(x, via), prod.distance(via, y)
         if tol < d1 and tol < d2 and abs(d1 + d2 - d) <= tol:
-            candidates.append(product_geodesic(prod, x, y, via=via, cfg=cfg))
-    mid = base.at(d / 2.0)
+            vias.append(via)
+    mid = scalar_at(prod, x, y, d / 2.0)
     rng = rng_stream(seed, 41)
     accepted = 0
     directions = _coordinate_directions(prod.coord_dim)
@@ -147,18 +164,20 @@ def scalar_uniqueness(prod, x, y, grid=64, perturbations=64, seed=0):
                 continue
             if abs(prod.distance(x, cand) - d / 2.0) <= 0.5 * tol and \
                abs(prod.distance(cand, y) - d / 2.0) <= 0.5 * tol:
-                candidates.append(product_geodesic(prod, x, y, via=cand, cfg=cfg))
+                vias.append(cand)
                 accepted += 1
                 break
     ts = np.linspace(0.0, d, grid)
-    base_pts = base.at_many(ts)
-    sups = [0.0] + [float(prod.distance_batch(base_pts, cand.at_many(ts)).max())
-                    for cand in candidates[1:]]
+    base_pts = prod.stack([scalar_at(prod, x, y, t) for t in ts])
+    sups = [0.0] + [float(prod.distance_batch(
+        base_pts, prod.stack([scalar_via_at(prod, x, via, y, t) for t in ts])).max())
+        for via in vias]
     k, verdict = worst(sups, threshold)
-    witness = {"geodesics": [base.descriptor, candidates[k].descriptor],
+    witness = {"geodesics": [scalar_descriptor(prod, x, y),
+                             f"via({prod.point_to_json(vias[k - 1])})"],
                "sup_distance": sups[k]} if k else None
-    return ValidationReport("unique-geodesic", verdict, len(candidates), sups[k], witness,
-                            {"distinct_threshold": threshold, "candidates": len(candidates),
+    return ValidationReport("unique-geodesic", verdict, len(sups), sups[k], witness,
+                            {"distinct_threshold": threshold, "candidates": len(sups),
                              "perturbation_hits": accepted, "length": d})
 
 
@@ -357,3 +376,25 @@ def test_uniqueness_calls_do_not_grow_with_perturbations(monkeypatch):
         assert rep.passed and rep.details["perturbation_hits"] == 0
         counts.append((len(scalar), len(batch)))
     assert counts[0] == counts[1]
+
+
+def test_uniqueness_builds_one_geodesic_and_one_batch_per_stage(monkeypatch):
+    # at 64 perturbations this taxicab product passes more of its 20 structured directions
+    # than at 16; their via routes are evaluated together, so neither count grows with them
+    from metricprod import geodesics
+
+    prod = ProductSpace((LpSpace(2, 1.0), LpSpace(2, 1.0)), TAXI)
+    x, y = (np.zeros(2), np.zeros(2)), (np.ones(2), np.ones(2))
+    counts, hits = [], []
+    for perturbations in (16, 64):
+        built, original = [], geodesics.product_geodesic
+        monkeypatch.setattr(geodesics, "product_geodesic",
+                            lambda *args, **kw: built.append(1) or original(*args, **kw))
+        batch = counted(monkeypatch, "distance_batch")
+        rep = uniqueness_probe(prod, x, y, perturbations=perturbations)
+        monkeypatch.undo()
+        assert rep.failed
+        counts.append((len(built), len(batch)))
+        hits.append(rep.details["perturbation_hits"])
+    assert counts[0] == counts[1] and counts[0][0] == 1
+    assert 0 < hits[0] < hits[1]

@@ -37,3 +37,17 @@ def test_summary_gives_each_side_its_runs_median_and_quartiles():
 def test_one_run_is_its_own_median_and_quartiles():
     side = bench_pairs.spread([7.0])
     assert (side["q1"], side["median"], side["q3"], side["iqr_over_median"]) == (7.0, 7.0, 7.0, 0.0)
+
+
+def test_environment_names_the_interpreter_numpy_bytecode_and_cores(monkeypatch):
+    import importlib.metadata
+    import os
+    import platform
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = bench_pairs.environment()
+    assert env == {"python": platform.python_version(),
+                   "numpy": importlib.metadata.version("numpy"),
+                   "PYTHONDONTWRITEBYTECODE": "1", "cpu_count": os.cpu_count()}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.environment()["PYTHONDONTWRITEBYTECODE"] is None

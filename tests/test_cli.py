@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,43 @@ def test_product_selector_must_be_a_list(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["verdict"] == "fail" and "'bogus'" in rec["error"]
     assert "list of factor selectors" in rec["error"]
+
+
+L1 = {"type": "lp", "dim": 2, "p": 1}
+
+
+@pytest.mark.parametrize("space, selector, error", [
+    ("taxiplane", ["affine"],
+     "a product geodesic takes a list of factor selectors, one per factor (2), got ['affine']"),
+    ("taxiplane", ["affine", "affine", "corner(0)"],
+     "a product geodesic takes a list of factor selectors, one per factor (2), "
+     "got ['affine', 'affine', 'corner(0)']"),
+    (L1, ["corner", 1.7], "unknown geodesic selector ['corner', 1.7]"),
+    (L1, ["corner", True], "unknown geodesic selector ['corner', True]"),
+    (L1, "corner", "unknown geodesic selector 'corner'"),
+    (L1, "corner(5)", "corner coordinate out of range"),
+], ids=["short-list", "long-list", "float-index", "bool-index", "no-index", "out-of-range"])
+def test_malformed_selector_is_an_error_record(tmp_path, capsys, space, selector, error):
+    config = config_with_checks([{"check": "geodesy", "space": space, "start": [0, 0],
+                                  "end": [1, 1], "selector": selector}])
+    code, out = run_cli(capsys, "run", write_config(tmp_path, config), "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["error"] == error
+
+
+def test_alpha_refusal_comes_before_the_embedding_scale(tmp_path, capsys):
+    # axis 1 of this gluing has value 0: the class refusal must come before 1 / 0
+    config = config_with_checks([{"check": "alpha-decomposition", "product": "power",
+                                  "embedding": "axis:1"}])
+    config["phis"]["power"] = {"type": "coordinate-power", "dim": 2, "exponent": 2}
+    config["spaces"]["power"] = {"type": "product", "phi": "power",
+                                 "factors": [{"type": "real-line"}, {"type": "real-line"}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "run", write_config(tmp_path, config), "--format", "json")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["error"] == ("gluing classifies as not-a-metric-product; "
+                                        "decomposition needs a strictly convex norm")
 
 
 @pytest.mark.parametrize("check, key", [

@@ -16,7 +16,7 @@ from metricprod import (
     cat0_four_point_check,
     component_progress_check,
     counterexample_geodesic,
-    factor_geodesic,
+    geodesic_between,
     geodesy_test,
     midpoint,
     product_geodesic,
@@ -29,21 +29,21 @@ def plane(phi=None):
 
 
 def test_line_geodesic():
-    g = factor_geodesic(RealLine(), 0.0, 5.0)
+    g = geodesic_between(RealLine(), 0.0, 5.0)
     assert g.length == 5.0
     for t in (0.0, 1.5, 5.0):
         assert g.at(t) == pytest.approx(t)
 
 
 def test_half_line_geodesic_descending():
-    g = factor_geodesic(HalfLine(), 2.0, 0.0)
+    g = geodesic_between(HalfLine(), 2.0, 0.0)
     assert g.at(1.0) == pytest.approx(1.0)
     assert geodesy_test(HalfLine(), g, grid=32).passed
 
 
 def test_l1_corner_geodesic():
     space = LpSpace(2, 1.0)
-    g = factor_geodesic(space, (0.0, 0.0), (1.0, 1.0), selector=("corner", 0))
+    g = geodesic_between(space, (0.0, 0.0), (1.0, 1.0), selector=("corner", 0))
     assert g.length == 2.0
     assert g.at(1.0) == pytest.approx((1.0, 0.0))  # route passes the corner
     assert geodesy_test(space, g, grid=64).passed
@@ -51,14 +51,14 @@ def test_l1_corner_geodesic():
 
 def test_linf_wander_geodesic():
     space = LpSpace(2, math.inf)
-    g = factor_geodesic(space, (0.0, 0.0), (1.0, 0.0), selector=("corner", 1))
+    g = geodesic_between(space, (0.0, 0.0), (1.0, 0.0), selector=("corner", 1))
     assert geodesy_test(space, g, grid=64).passed
     assert abs(g.at(0.5)[1]) > 0.1  # the second coordinate actually wanders
 
 
 def test_affine_segment_in_euclidean_plane_is_geodesic():
     space = LpSpace(2, 2.0)
-    g = factor_geodesic(space, (0.0, 1.0), (3.0, -2.0))
+    g = geodesic_between(space, (0.0, 1.0), (3.0, -2.0))
     assert geodesy_test(space, g, grid=64).passed
 
 
@@ -71,12 +71,12 @@ def test_synchronized_product_geodesic_for_sum_and_max():
 
 def test_corner_selector_invalid_for_strictly_convex():
     with pytest.raises(ValueError):
-        factor_geodesic(LpSpace(2, 2.0), (0.0, 0.0), (1.0, 1.0), selector=("corner", 0))
+        geodesic_between(LpSpace(2, 2.0), (0.0, 0.0), (1.0, 1.0), selector=("corner", 0))
 
 
 def test_non_geodesic_factor_rejected():
     with pytest.raises(ValueError):
-        factor_geodesic(DiscreteSpace(3), 0, 1)
+        geodesic_between(DiscreteSpace(3), 0, 1)
 
 
 def test_product_geodesic_euclidean_midpoint():
@@ -174,8 +174,8 @@ def test_uniqueness_refuses_negative_perturbations(monkeypatch):
 
 def test_busemann_affine_segments_in_plane():
     space = LpSpace(2, 2.0)
-    g1 = factor_geodesic(space, (0.0, 0.0), (3.0, 0.0))
-    g2 = factor_geodesic(space, (0.0, 1.0), (1.0, 4.0))
+    g1 = geodesic_between(space, (0.0, 0.0), (3.0, 0.0))
+    g2 = geodesic_between(space, (0.0, 1.0), (1.0, 4.0))
     rep = busemann_convexity_check(space, g1, g2, grid=16)
     assert rep.passed
 
@@ -221,12 +221,12 @@ def dense_busemann_margin(space, g1, g2, grid):
 def sup_norm_geodesics():
     space = LpSpace(2, math.inf)
     return space, [
-        (factor_geodesic(space, (0.0, 0.0), (2.0, 1.0), selector=("corner", 1)),
-         factor_geodesic(space, (0.0, 1.0), (3.0, 0.5), selector=("corner", 1))),
-        (factor_geodesic(space, (0.0, 0.0), (1.0, 0.0), selector=("corner", 1)),
-         factor_geodesic(space, (0.0, 0.0), (1.0, 0.0))),
-        (factor_geodesic(space, (0.0, 0.0), (1.0, 0.0)),     # parallel: ties everywhere
-         factor_geodesic(space, (0.0, 1.0), (1.0, 1.0))),
+        (geodesic_between(space, (0.0, 0.0), (2.0, 1.0), selector=("corner", 1)),
+         geodesic_between(space, (0.0, 1.0), (3.0, 0.5), selector=("corner", 1))),
+        (geodesic_between(space, (0.0, 0.0), (1.0, 0.0), selector=("corner", 1)),
+         geodesic_between(space, (0.0, 0.0), (1.0, 0.0))),
+        (geodesic_between(space, (0.0, 0.0), (1.0, 0.0)),     # parallel: ties everywhere
+         geodesic_between(space, (0.0, 1.0), (1.0, 1.0))),
     ]
 
 
@@ -243,7 +243,7 @@ def dense_reference_cases():
     big = LpSpace(2, 1000.0)
     for a, b, c, d in [((0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)),
                        ((0.0, 0.0), (2.0, 0.0), (0.5, 1.0), (2.5, 1.0))]:
-        cases.append((big, factor_geodesic(big, a, b), factor_geodesic(big, c, d)))
+        cases.append((big, geodesic_between(big, a, b), geodesic_between(big, c, d)))
     return cases
 
 

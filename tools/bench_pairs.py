@@ -11,7 +11,8 @@ and the change in odd pairs, so slow drift of the machine weighs on both.
 
 For each end-to-end metric in ``BENCHMARK.json`` the output records every
 run, the median and quartiles of each side, the IQR over the median, and how
-many pairs the change won (ties count for neither side).  An existing
+many pairs the change won (ties count for neither side).  Each workload also
+records the environment the runs shared (:func:`environment`).  An existing
 ``--out`` file keeps its other workloads, so one file can hold several.
 Standard library only.
 """
@@ -19,7 +20,10 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -52,6 +56,17 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         out[name] = {"better": direction, "base": spread(base), "change": spread(change),
                      "change_wins": wins, "pairs": len(pairs)}
     return out
+
+
+def environment() -> dict:
+    """The interpreter, numpy and machine settings both sides of every pair ran under."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {"python": platform.python_version(), "numpy": numpy,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "cpu_count": os.cpu_count()}
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -116,6 +131,7 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("workloads", {})[args.workload] = {
         "base": shas["base"], "change": shas["change"], "run_seconds": seconds,
+        "environment": environment(),
         "seeds": [pair["seed"] for pair in pairs], "metrics": summarize(pairs, better),
         "pairs": pairs}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
