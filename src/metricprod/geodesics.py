@@ -66,7 +66,7 @@ def geodesic_between(space: MetricSpace, x, y, selector="affine",
     idx = _corner_index(selector)
     route = None if idx is None else space.corner_route(x, y, idx)
     return Geodesic(space, x, y, float(ds[0]),
-                    *(route or (space.route(xs, ys, ds), _descriptor(space, x, y, ds[0]))))
+                    *(route or (space.route(xs, ys, ds), _descriptor(space, xs, ys, ds[0]))))
 
 
 def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
@@ -100,7 +100,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
             raise ValueError("via point does not split the distance additively")
         route = _via_route(prod, xs, vs, ys, d1, d2), f"via({prod.point_to_json(via)})"
     if route is None or d[0] == 0:
-        route = prod.route(xs, ys, d), _descriptor(prod, x, y, d[0])
+        route = prod.route(xs, ys, d), _descriptor(prod, xs, ys, d[0])
     return Geodesic(prod, x, y, float(d[0]), *route)
 
 
@@ -121,13 +121,13 @@ def _require_geodesic(space: MetricSpace, cfg) -> None:
         raise ValueError(f"{space.name} is not a geodesic space in the catalog")
 
 
-def _descriptor(space: MetricSpace, x, y, d: float) -> str:
-    """Name of the default route from ``x`` to ``y``, of length ``d``: read off the
-    factor lengths, a route of length 0 is constant."""
+def _descriptor(space: MetricSpace, xs, ys, d: float) -> str:
+    """Name of the default route between the one-row batches ``xs`` and ``ys``, of
+    length ``d``: read off the factor lengths, a route of length 0 is constant."""
     if d == 0 or not isinstance(space, ProductSpace):
         return "affine" if d else "constant"
-    return "sync[" + ",".join(_descriptor(f, xi, yi, f.distance(xi, yi))
-                              for f, xi, yi in zip(space.factors, x, y)) + "]"
+    ells = space.factor_distance_batch(xs, ys)[0]
+    return "sync[" + ",".join(map(_descriptor, space.factors, xs, ys, ells)) + "]"
 
 
 def _via_route(prod: ProductSpace, xs, vs, ys, d1, d2):

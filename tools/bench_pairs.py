@@ -60,11 +60,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def environment() -> dict:
     """The interpreter, numpy and machine settings both sides of every pair ran under."""
-    try:
-        numpy = importlib.metadata.version("numpy")
-    except importlib.metadata.PackageNotFoundError:
-        numpy = None
-    return {"python": platform.python_version(), "numpy": numpy,
+    return {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "cpu_count": os.cpu_count()}
 
