@@ -715,7 +715,10 @@ def _validate_phi_config(args) -> dict:
         if args.p is not None:
             defn["p"] = args.p
         if args.weights:
-            defn["weights"] = [float(w) for w in args.weights.split(",")]
+            try:
+                defn["weights"] = [float(w) for w in args.weights.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--weights expects numbers, got {args.weights!r}") from exc
     elif args.config and args.phi:
         try:
             defn = json.loads(args.phi)

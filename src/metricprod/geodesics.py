@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import Curve
 from .gluing import GluingClass
-from .product import ProductSpace, _sync
+from .product import ProductSpace, _Sync
 from .reports import PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, SampleConfig, rng_stream
 from .spaces import MetricSpace, where
@@ -65,8 +65,7 @@ def geodesic_between(space: MetricSpace, x, y, selector="affine",
     ds = space.distance_batch(xs, ys)
     idx = _corner_index(selector)
     route = None if idx is None else space.corner_route(x, y, idx)
-    return Geodesic(space, x, y, float(ds[0]),
-                    *(route or (space.route(xs, ys, ds), _descriptor(space, xs, ys, ds[0]))))
+    return Geodesic(space, x, y, float(ds[0]), *(route or _default_route(space, xs, ys, ds)))
 
 
 def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
@@ -91,7 +90,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
                              f"factor ({len(prod.factors)}), got {selectors!r}")
         comps = [geodesic_between(f, xi, yi, sel, cfg)
                  for f, xi, yi, sel in zip(prod.factors, x, y, selectors)]
-        route = (_sync([c.at_many for c in comps], [c.length for c in comps], d),
+        route = (_Sync([c.at_many for c in comps], [c.length for c in comps], d),
                  f"sync[{','.join(c.descriptor for c in comps)}]")
     elif via is not None:
         vs = prod.stack([prod.check(via)])
@@ -100,7 +99,7 @@ def product_geodesic(prod: ProductSpace, x, y, selectors=None, via=None,
             raise ValueError("via point does not split the distance additively")
         route = _via_route(prod, xs, vs, ys, d1, d2), f"via({prod.point_to_json(via)})"
     if route is None or d[0] == 0:
-        route = prod.route(xs, ys, d), _descriptor(prod, xs, ys, d[0])
+        route = _default_route(prod, xs, ys, d)
     return Geodesic(prod, x, y, float(d[0]), *route)
 
 
@@ -121,13 +120,20 @@ def _require_geodesic(space: MetricSpace, cfg) -> None:
         raise ValueError(f"{space.name} is not a geodesic space in the catalog")
 
 
-def _descriptor(space: MetricSpace, xs, ys, d: float) -> str:
-    """Name of the default route between the one-row batches ``xs`` and ``ys``, of
-    length ``d``: read off the factor lengths, a route of length 0 is constant."""
-    if d == 0 or not isinstance(space, ProductSpace):
+def _default_route(space: MetricSpace, xs, ys, ds):
+    """The default route between the one-row batches ``xs`` and ``ys``, of length
+    ``ds``, and its name."""
+    route = space.route(xs, ys, ds)
+    return route, _descriptor(route, ds[0])
+
+
+def _descriptor(route, d: float) -> str:
+    """Name of a one-row default route of length ``d``, read off the factor lengths a
+    product route measured: a route of length 0 is constant."""
+    if d == 0 or not isinstance(route, _Sync):
         return "affine" if d else "constant"
-    ells = space.factor_distance_batch(xs, ys)[0]
-    return "sync[" + ",".join(map(_descriptor, space.factors, xs, ys, ells)) + "]"
+    names = [_descriptor(r, ell[0]) for r, ell in zip(route.routes, route.lengths)]
+    return "sync[" + ",".join(names) + "]"
 
 
 def _via_route(prod: ProductSpace, xs, vs, ys, d1, d2):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,11 +304,12 @@ def scan(n: int, draws, kernel, tail=None):
     """Reduce ``kernel`` over the first ``n`` rows of the streams ``draws``, drawn ``BLOCK_ROWS``
     rows at a time, and then over ``tail`` (one batch per stream) when one is given.
 
-    ``kernel(*blocks)`` returns ``(margins, values)``, two lists of arrays over the block's
-    rows.  Returns ``(best, peaks)``: for each margin row, its first largest (a NaN first),
-    the values at that row and the one-row batch of each stream there; and the largest of
-    each value row (a NaN first, at least 0).  The first largest of a row lies in the first
-    block that holds it and is that block's own first largest, so ``best`` holds what
+    ``kernel(*blocks)`` returns ``(rows, scales)``: ``rows`` a list of ``(margins, fields)``, one
+    condition's margins over the block's rows with its witness fields (batches over those rows,
+    or constants), and ``scales`` a list of arrays over the rows.  Returns ``(best, peaks)``: for
+    each margin row its first largest (a NaN first) with each field's one-row batch there, and
+    the largest of each scale (a NaN first, at least 0).  The first largest of a row lies in the
+    first block that holds it and is that block's own first largest, so ``best`` holds what
     :func:`worst` would pick over whole rows, bit for bit.  Each block and its outputs are
     dropped before the next draw, so memory holds one block whatever ``n``.
     """
@@ -324,15 +325,33 @@ def scan(n: int, draws, kernel, tail=None):
 
     best, peaks = [], 0.0
     for k, block in blocks():
-        margins, values = kernel(*block)
-        peaks = np.maximum(peaks, [v.max(initial=0.0) for v in values])
-        for r, m in enumerate(margins):
-            i = int(np.argmax(m))
-            # a later block wins a row only with a larger margin, or the row's first NaN
-            if r == len(best) or not (np.isnan(best[r][0]) or best[r][0] >= m[i]):
-                best[r:r + 1] = [(m[i], [v[i] for v in values], [_block(b, [i], k) for b in block])]
-        del block, margins, values
+        rows, scales = kernel(*block)
+        peaks = np.maximum(peaks, [v.max(initial=0.0) for v in scales])
+        # a comprehension's names die with it, so no field outlives its block
+        best[:] = [_kept(best[r] if r < len(best) else None, m, fields, k)
+                   for r, (m, fields) in enumerate(rows)]
+        del block, rows, scales
     return best, peaks
+
+
+def _kept(kept, margins, fields, k):
+    """A row of :func:`scan` after a block of ``k`` rows (``kept`` is ``None`` before the first)."""
+    i = int(np.argmax(margins))
+    # a later block wins a row only with a larger margin, or the row's first NaN
+    if kept is not None and (np.isnan(kept[0]) or kept[0] >= margins[i]):
+        return kept
+    return margins[i], {name: _block(f, [i], k) for name, f in fields.items()}
+
+
+def judge(condition, best, samples, tol=0.0, **details) -> ValidationReport:
+    """The report of ``condition`` on the rows :func:`scan` kept: :func:`worst` of their
+    margins against ``tol``, witnessed by the fields of the winning row.  A row whose margin
+    already has its own tolerance subtracted carries its raw difference as the field
+    ``margin``, and the report shows that."""
+    r, verdict = worst([m for m, _ in best], tol)
+    margin, fields = best[r]
+    witness = {name: _block(f, 0, 1) for name, f in fields.items()}    # row 0 of each
+    return _report(condition, verdict, samples, witness.pop("margin", margin), witness, **details)
 
 
 def _uniform(cfg: SampleConfig, stream: int, lo: float, hi: float, dim: int | None = None):
@@ -343,17 +362,17 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES)
     """Zero exactly at the origin, positive elsewhere (sampled)."""
 
     def block(q):       # minus the values off the origin; rows at the origin read -oo
-        return [np.where(rowwise(np.maximum, q) > 0, -phi(q), -math.inf)], []
+        return [(np.where(rowwise(np.maximum, q) > 0, -phi(q), -math.inf), {"q": q})], []
 
     n = quadrant_rows(phi.dim, cfg)
-    [(least, _, (q,))], _ = scan(n, [quadrant_stream(phi.dim, cfg, 1)], block)
+    [(least, kept)], _ = scan(n, [quadrant_stream(phi.dim, cfg, 1)], block)
     at_zero = float(phi(np.zeros(phi.dim)))
     min_nz = -float(least)
     margin, verdict, near_zero = zero_floor_verdict(at_zero, min_nz)
     if verdict == FAIL and not near_zero:
         witness = {"q": np.zeros(phi.dim), "value": at_zero}
     else:
-        witness = {"q": q[0], "value": min_nz}
+        witness = {"q": kept["q"][0], "value": min_nz}
     return _report("definiteness", verdict, n, margin, witness,
                    value_at_zero=at_zero, min_nonzero_value=min_nz)
 
@@ -363,54 +382,39 @@ def check_definiteness(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES)
 _PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
-def _triangle_shapes(p, q, u, v):
-    """The hypothesis-bearing triples ``(tag, a, b, c)``, row for row in the quadrant
-    blocks p, q and the uniforms u, v.  Every permutation whose componentwise
-    hypothesis holds is checked (the strongest reading of the condition)."""
-    # doubling shape: a <= 2b forces value(a) <= 2 value(b)
-    return (("interior", u * (p + q), p, q), ("sum", p + q, p, q),
-            ("doubling", 2.0 * v * q, q, q))
-
-
 def check_quadrant_triangle(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
-    """Generalized triangle condition over sampled quadrant triples.
+    """Generalized triangle condition over sampled quadrant triples, every permutation
+    whose componentwise hypothesis holds (the strongest reading of the condition).
 
-    Margin row ``3 s + m`` is permutation m of shape s, -oo where its hypothesis
-    fails, so a row whose hypothesis never holds cannot decide: the ``sum`` shape's
-    identity permutation always holds.  The shared blocks p and q are evaluated once each.
+    Margin row ``3 s + m`` is permutation m of shape s, -oo where its hypothesis fails, so
+    a row whose hypothesis never holds cannot decide: the ``sum`` shape's identity
+    permutation always holds.  The shared blocks p and q are evaluated once each.
     """
     dim = phi.dim
     checked = np.zeros(3 * len(_PERMUTATIONS), int)      # rows whose hypothesis holds
 
     def block(p, q, u, v):
         vp, vq = phi(p), phi(q)
-        values, margins = [], []
-        for _, *triple in _triangle_shapes(p, q, u, v):
+        # doubling shape: a <= 2b forces value(a) <= 2 value(b)
+        shapes = (("interior", u * (p + q), p, q), ("sum", p + q, p, q),
+                  ("doubling", 2.0 * v * q, q, q))
+        rows, scales = [], [vp, vq]
+        for tag, *triple in shapes:
             vals = (phi(triple[0]), vp if triple[1] is p else vq, vq)
-            values += vals
+            scales.append(vals[0])
             for j, k, l in _PERMUTATIONS:
                 hyp = rowwise(np.logical_and, triple[j] <= triple[k] + triple[l])
-                checked[len(margins)] += np.count_nonzero(hyp)
-                margins.append(np.where(hyp, vals[j] - vals[k] - vals[l], -math.inf))
-        return margins, values
+                checked[len(rows)] += np.count_nonzero(hyp)
+                rows.append((np.where(hyp, vals[j] - vals[k] - vals[l], -math.inf),
+                             {"shape": tag, "target": triple[j], "left": triple[k],
+                              "right": triple[l], "values": (vals[j], vals[k], vals[l])}))
+        return rows, scales
 
     draws = [quadrant_stream(dim, cfg, 2), quadrant_stream(dim, cfg, 3),
              _uniform(cfg, 303, 0.0, 1.0, dim), _uniform(cfg, 304, 0.0, 1.0, dim)]
     best, peaks = scan(quadrant_rows(dim, cfg), draws, block)
-    r, verdict = worst([m for m, _, _ in best], cfg.tol.scaled(np.max(peaks)))
-    shape, perm = divmod(r, 3)
-    margin, values, kept = best[r]
-    tag, *triple = _triangle_shapes(*kept)[shape]
-    j, k, l = _PERMUTATIONS[perm]
-    witness = {"shape": tag, "target": triple[j][0], "left": triple[k][0],
-               "right": triple[l][0], "values": [float(values[3 * shape + m]) for m in (j, k, l)]}
-    return _report("quadrant-triangle", verdict, checked.sum(), margin, witness,
-                   reading="all permutations with valid hypothesis")
-
-
-def _relabel(report: ValidationReport, condition: str) -> ValidationReport:
-    return _report(condition, report.verdict, report.samples, report.margin,
-                   report.witness, **report.details)
+    return judge("quadrant-triangle", best, checked.sum(), cfg.tol.scaled(np.max(peaks)),
+                 reading="all permutations with valid hypothesis")
 
 
 def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> list[ValidationReport]:
@@ -418,68 +422,53 @@ def check_norm_conditions(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPL
     return _norm_conditions(phi, cfg, check_definiteness(phi, cfg))
 
 
-def _lower_blocks(p, u):
-    """The blocks of q <= p, row for row, that the monotonicity rung pairs with p."""
-    blocks = [u * p, p, np.zeros_like(p)]
-    for j in range(p.shape[1]):
-        reduced = p.copy()
-        reduced[:, j] = 0.0
-        blocks.append(reduced)
-    return blocks
-
-
 def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
                      definite: ValidationReport) -> list[ValidationReport]:
     """:func:`check_norm_conditions`; positivity on the quadrant is ``definite``."""
     dim = phi.dim
     n = quadrant_rows(dim, cfg)
-    reports = [_relabel(definite, "positivity")]
 
-    # monotonicity: componentwise q <= p must not raise the value; margin row b
-    # pairs lower block b with p, and phi(p) is evaluated once
+    # monotonicity: componentwise q <= p must not raise the value; margin row b pairs
+    # lower block b (u p, p, 0, then p with column j zeroed) with p, and phi(p) is
+    # evaluated once
+    masks = ~np.eye(dim, dtype=bool)                  # row j: every column but j
+
     def monotone(p, u):
         vp = phi(p)
-        vlo = [vp if q is p else phi(q) for q in _lower_blocks(p, u)]
-        return [lo - vp for lo in vlo], [vp, *vlo]
+        lower = [u * p, p, np.zeros_like(p), *(np.where(mask, p, 0.0) for mask in masks)]
+        vlo = [vp if q is p else phi(q) for q in lower]
+        return [(vq - vp, {"q": q, "p": p, "values": (vq, vp)}) for q, vq in zip(lower, vlo)], [vp]
 
     draws = [quadrant_stream(dim, cfg, 4), _uniform(cfg, 404, 0.0, 1.0, dim)]
-    best, (vp_peak, *_) = scan(n, draws, monotone)
-    b, verdict = worst([m for m, _, _ in best], cfg.tol.scaled(vp_peak))
-    margin, (vp, *vlo), (p, u) = best[b]
-    reports.append(_report("monotonicity", verdict, len(best) * n, margin,
-                           {"q": _lower_blocks(p, u)[b][0], "p": p[0],
-                            "values": [float(vlo[b]), float(vp)]}))
+    best, (vp_peak,) = scan(n, draws, monotone)
+    monotonicity = judge("monotonicity", best, len(best) * n, cfg.tol.scaled(vp_peak))
 
     # subadditivity: the axis pairs (e_i, e_j) first, then the sampled pairs
     def subadditive(a, b):
         va, vb, vsum = phi(a), phi(b), phi(a + b)
-        return [vsum - va - vb], [va, vb, vsum]
+        return [(vsum - va - vb, {"p": a, "q": b, "values": (vsum, va, vb)})], [va, vb]
 
     eye, axes = np.eye(dim), np.arange(dim * dim)
     draws = [chain(eye[axes // dim], quadrant_stream(dim, cfg, 5)),
              chain(eye[axes % dim], quadrant_stream(dim, cfg, 6))]
-    [(margin, (va, vb, vsum), (a, b))], peaks = scan(dim * dim + n, draws, subadditive)
-    _, verdict = worst([margin], cfg.tol.scaled(*peaks[:2]))
-    reports.append(_report("subadditivity", verdict, dim * dim + n, margin,
-                           {"p": a[0], "q": b[0], "values": [float(vsum), float(va), float(vb)]}))
+    best, peaks = scan(dim * dim + n, draws, subadditive)
+    subadditivity = judge("subadditivity", best, dim * dim + n, cfg.tol.scaled(*peaks))
 
     # positive homogeneity: sampled scales, then fixed scales on the first rows
     def homogeneous(q, lam):
         scaled, expected = phi(lam[:, None] * q), lam * phi(q)
         diffs = np.abs(scaled - expected)
         tols = cfg.tol.metric * np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(expected)))
-        return [diffs - tols], [diffs, scaled, expected]
+        return [(diffs - tols, {"margin": diffs, "lambda": lam, "q": q,
+                                "values": (scaled, expected)})], []
 
     head = quadrant_stream(dim, cfg, 7)(min(n, 16))
     fixed = (0.0, 1e-6, 0.5, 1.0, 2.0, 3.0, 10.0)
     tail = [np.resize(head, (len(fixed) * len(head), dim)), np.repeat(fixed, len(head))]
     draws = [quadrant_stream(dim, cfg, 7), _uniform(cfg, 505, 0.0, 4.0)]
-    [(margin, (diff, scaled, expected), (q, lam))], _ = scan(n, draws, homogeneous, tail)
-    _, verdict = worst([margin])
-    reports.append(_report("homogeneity", verdict, n + len(tail[0]), diff,
-                           {"lambda": float(lam[0]), "q": q[0],
-                            "values": [float(scaled), float(expected)]}))
-    return reports
+    best, _ = scan(n, draws, homogeneous, tail)
+    return [replace(definite, condition="positivity"), monotonicity, subadditivity,
+            judge("homogeneity", best, n + len(tail[0]))]
 
 
 def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
@@ -503,15 +492,13 @@ def check_axis_pythagoras(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPL
             rhs += phi(axis) ** 2
         diffs = np.abs(lhs - rhs)
         at_ones.append(diffs[0])            # row 0 of the first block is the ones corner
-        return [diffs - cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs))], [diffs, lhs, rhs]
+        return [(diffs - cfg.tol.metric * np.maximum(1.0, np.maximum(lhs, rhs)),
+                 {"margin": diffs, "lambda": lam, "lhs": lhs, "rhs": rhs})], []
 
     at_ones = []
     n = len(corners) + cfg.count
-    [(margin, (diff, lhs, rhs), (lam,))], _ = scan(n, [chain(corners, positive)], pythagorean)
-    _, verdict = worst([margin])
-    return _report("axis-pythagoras", verdict, n, diff,
-                   {"lambda": lam[0], "lhs": float(lhs), "rhs": float(rhs)},
-                   margin_at_ones=float(at_ones[0]))
+    best, _ = scan(n, [chain(corners, positive)], pythagorean)
+    return judge("axis-pythagoras", best, n, margin_at_ones=float(at_ones[0]))
 
 
 def check_strict_convexity(phi: GluingFunction, cfg: SampleConfig = DEFAULT_SAMPLES, *,
@@ -609,21 +596,18 @@ def check_symmetrized_norm_axioms(phi: GluingFunction,
     psi = phi.symmetrized()
     # psi(x) = phi(|x|), so psi is positive off the origin exactly when phi
     # is definite
-    reports = [_relabel(check_definiteness(phi, cfg), "psi-positivity")]
+    reports = [replace(check_definiteness(phi, cfg), condition="psi-positivity")]
 
     def axioms(x, y, lam):
         vx, vy = psi(x), psi(y)
         expected = np.abs(lam) * vx
         diffs = np.abs(psi(lam[:, None] * x) - expected)
-        return [diffs, psi(x + y) - vx - vy], [expected, vx, vy]
+        return [(diffs, {"lambda": lam, "x": x}),
+                (psi(x + y) - vx - vy, {"x": x, "y": y})], [expected, vx, vy]
 
     draws = [signed_stream(phi.dim, cfg, 21), signed_stream(phi.dim, cfg, 22),
              _uniform(cfg, 707, -3.0, 3.0)]
-    ((diff, _, (x, _, lam)), (margin, _, (x2, y, _))), peaks = scan(cfg.count, draws, axioms)
-    _, verdict = worst([diff], cfg.tol.scaled(float(peaks[0])))
-    reports.append(_report("psi-homogeneity", verdict, cfg.count, diff,
-                           {"lambda": float(lam[0]), "x": x[0]}))
-    _, verdict = worst([margin], cfg.tol.scaled(float(peaks[1]), float(peaks[2])))
-    reports.append(_report("psi-subadditivity", verdict, cfg.count, margin,
-                           {"x": x2[0], "y": y[0]}))
-    return reports
+    (homogeneity, subadditivity), peaks = scan(cfg.count, draws, axioms)
+    return reports + [judge("psi-homogeneity", [homogeneity], cfg.count, cfg.tol.scaled(peaks[0])),
+                      judge("psi-subadditivity", [subadditivity], cfg.count,
+                            cfg.tol.scaled(*peaks[1:]))]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gluing import GluingClass, GluingFunction, by_blocks, rowwise, scan
-from .reports import ValidationReport, worst
+from .gluing import GluingClass, GluingFunction, by_blocks, judge, rowwise, scan
+from .reports import ValidationReport
 from .sampling import DEFAULT_SAMPLES, SampleConfig, zero_floor_verdict
 from .spaces import DeclaredProperties, MetricSpace
 
@@ -114,11 +114,11 @@ class ProductSpace(MetricSpace):
 
     def route(self, xs, ys, ds):
         """Each factor runs its own default route at its share of the speed
-        (:func:`_sync`), its lengths measured here once; a row of length 0 stays at its
+        (:class:`_Sync`), its lengths measured here once; a row of length 0 stays at its
         start."""
         ys = self.where(ds == 0, xs, ys)
         ells = [f.distance_batch(x, y) for f, x, y in zip(self.factors, xs, ys)]
-        return _sync([f.route(x, y, ell) for f, x, y, ell in zip(self.factors, xs, ys, ells)],
+        return _Sync([f.route(x, y, ell) for f, x, y, ell in zip(self.factors, xs, ys, ells)],
                      ells, ds)
 
     # -- (de)serialization -------------------------------------------------------
@@ -139,16 +139,22 @@ class ProductSpace(MetricSpace):
         return [f.point_to_json(p) for f, p in zip(self.factors, self._check(point))]
 
 
-def _sync(routes, lengths, ds):
+class _Sync:
     """The sync arithmetic of product routes: at parameters ``ts``, factor i runs
     along ``routes[i]``, of length ``lengths[i]``, to ``ts * (lengths[i] / ds)``.
 
-    Rows of length 0 pass ``ts`` to factor routes that stay at their start.
+    Rows of length 0 pass ``ts`` to factor routes that stay at their start.  The
+    routes and lengths stay readable, so a route is named without measuring it again.
     """
-    flat = ds == 0
-    scale = np.where(flat, 1.0, ds)
-    return lambda ts: tuple(route(np.where(flat, ts, ts * (ell / scale)))
-                            for route, ell in zip(routes, lengths))
+
+    def __init__(self, routes, lengths, ds):
+        self.routes, self.lengths = routes, lengths
+        self.flat = ds == 0
+        self.scale = np.where(self.flat, 1.0, ds)
+
+    def __call__(self, ts):
+        return tuple(route(np.where(self.flat, ts, ts * (ell / self.scale)))
+                     for route, ell in zip(self.routes, self.lengths))
 
 
 def verify_metric_axioms(prod: ProductSpace,
@@ -168,36 +174,24 @@ def verify_metric_axioms(prod: ProductSpace,
         distinct = np.where(rowwise(np.maximum, fd) > 0, -dxy, -np.inf)   # -oo on equal pairs
         diffs = np.abs(dxy - prod.distance_batch(ys, xs))
         dxz, dyz = prod.distance_batch(xs, zs), prod.distance_batch(ys, zs)
-        return [self_d, distinct, diffs, dxz - dxy - dyz], [dxy, dxz, dyz]
+        return [(self_d, {"point": xs}), (distinct, {"x": xs, "y": ys}),
+                (diffs, {"x": xs, "y": ys}),
+                (dxz - dxy - dyz, {"x": xs, "y": ys, "z": zs, "distances": (dxz, dxy, dyz)})], \
+            [dxy, dxz]
 
     draws = [prod.sample_stream([cfg.seed, s], cfg.radius) for s in (1, 2, 3)]
-    best, (dxy_peak, dxz_peak, _) = scan(cfg.count, draws, axioms)
-    (worst_self, _, (point, _, _)), (least, _, (x, y, _)), (diff, _, (sx, sy, _)), \
-        (margin, (dxy, dxz, dyz), kept) = best
-    reports = []
+    ((worst_self, at_self), (least, pair), symmetry, triangle), (dxy_peak, dxz_peak) = \
+        scan(cfg.count, draws, axioms)
 
     # identity of indiscernibles: the distinct pair at least distance -least
     min_distinct = -float(least)
     floor_margin, verdict, near_zero = zero_floor_verdict(float(worst_self), min_distinct)
-    witness = {"point": prod.point_at(point, 0), "self_distance": float(worst_self)}
+    witness = {"point": prod.point_at(at_self["point"], 0), "self_distance": float(worst_self)}
     if near_zero:
-        witness = {"x": prod.point_at(x, 0), "y": prod.point_at(y, 0), "distance": min_distinct}
-    reports.append(ValidationReport(
-        "identity-of-indiscernibles", verdict, cfg.count, floor_margin, witness,
-        {"min_distinct_distance": min_distinct}))
-
-    # symmetry
-    _, verdict = worst([diff], cfg.tol.scaled(float(dxy_peak)))
-    reports.append(ValidationReport(
-        "symmetry", verdict, cfg.count, float(diff),
-        {"x": prod.point_at(sx, 0), "y": prod.point_at(sy, 0)}, {}))
-
-    # triangle inequality
-    tol = cfg.tol.scaled(float(dxz_peak))
-    _, verdict = worst([margin], tol)
-    x, y, z = (prod.point_at(batch, 0) for batch in kept)
-    reports.append(ValidationReport(
-        "triangle-inequality", verdict, cfg.count, float(margin),
-        {"x": x, "y": y, "z": z, "distances": [float(dxz), float(dxy), float(dyz)]},
-        {"tolerance": tol}))
-    return reports
+        witness = {"x": prod.point_at(pair["x"], 0), "y": prod.point_at(pair["y"], 0),
+                   "distance": min_distinct}
+    tol = cfg.tol.scaled(dxz_peak)
+    return [ValidationReport("identity-of-indiscernibles", verdict, cfg.count, floor_margin,
+                             witness, {"min_distinct_distance": min_distinct}),
+            judge("symmetry", [symmetry], cfg.count, cfg.tol.scaled(dxy_peak)),
+            judge("triangle-inequality", [triangle], cfg.count, tol, tolerance=tol)]

@@ -8,7 +8,8 @@ of space, as a batch.  The weighted p-norm is written
 once, and a short last axis is reduced only by ``gluing.rowwise``.  The checks
 copy no whole sample block with ``vstack`` or ``tile``.  Tolerances
 live in one record, ``reports.Tolerances``.  Margin verdicts go through
-``reports.worst``, where a NaN margin fails.  Construction reads
+``reports.worst``, where a NaN margin fails; the streamed checks call it only
+through ``gluing.judge``.  Construction reads
 ``ProductSpace.gluing_class``; only the checks sample a classification.
 Records carry no wall clock, and the benchmark tracer finds every name it wraps.
 """
@@ -140,6 +141,32 @@ def test_checks_stack_no_whole_sample_copies():
             for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and node.attr in ("vstack", "tile")]
     assert hits == []
+
+
+def worst_callers(path: Path) -> list[str]:
+    """``file:function`` for every call of ``worst`` in ``path``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "worst":
+            found.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_streamed_margin_verdicts_go_through_judge():
+    """Every margin verdict of the ladder rungs, the symmetrized norm axioms and the metric
+    axioms is read by ``gluing.judge`` from the rows ``gluing.scan`` kept.  The named
+    exceptions keep their own rules: the zero-floor rule (``sampling.zero_floor_verdict``) of
+    definiteness and identity of indiscernibles, and the strict rung's tie band."""
+    callers = [caller for name in ("gluing.py", "product.py")
+               for caller in worst_callers(PACKAGE / name)]
+    assert callers == ["gluing.py:judge"]
 
 
 def module_names(path: Path) -> list[str]:

@@ -325,6 +325,14 @@ def test_bad_outside_input_is_config_error(tmp_path, capsys, argv):
     assert "config error" in captured.err
 
 
+def test_bad_weights_flag_is_config_error(capsys):
+    code = main(["validate-phi", "--kind", "sum", "--weights", "1,x"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err and "--weights" in captured.err
+
+
 @pytest.mark.parametrize("section, argv", [
     ("phis", ["run", "{cfg}"]),
     ("spaces", ["run", "{cfg}"]),

@@ -100,6 +100,46 @@ def test_product_geodesic_degenerate():
     assert g.at(0.0) == pytest.approx((1.0, 1.0))
 
 
+def count_distance_batches(spaces):
+    """Wrap each space's ``distance_batch`` with a counter; return the counts by name."""
+    counts = dict.fromkeys(spaces, 0)
+
+    def counting(name, measure):
+        def wrapped(xs, ys):
+            counts[name] += 1
+            return measure(xs, ys)
+        return wrapped
+
+    for name, space in spaces.items():
+        space.distance_batch = counting(name, space.distance_batch)
+    return counts
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["line-x-plane", "nested"])
+def test_default_product_geodesic_measures_each_factor_length_once(nested):
+    """One ``distance_batch`` for the product distance (which measures every factor once)
+    and one per factor for the route's factor lengths; the route's name is read off those
+    lengths, not measured again.  A nested product's route measures its own factors again."""
+    line, lp_plane = RealLine(), LpSpace(2, 1.5)
+    spaces = {"line": line, "plane": lp_plane}
+    if nested:
+        spaces["inner"] = ProductSpace((line, lp_plane), GluingFunction.sum(2))
+        spaces["outer"] = RealLine()
+        spaces["prod"] = ProductSpace((spaces["inner"], spaces["outer"]),
+                                      GluingFunction.euclidean((1.0, 2.0)))
+        x, y = ((0.0, np.zeros(2)), 1.0), ((1.0, np.array([2.0, 1.0])), -2.0)
+        expected = {"line": 3, "plane": 3, "inner": 2, "outer": 2, "prod": 1}
+    else:
+        spaces["prod"] = ProductSpace((line, lp_plane), GluingFunction.euclidean((1.0, 1.0)))
+        x, y = (0.0, np.zeros(2)), (1.0, np.array([2.0, 1.0]))
+        expected = {"line": 2, "plane": 2, "prod": 1}
+    counts = count_distance_batches(spaces)
+    g = product_geodesic(spaces["prod"], x, y)
+    assert counts == expected
+    assert g.descriptor == ("sync[sync[affine,affine],affine]" if nested
+                            else "sync[affine,affine]")
+
+
 def test_product_geodesic_refuses_non_norm_gluing():
     prod = plane(GluingFunction.two_valued(2))
     with pytest.raises(ValueError):

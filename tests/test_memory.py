@@ -8,10 +8,14 @@ call below peaked at 92 MB and the metric-axiom call at 88 MB under
 streamed samples, 13.2 MB and 15.8 MB, and the norm conditions and strict
 convexity at 11.1 MB.  With streamed reductions they peak at 4.7 MB, 3.3 MB
 and 4.7 MB (5.4 MB for a first call in a fresh process, which warms numpy's
-caches).  The bound is the largest of these plus about 30%, and each check's
-peak must not grow with the sample count past one block.  That includes the
-strict-convexity rung alone on the max gluing in dim 2, where about a quarter
-of the midpoint norms tie at exactly 1: the rung keeps only strict records.
+caches); with witness fields kept by ``scan``, at 5.1 MB, 3.3 MB and 5.1 MB
+(5.8 MB first call), as the monotonicity rung's lower blocks now stay alive
+while its margins are taken.  The bound is the 5.4 MB plus about 30%, and
+each check's peak must not grow with the sample count past one block.  That
+includes the strict-convexity rung alone on the max gluing in dim 2, where
+about a quarter of the midpoint norms tie at exactly 1: the rung keeps only
+strict records, and the symmetrized norm axioms, whose two rows share one
+block of draws.
 """
 
 import tracemalloc
@@ -19,7 +23,8 @@ import tracemalloc
 import pytest
 
 from metricprod import (DiscreteSpace, GluingFunction, LpSpace, ProductSpace, RealLine,
-                        SampleConfig, check_norm_conditions, check_strict_convexity, classify)
+                        SampleConfig, check_norm_conditions, check_strict_convexity,
+                        check_symmetrized_norm_axioms, classify)
 from metricprod.gluing import BLOCK_ROWS
 from metricprod.product import verify_metric_axioms
 
@@ -69,9 +74,11 @@ ONE_BLOCK = BLOCK_ROWS - 64
     (lambda cfg: check_norm_conditions(PHI, cfg), 50_000),
     (lambda cfg: check_strict_convexity(PHI, cfg), 50_000),
     (lambda cfg: check_strict_convexity(GluingFunction.max(2), cfg, norm_reports=[]), 50_000),
+    (lambda cfg: check_symmetrized_norm_axioms(PHI, cfg), 50_000),
     (lambda cfg: verify_metric_axioms(nested_product(), cfg), 200_000),
 ], ids=["classify", "check_norm_conditions", "check_strict_convexity",
-        "check_strict_convexity-max-ties", "verify_metric_axioms"])
+        "check_strict_convexity-max-ties", "check_symmetrized_norm_axioms",
+        "verify_metric_axioms"])
 def test_peak_does_not_grow_with_the_sample_count(check, count):
     check(SampleConfig(count=100, seed=1))        # first calls warm numpy's caches
     one_block = traced_peak(lambda: check(SampleConfig(count=ONE_BLOCK, seed=0)))
