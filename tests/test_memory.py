@@ -8,8 +8,8 @@ call below peaked at 92 MB and the metric-axiom call at 88 MB under
 streamed samples, 13.2 MB and 15.8 MB, and the norm conditions and strict
 convexity at 11.1 MB.  With streamed reductions they peak at 4.7 MB, 3.3 MB
 and 4.7 MB (5.4 MB for a first call in a fresh process, which warms numpy's
-caches); with witness fields kept by ``scan``, at 5.1 MB, 3.3 MB and 5.1 MB
-(5.8 MB first call), as the monotonicity rung's lower blocks now stay alive
+caches); with witness fields kept by ``scan``, at 5.2 MB, 3.3 MB and 5.2 MB
+(5.9 MB first call), as the monotonicity rung's lower blocks now stay alive
 while its margins are taken.  The bound is the 5.4 MB plus about 30%, and
 each check's peak must not grow with the sample count past one block.  That
 includes the strict-convexity rung alone on the max gluing in dim 2, where
