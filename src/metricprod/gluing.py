@@ -310,8 +310,8 @@ def scan(n: int, draws, kernel, tail=None):
     each margin row its first largest (a NaN first) with each field's one-row batch there, and
     the largest of each scale (a NaN first, at least 0).  The first largest of a row lies in the
     first block that holds it and is that block's own first largest, so ``best`` holds what
-    :func:`worst` would pick over whole rows, bit for bit.  Each block and its outputs are
-    dropped before the next draw, so memory holds one block whatever ``n``.
+    :func:`worst` would pick over whole rows, bit for bit.  Each block and its outputs but its
+    last margin row are dropped before the next draw, so memory holds one block whatever ``n``.
     """
     if not n and tail is None:
         raise ValueError("no margins were sampled")
