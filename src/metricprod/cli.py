@@ -78,11 +78,12 @@ class ConfigError(ValueError):
 # -- object construction -------------------------------------------------------
 
 
-#: Gluing types sized by ``dim``, and whether each reads ``weights`` (then ``dim`` may
-#: be left out).  ``sum``, ``max`` and ``weighted-euclidean`` are the weighted-lp
-#: gluings at p = 1, oo and 2; ``GluingFunction`` fixes their p.
-_SIZED_TYPES = {"weighted-lp": True, "weighted-euclidean": True, "sum": False, "max": False,
-                "two-valued": False}
+#: Gluing types and the optional keys each reads: ``weights`` (then ``dim`` may be
+#: left out) and ``p``.  ``sum``, ``max`` and ``weighted-euclidean`` are the
+#: weighted-lp gluings at p = 1, oo and 2; ``GluingFunction`` fixes their p.  A key
+#: that its type does not read is refused, not ignored.
+_GLUING_KEYS = {"weighted-lp": ("weights", "p"), "weighted-euclidean": ("weights",),
+                "sum": (), "max": (), "two-valued": (), "coordinate-power": ()}
 
 
 def build_phi(defn) -> GluingFunction:
@@ -91,19 +92,22 @@ def build_phi(defn) -> GluingFunction:
     kind = defn["type"]
     dim = defn.get("dim")
     try:
-        if kind in _SIZED_TYPES:
-            weights = defn.get("weights") if _SIZED_TYPES[kind] else None
+        if kind in _GLUING_KEYS:
+            for key in ("weights", "p"):
+                if defn.get(key) is not None and key not in _GLUING_KEYS[kind]:
+                    raise ConfigError(f"{kind} takes no {key!r}")
+            if kind == "coordinate-power":
+                return GluingFunction.coordinate_power(
+                    int(dim), float(defn["exponent"]), int(defn.get("coordinate", 0)))
+            weights = defn.get("weights")
             if dim is None and weights is None:
-                fields = "'dim' or 'weights'" if _SIZED_TYPES[kind] else "'dim'"
+                fields = "'dim' or 'weights'" if _GLUING_KEYS[kind] else "'dim'"
                 raise ConfigError(f"{kind} needs {fields}")
             dim = len(weights) if dim is None else int(dim)
             if kind != "weighted-lp":
                 return GluingFunction(dim, kind, weights=weights)
             p = defn.get("p")
             return GluingFunction.lp(dim, math.inf if p in ("inf", "oo") else float(p), weights)
-        if kind == "coordinate-power":
-            return GluingFunction.coordinate_power(
-                int(dim), float(defn["exponent"]), int(defn.get("coordinate", 0)))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad gluing definition: {exc}") from exc
     raise ConfigError(f"unknown gluing type {kind!r}")
@@ -655,6 +659,7 @@ def _add_common(parser):
                         help="override a tolerance (metric, strict, embed)")
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metricprod",
@@ -786,6 +791,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names (``sys.argv[1:]`` by default) and return its exit code.
+
+    It may be called many times in one process: the parser is built on the first call
+    and reused, and each call parses into a fresh namespace.
+    """
     parser = _make_parser()
     args = parser.parse_args(argv)
     if args.list_demos:

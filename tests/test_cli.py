@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -331,6 +333,50 @@ def test_bad_weights_flag_is_config_error(capsys):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "config error" in captured.err and "--weights" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "sum", "--weights", "1,2,3"], "sum takes no 'weights'"),
+    (["--kind", "max", "--p", "3"], "max takes no 'p'"),
+], ids=["sum-weights", "max-p"])
+def test_validate_phi_refuses_a_flag_its_kind_does_not_read(capsys, flags, message):
+    code = main(["validate-phi", *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "config error" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("phi, key", [
+    ({"type": "max", "dim": 2, "weights": [1, 2]}, "weights"),
+    ({"type": "sum", "weights": [1, 2, 3]}, "weights"),
+    ({"type": "two-valued", "dim": 2, "weights": [1, 2]}, "weights"),
+    ({"type": "coordinate-power", "dim": 1, "exponent": 2, "weights": [1]}, "weights"),
+    ({"type": "sum", "dim": 2, "p": 1}, "p"),
+    ({"type": "max", "dim": 2, "p": "inf"}, "p"),
+    ({"type": "weighted-euclidean", "weights": [1, 2], "p": 2}, "p"),
+    ({"type": "coordinate-power", "dim": 1, "exponent": 2, "p": 2}, "p"),
+], ids=["max-weights", "sum-weights", "two-valued-weights", "coordinate-power-weights",
+        "sum-p", "max-p", "weighted-euclidean-p", "coordinate-power-p"])
+def test_gluing_key_its_type_does_not_read_is_config_error(tmp_path, capsys, phi, key):
+    space = {"type": "product", "factors": [{"type": "real-line"}] * 2, "phi": phi}
+    code = main(["run", write_config(tmp_path, {"version": 1, "spaces": {"s": space}})])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert f"config error: bad gluing definition: {phi['type']} takes no {key!r}" in captured.err
+
+
+def test_weighted_kinds_read_their_weights_and_p(capsys):
+    labels = []
+    for flags in (["--kind", "weighted-lp", "--dim", "3", "--p", "3", "--weights", "1,2,3"],
+                  ["--kind", "weighted-euclidean", "--weights", "1,2"],
+                  ["--kind", "weighted-lp", "--p", "1.5"]):
+        code, out = run_cli(capsys, "validate-phi", *flags, "--samples", "200", "--format", "json")
+        assert code == EXIT_OK
+        labels.append(json.loads(out.splitlines()[0])["gluing"])
+    assert labels == ["weighted-lp(p=3, w=[1,2,3])", "weighted-euclidean(p=2, w=[1,2])",
+                      "weighted-lp(p=1.5, w=[1,1])"]
 
 
 @pytest.mark.parametrize("section, argv", [
@@ -752,3 +798,51 @@ def test_module_runs_as_the_command():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch):
+    main(["--list-demos"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args,
+                                                                                   **kwargs))
+    codes = [main(argv) for argv in (["--list-demos"], ["demo", "--list"],
+                                     ["demo", "CAT0-failure", "--format", "json"])]
+    capsys.readouterr()
+    assert codes == [EXIT_OK] * 3
+    assert built == []
+
+
+def test_no_state_carries_between_calls(tmp_path, capsys):
+    path = write_config(tmp_path, config_with_checks([
+        {"check": "metric-axioms", "product": "taxiplane", "samples": 500},
+        {"check": "geodesy", "space": "plane", "start": [0, 0], "end": [3, 4], "grid": 8}]))
+    plain = ["run", path, "--format", "json"]
+    before = run_cli(capsys, *plain)
+    tolerant = run_cli(capsys, *plain, "--tolerance", "metric=1e-3")
+    seeded = run_cli(capsys, *plain, "--seed", "5")
+    assert before[1] not in (tolerant[1], seeded[1])
+    assert run_cli(capsys, *plain) == before
+
+
+def test_usage_error_leaves_the_next_call_working(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_CONFIG
+    assert captured.out == "" and captured.err.startswith("usage: metricprod run")
+    code, out = run_cli(capsys, "demo", "CAT0-failure", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == "pass"
+
+
+def test_help_after_a_run_lists_every_subcommand(capsys):
+    assert run_cli(capsys, "demo", "CAT0-failure")[0] == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == EXIT_OK
+    for command in ("run", "validate-phi", "check-product", "length", "geodesic", "rank",
+                    "demo"):
+        assert re.search(rf"^ +{command} +\S", out, re.MULTILINE), command
