@@ -804,9 +804,12 @@ def test_later_calls_build_no_parser(capsys, monkeypatch):
     main(["--list-demos"])
     built = []
     init = argparse.ArgumentParser.__init__
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                        lambda self, *args, **kwargs: built.append(self) or init(self, *args,
-                                                                                   **kwargs))
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     codes = [main(argv) for argv in (["--list-demos"], ["demo", "--list"],
                                      ["demo", "CAT0-failure", "--format", "json"])]
     capsys.readouterr()
