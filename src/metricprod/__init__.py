@@ -5,7 +5,7 @@ function on the positive quadrant, classify the gluing (metric-compatible,
 norm-induced, strictly convex, scalar-product), and check what the product
 preserves: path lengths, geodesics and their uniqueness, convexity of the
 distance between geodesics, the flat four-point comparison, and rank
-additivity.
+additivity.  The names imported below are the public API.
 """
 
 from .reports import (
@@ -82,68 +82,3 @@ from .rank import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CATALOG_NOTE",
-    "Classification",
-    "Curve",
-    "DEFAULT_SAMPLES",
-    "DeclaredProperties",
-    "DiscreteSpace",
-    "FAIL",
-    "FiniteMetricSpace",
-    "Geodesic",
-    "GluingClass",
-    "GluingFunction",
-    "HalfLine",
-    "INFINITY",
-    "LengthResult",
-    "LpSpace",
-    "MetricSpace",
-    "PASS",
-    "ProductSpace",
-    "RankRecord",
-    "RealLine",
-    "SampleConfig",
-    "Tolerances",
-    "UNDETERMINED",
-    "ValidationReport",
-    "AlphaDecomposition",
-    "BudgetExceededError",
-    "EmbeddingProbe",
-    "alpha_decompose",
-    "arclength_check",
-    "busemann_convexity_check",
-    "cat0_four_point_check",
-    "check_axis_pythagoras",
-    "check_definiteness",
-    "check_norm_conditions",
-    "check_quadrant_triangle",
-    "check_strict_convexity",
-    "check_symmetrized_norm_axioms",
-    "circle_arc",
-    "classify",
-    "component_progress_check",
-    "counterexample_geodesic",
-    "counterexample_sum_halflines",
-    "curve_length",
-    "declared_rank",
-    "finite_embedding_oracle",
-    "geodesic_between",
-    "geodesy_test",
-    "line_pattern",
-    "midpoint",
-    "non_length_space_demo",
-    "polyline",
-    "product_curve",
-    "product_curve_length_check",
-    "product_geodesic",
-    "product_rank",
-    "scalar_product_weights",
-    "segment",
-    "tau_len",
-    "to_jsonable",
-    "uniqueness_probe",
-    "verify_metric_axioms",
-    "warped",
-]

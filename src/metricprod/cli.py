@@ -4,7 +4,7 @@ Reads a declarative JSON config naming spaces, gluing functions, curves,
 and a list of checks; runs the checks in order and emits one record per
 check, as aligned text or line-delimited JSON.  Exit codes: 0 all
 non-informational checks passed, 1 a check failed, 2 bad config, 3 search
-budget exceeded.
+budget exceeded, 4 stdout was closed before the records were all written.
 
 Structured output is byte-identical across runs for a fixed config and
 seed: records carry no wall clock.
@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -53,6 +54,7 @@ from .geodesics import (
 from .product import ProductSpace, verify_metric_axioms
 from .rank import (
     BudgetExceededError,
+    RankRecord,
     alpha_decompose,
     counterexample_sum_halflines,
     declared_rank,
@@ -67,6 +69,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_PIPE_CLOSED = 4
 
 MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -407,6 +410,11 @@ def _run_non_length_space(ctx, params):
         params.number("paths", 5, int), params.number("seed", ctx.default_seed, int))
 
 
+def _rank_record(rank: RankRecord) -> dict:
+    """A rank record with its verdict: ``fail`` when it gives a reason, else ``pass``."""
+    return dict(rank.to_record(), verdict=PASS if rank.reason is None else FAIL)
+
+
 def _builtin_embedding(name, prod: ProductSpace):
     """The embedding ``name`` names.  Its scale is measured at its first call, so after
     ``alpha_decompose`` refuses a gluing whose axis value may be 0."""
@@ -480,10 +488,9 @@ CHECK_RUNNERS = {
     "unique-geodesic": _run_uniqueness,
     "busemann-convexity": _run_busemann,
     "cat0-four-point": _run_cat0,
-    "declared-rank": lambda ctx, p: dict(declared_rank(ctx.space(p["space"])).to_record(),
-                                         verdict=PASS),
-    "product-rank": lambda ctx, p: dict(product_rank(ctx.product(p["space"]),
-                                                     ctx.structure).to_record(), verdict=PASS),
+    "declared-rank": lambda ctx, p: _rank_record(declared_rank(ctx.space(p["space"]))),
+    "product-rank": lambda ctx, p: _rank_record(product_rank(ctx.product(p["space"]),
+                                                             ctx.structure)),
     "rank-counterexample": lambda ctx, p: counterexample_sum_halflines(
         p.number("T", 10.0), p.number("grid", 101, int)),
     "embedding-oracle": _run_embedding_oracle,
@@ -677,7 +684,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--phi", help="name in the config, or inline JSON")
     p.add_argument("--kind", help="builtin kind (sum, max, two-valued, ...)")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, help="default: the number of --weights, else 2")
     p.add_argument("--p", type=float)
     p.add_argument("--weights", help="comma-separated positive weights")
     _add_common(p)
@@ -716,7 +723,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _validate_phi_config(args) -> dict:
     if args.kind:
-        defn = {"type": args.kind, "dim": args.dim}
+        defn = {"type": args.kind, "dim": 2 if args.dim is None and not args.weights else args.dim}
         if args.p is not None:
             defn["p"] = args.p
         if args.weights:
@@ -794,7 +801,8 @@ def main(argv=None) -> int:
     """Run the command ``argv`` names (``sys.argv[1:]`` by default) and return its exit code.
 
     It may be called many times in one process: the parser is built on the first call
-    and reused, and each call parses into a fresh namespace.
+    and reused, and each call parses into a fresh namespace.  A reader that closes
+    stdout early (``| head -1``) ends the run with ``EXIT_PIPE_CLOSED`` and no traceback.
     """
     parser = _make_parser()
     args = parser.parse_args(argv)
@@ -811,6 +819,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # stdout's buffer still holds records: send them to devnull, so that the flush
+        # at exit does not raise again ("Note on SIGPIPE" in the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
 
 
 if __name__ == "__main__":

@@ -107,7 +107,7 @@ def _require_geodesic(space: MetricSpace, cfg) -> None:
     """The refusals of geodesic construction in ``space``, nested products included,
     raised before any endpoint is measured."""
     if isinstance(space, ProductSpace):
-        cls = space.gluing_class(cfg)
+        cls = space.phi.gluing_class(cfg)
         if not cls.at_least(GluingClass.NORM_INDUCED):
             raise ValueError(
                 f"gluing classifies as {cls.value}; geodesic construction needs norm-induced")

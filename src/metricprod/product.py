@@ -63,17 +63,13 @@ class ProductSpace(MetricSpace):
 
     # -- classification-driven structure --------------------------------------
 
-    def gluing_class(self, cfg: SampleConfig = DEFAULT_SAMPLES) -> GluingClass:
-        """The class construction reads: proven for weighted p-norms, sampled otherwise."""
-        return self.phi.known_class or self.phi.classification(cfg).gluing_class
-
     @property
     def supports_interpolation(self) -> bool:
         return all(f.supports_interpolation for f in self.factors)
 
     @property
     def properties(self) -> DeclaredProperties:
-        cls = self.gluing_class()
+        cls = self.phi.gluing_class()
         norm = cls.at_least(GluingClass.NORM_INDUCED)
         strict = cls.at_least(GluingClass.STRICTLY_CONVEX_NORM)
 

@@ -3,9 +3,10 @@
 Rank values for catalog spaces are declared metadata, never computed: the
 rank is a supremum over all normed spaces and is not computable in
 general.  Product ranks add exactly when the gluing is at least
-strictly-convex-norm class; otherwise only the superadditive lower bound
-is reported, and the sum-of-half-lines construction below shows why the
-strictness hypothesis cannot be dropped.
+strictly-convex-norm class; at norm-induced only the superadditive lower
+bound is reported, and the sum-of-half-lines construction below shows why
+the strictness hypothesis cannot be dropped.  Below norm-induced the sum
+of the factor ranks bounds nothing, so no rank is reported.
 """
 
 from __future__ import annotations
@@ -31,12 +32,16 @@ class RankRecord:
 
     space: str
     rank: int | None
-    provenance: str   # declared | strict-norm-additivity | superadditive-lower-bound
+    #: declared | strict-norm-additivity | superadditive-lower-bound, or the gluing
+    #: class below norm-induced that licenses no rank
+    provenance: str
     additivity_guaranteed: bool = True
     notes: tuple = ()
+    #: why the record fails (a product that is not a metric space); ``None`` when it holds
+    reason: str | None = None
 
     def to_record(self) -> dict:
-        return {
+        rec = {
             "check": "rank",
             "space": self.space,
             "rank": self.rank,
@@ -44,6 +49,9 @@ class RankRecord:
             "additivity_guaranteed": self.additivity_guaranteed,
             "notes": list(self.notes),
         }
+        if self.reason is not None:
+            rec["reason"] = self.reason
+        return rec
 
 
 def declared_rank(space: MetricSpace) -> RankRecord:
@@ -55,18 +63,27 @@ def declared_rank(space: MetricSpace) -> RankRecord:
 
 
 def product_rank(prod: ProductSpace, cfg: SampleConfig = DEFAULT_SAMPLES) -> RankRecord:
-    """Sum of factor ranks, exact or as a lower bound.
+    """Sum of factor ranks, exact or as a lower bound, as the gluing's class licenses.
 
-    The additive value is reported only when the gluing's class (proven
-    for weighted p-norms, sampled otherwise) reaches strictly-convex-norm.
+    The class is :meth:`GluingFunction.gluing_class` (proven for weighted p-norms,
+    sampled otherwise).  From strictly-convex-norm the sum is exact; at norm-induced
+    it is the superadditive lower bound, since the factors' flats glue to a normed
+    space.  Below norm-induced no rank is given and the provenance names the class;
+    a product that is not a metric space fails with a reason.
     """
     parts = [product_rank(f, cfg) if isinstance(f, ProductSpace) else declared_rank(f)
              for f in prod.factors]
     label = "product(" + ", ".join(r.space for r in parts) + ")"
+    cls = prod.phi.gluing_class(cfg)
+    if not cls.at_least(GluingClass.NORM_INDUCED):
+        reason = (None if cls.at_least(GluingClass.METRIC_COMPATIBLE)
+                  else "the gluing does not make the product a metric space")
+        return RankRecord(label, None, cls.value, additivity_guaranteed=False,
+                          notes=(f"gluing class {cls.value} is below norm-induced: "
+                                 "the sum of the factor ranks bounds nothing",), reason=reason)
     if any(r.rank is None for r in parts):
         return RankRecord(label, None, "declared", notes=("factor rank unknown",))
     total = sum(r.rank for r in parts)
-    cls = prod.gluing_class(cfg)
     if cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         return RankRecord(label, total, "strict-norm-additivity")
     return RankRecord(label, total, "superadditive-lower-bound", additivity_guaranteed=False,
@@ -234,7 +251,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     gauge over the first 16 vectors.  A failed isometry identity is
     reported, with the decomposition still returned for inspection.
     """
-    cls = prod.gluing_class(cfg)
+    cls = prod.phi.gluing_class(cfg)
     if not cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         raise ValueError(
             f"gluing classifies as {cls.value}; decomposition needs a strictly convex norm")

@@ -9,8 +9,8 @@ once, and a short last axis is reduced only by ``gluing.rowwise``.  The checks
 copy no whole sample block with ``vstack`` or ``tile``.  Tolerances
 live in one record, ``reports.Tolerances``.  Margin verdicts go through
 ``reports.worst``, where a NaN margin fails; the streamed checks call it only
-through ``gluing.judge``.  Construction reads
-``ProductSpace.gluing_class``; only the checks sample a classification.
+through ``gluing.judge``.  Every class gate reads
+``GluingFunction.gluing_class``; only the checks sample a classification.
 Records carry no wall clock, and the benchmark tracer finds every name it wraps.
 """
 
@@ -286,11 +286,13 @@ def classification_callers(path: Path) -> list[str]:
 
 
 def test_only_checks_sample_a_classification():
-    """Geodesic, rank and alpha construction go through ``ProductSpace.gluing_class``,
-    which samples only when the gluing has no proven class."""
+    """Every class gate (product properties, geodesic, rank and alpha construction, and
+    ``scalar_product_weights``) goes through ``GluingFunction.gluing_class``, which samples
+    only when the gluing has no proven class; outside ``gluing.py`` only the ``classify``
+    check samples one."""
     callers = {caller for path in sorted(PACKAGE.glob("*.py"))
                for caller in classification_callers(path) if not caller.startswith("gluing.py:")}
-    assert callers == {"cli.py:_run_classify", "product.py:gluing_class"}
+    assert callers == {"cli.py:_run_classify"}
 
 
 def imported_modules(path: Path) -> set[str]:

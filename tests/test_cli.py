@@ -15,6 +15,7 @@ from metricprod.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PIPE_CLOSED,
     main,
 )
 
@@ -217,6 +218,28 @@ def test_rank_subcommand(tmp_path, capsys):
     assert rec["rank"] == 1 and rec["provenance"] == "strict-norm-additivity"
 
 
+def test_product_rank_records_follow_the_class(tmp_path, capsys):
+    """Below norm-induced a product-rank record gives no rank and names the class; a product
+    that is not a metric space fails the run with a reason."""
+    plane = {"type": "product", "factors": [{"type": "real-line"}, {"type": "real-line"}]}
+    cfg = config_with_checks([
+        {"check": "product-rank", "space": dict(plane, phi={"type": "two-valued", "dim": 2})},
+        {"check": "product-rank", "space": dict(plane, phi={
+            "type": "coordinate-power", "dim": 2, "exponent": 0.5})},
+        {"check": "product-rank", "space": "taxiplane"}])
+    code, out = run_cli(capsys, "run", write_config(tmp_path, cfg), "--format", "json")
+    two_valued, power, taxi = map(json.loads, out.splitlines())
+    assert code == EXIT_CHECK_FAILED
+    assert (two_valued["rank"], two_valued["provenance"], two_valued["verdict"]) == \
+        (None, "metric-compatible", "pass")
+    assert (power["rank"], power["provenance"], power["verdict"]) == \
+        (None, "not-a-metric-product", "fail")
+    assert "not make the product a metric space" in power["reason"]
+    assert (taxi["rank"], taxi["provenance"], taxi["verdict"]) == \
+        (2, "superadditive-lower-bound", "pass")
+    assert "reason" not in two_valued and "reason" not in taxi
+
+
 @pytest.mark.parametrize("phi", [
     {"type": "weighted-lp", "dim": 2, "p": "nan"},
     {"type": "weighted-euclidean", "weights": [1, "nan"]}], ids=["nan-p", "nan-weight"])
@@ -325,6 +348,24 @@ def test_bad_outside_input_is_config_error(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "config error" in captured.err
+
+
+def test_validate_phi_reads_the_dimension_from_the_weights(capsys):
+    code, out = run_cli(capsys, "validate-phi", "--kind", "weighted-lp", "--p", "3",
+                        "--weights", "1,2,3", "--samples", "200", "--format", "json")
+    classify = json.loads(out.splitlines()[0])
+    assert code == EXIT_OK
+    assert (classify["gluing"], classify["class"]) == \
+        ("weighted-lp(p=3, w=[1,2,3])", "strictly-convex-norm")
+
+
+def test_validate_phi_dimension_that_disagrees_with_the_weights_is_config_error(capsys):
+    code = main(["validate-phi", "--kind", "weighted-lp", "--p", "3", "--dim", "2",
+                 "--weights", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert "one per axis" in captured.err
 
 
 def test_bad_weights_flag_is_config_error(capsys):
@@ -791,6 +832,22 @@ def test_metric_override_reaches_the_product_length_precondition(tmp_path, capsy
                               "start": 0, "end": 3}
     run_records(tmp_path, capsys, config, "--tolerance", "metric=1e-6")
     assert seen == [Tolerances(metric=1e-6)] * 2
+
+
+def test_a_closed_stdout_exits_quietly(tmp_path):
+    """A reader that stops after one line closes the pipe while records are still being
+    written; the run ends with its own exit code and writes nothing to stderr."""
+    cfg = {"version": 1, "checks": [{"check": "declared-rank", "space": {"type": "real-line"}}]
+           * 2000}                             # far more than a pipe buffer holds
+    proc = subprocess.Popen([sys.executable, "-m", "metricprod", "run",
+                             write_config(tmp_path, cfg), "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert json.loads(proc.stdout.readline())["check"] == "rank"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE_CLOSED
+    assert err == ""
 
 
 def test_module_runs_as_the_command():

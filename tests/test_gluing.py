@@ -306,6 +306,75 @@ def test_scalar_product_weights_refuses_non_scalar():
         scalar_product_weights(SUM2, CFG)
 
 
+def counted(monkeypatch, name):
+    """The labels of the gluings that ``gluing.<name>`` is called on from now on."""
+    from metricprod import gluing
+
+    calls, original = [], getattr(gluing, name)
+
+    def counting(phi, *args, **kwargs):
+        calls.append(phi.label)
+        return original(phi, *args, **kwargs)
+
+    monkeypatch.setattr(gluing, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("make, weights", [
+    (lambda: GluingFunction.lp(3, 1.5, (1.0, 2.0, 0.5)), None),
+    (lambda: GluingFunction.lp(2, 3.0), None),
+    (lambda: GluingFunction.lp(2, math.inf, (2.0, 1.0)), None),
+    (lambda: GluingFunction.euclidean((1.0, 4.0)), [1.0, 4.0]),
+    (lambda: GluingFunction.lp(1, 3.0, (2.0,)), [2.0 ** (2 / 3)]),   # phi(t) = 2^(1/3) t
+    (lambda: GluingFunction.sum(2), None),
+    (lambda: GluingFunction.max(3), None),
+], ids=["lp1.5", "lp3", "lp-inf", "weighted-euclidean", "lp3-dim1", "sum", "max"])
+def test_scalar_product_weights_read_the_proven_class(monkeypatch, make, weights):
+    """A weighted p-norm's class is proven, so the gate samples no ladder."""
+    phi, calls = make(), counted(monkeypatch, "classify")
+    if weights is None:
+        with pytest.raises(ValueError, match="not scalar-product-induced"):
+            scalar_product_weights(phi, CFG)
+    else:
+        assert scalar_product_weights(phi, CFG) == pytest.approx(weights)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [lambda: GluingFunction.two_valued(2),
+                                  lambda: GluingFunction.coordinate_power(1, 0.5),
+                                  lambda: GluingFunction.coordinate_power(2, 1.0)],
+                         ids=["two-valued", "coordinate-power-dim1", "coordinate-power-dim2"])
+def test_scalar_product_weights_sample_a_gluing_without_a_proven_class(monkeypatch, make):
+    phi, calls = make(), counted(monkeypatch, "classify")
+    with pytest.raises(ValueError, match="not scalar-product-induced"):
+        scalar_product_weights(phi, SampleConfig(count=500, seed=0))
+    assert calls == [phi.label]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_standalone_strict_convexity_on_a_proven_norm_samples_no_norm_conditions(
+        monkeypatch, p, dim, seed):
+    """The proven class makes a weighted p-norm a norm, so the standalone rung skips its
+    norm precondition, and its record is the one made after sampling that precondition."""
+    cfg = SampleConfig(count=400, seed=seed)
+    phi = GluingFunction.lp(dim, p, np.random.default_rng(seed).uniform(0.5, 2.0, dim))
+    sampled = check_strict_convexity(phi, cfg, norm_reports=check_norm_conditions(phi, cfg))
+    calls = counted(monkeypatch, "check_norm_conditions")
+    assert check_strict_convexity(phi, cfg).to_record() == sampled.to_record()
+    assert calls == []
+
+
+def test_standalone_strict_convexity_without_a_proven_class_samples_the_norm_conditions(
+        monkeypatch):
+    calls = counted(monkeypatch, "check_norm_conditions")
+    rep = check_strict_convexity(TWOVAL, SampleConfig(count=400, seed=0))
+    assert calls == [TWOVAL.label]
+    assert rep.verdict == "undetermined"
+    assert rep.details["failed_conditions"] == ["homogeneity"]
+
+
 # -- symmetrization -----------------------------------------------------------------
 
 

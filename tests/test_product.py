@@ -133,7 +133,7 @@ def test_properties_need_geodesic_factors():
 def test_classification_shortcut():
     prod = plane(GluingFunction.lp(2, 1.5))
     assert prod.phi.classification(CFG).gluing_class is GluingClass.STRICTLY_CONVEX_NORM
-    assert prod.gluing_class(CFG) is GluingClass.STRICTLY_CONVEX_NORM
+    assert prod.phi.gluing_class(CFG) is GluingClass.STRICTLY_CONVEX_NORM
 
 
 def test_sampling_and_json_round_trip():

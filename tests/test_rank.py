@@ -72,6 +72,24 @@ def test_rank_records_carry_only_the_rank_and_its_provenance(record):
                                           "additivity_guaranteed", "notes"]
 
 
+@pytest.mark.parametrize("phi, cls", [
+    (GluingFunction.two_valued(2), "metric-compatible"),
+    (GluingFunction.coordinate_power(1, 0.5), "metric-compatible"),
+    (GluingFunction.coordinate_power(1, 2.0), "not-a-metric-product"),
+    (GluingFunction.coordinate_power(2, 0.5), "not-a-metric-product"),
+    (GluingFunction.coordinate_power(2, 2.0), "not-a-metric-product"),
+], ids=repr)
+def test_a_class_below_norm_induced_licenses_no_rank(phi, cls):
+    """Below norm-induced no normed flat of the factors survives the gluing, so the sum
+    of the factor ranks bounds nothing: no rank, and the provenance names the class.
+    Two-valued distances lie in {0, 1, 2}, so its product has Minkowski rank 0, not 2."""
+    rec = product_rank(ProductSpace([RealLine()] * phi.dim, phi), CFG)
+    assert (rec.rank, rec.provenance, rec.additivity_guaranteed) == (None, cls, False)
+    metric = cls == "metric-compatible"
+    assert (rec.reason is None) == metric
+    assert ("reason" in rec.to_record()) == (not metric)
+
+
 # -- the counterexample ---------------------------------------------------------
 
 

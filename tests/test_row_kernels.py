@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricprod import (GluingFunction, SampleConfig, ValidationReport, check_norm_conditions,
                         check_quadrant_triangle)
@@ -101,6 +103,48 @@ def test_weighted_pnorm_of_signed_zero_rows_is_the_replaced_formula(p, dim):
     a = np.full((3, dim), -0.0)
     for weights in (None, np.linspace(0.5, 2.0, dim)):
         assert same_bits(weighted_pnorm(a, p, weights), replaced_pnorm(a, p, weights))
+
+
+def per_column_pnorm(a, p, weights):
+    """Reference: the kernel before the one-pass power, each column powered on its own
+    (a strided ``a[:, j] ** p``), then folded as before: left to right from 0.0 below 8
+    columns, numpy's own sum from 8 on."""
+    power = p not in (1.0, math.inf)
+    cols = [a[:, j] ** p if power else a[:, j] for j in range(a.shape[1])]
+    if weights is not None:
+        cols = [w * c for w, c in zip(weights, cols)]
+    if p == math.inf:
+        return np.maximum.reduce(np.column_stack(cols), axis=-1)
+    if len(cols) >= 8:
+        total = np.add.reduce(np.column_stack(cols), axis=-1)
+    else:
+        total = cols[0] + 0.0
+        for c in cols[1:]:
+            total = total + c
+    return total ** (1.0 / p) if power else total
+
+
+@st.composite
+def pnorm_blocks(draw):
+    """A block of 1-40 rows in dims 1-12, with a zero row, zero entries and entries up to
+    1e300 (whose powers overflow), an exponent in [1, 8] or oo, and unit or random weights."""
+    dim = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.floats(0.0, 10.0))
+    rows = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=40))
+    p = draw(st.one_of(st.floats(1.0, 8.0), st.sampled_from([1.0, 2.0, 3.0, math.inf])))
+    weights = draw(st.one_of(st.none(), st.lists(st.floats(0.1, 10.0), min_size=dim,
+                                                 max_size=dim).map(np.array)))
+    return np.array([[0.0] * dim] + rows), p, weights
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pnorm_blocks())
+def test_one_pass_power_is_the_per_column_power_bitwise(block):
+    """``weighted_pnorm`` raises the whole block to p at once; each column of that power,
+    and so every norm, is bit for bit the column powered on its own."""
+    a, p, weights = block
+    with np.errstate(over="ignore"):
+        assert np.array_equal(weighted_pnorm(a, p, weights), per_column_pnorm(a, p, weights))
 
 
 # -- the ladder's evaluation plan ------------------------------------------------
