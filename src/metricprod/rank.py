@@ -69,7 +69,7 @@ def product_rank(prod: ProductSpace, cfg: SampleConfig = DEFAULT_SAMPLES) -> Ran
     sampled otherwise).  From strictly-convex-norm the sum is exact; at norm-induced
     it is the superadditive lower bound, since the factors' flats glue to a normed
     space.  Below norm-induced no rank is given and the provenance names the class;
-    a product that is not a metric space fails with a reason.
+    a product that is not a metric space, or has such a factor, fails with a reason.
     """
     parts = [product_rank(f, cfg) if isinstance(f, ProductSpace) else declared_rank(f)
              for f in prod.factors]
@@ -82,7 +82,8 @@ def product_rank(prod: ProductSpace, cfg: SampleConfig = DEFAULT_SAMPLES) -> Ran
                           notes=(f"gluing class {cls.value} is below norm-induced: "
                                  "the sum of the factor ranks bounds nothing",), reason=reason)
     if any(r.rank is None for r in parts):
-        return RankRecord(label, None, "declared", notes=("factor rank unknown",))
+        reason = next((f"factor {r.space}: {r.reason}" for r in parts if r.reason), None)
+        return RankRecord(label, None, "declared", notes=("factor rank unknown",), reason=reason)
     total = sum(r.rank for r in parts)
     if cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
         return RankRecord(label, total, "strict-norm-additivity")

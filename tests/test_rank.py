@@ -90,6 +90,15 @@ def test_a_class_below_norm_induced_licenses_no_rank(phi, cls):
     assert ("reason" in rec.to_record()) == (not metric)
 
 
+def test_a_factor_that_is_not_a_metric_space_fails_the_outer_record():
+    inner = ProductSpace((RealLine(), RealLine()), GluingFunction.coordinate_power(2, 2.0))
+    for outer in (ProductSpace((inner, RealLine()), GluingFunction.sum(2)),
+                  ProductSpace((RealLine(), inner), GluingFunction.euclidean((1.0, 1.0)))):
+        rec = product_rank(outer, CFG)
+        assert rec.rank is None
+        assert rec.reason.startswith("factor product(real-line, real-line): ")
+
+
 # -- the counterexample ---------------------------------------------------------
 
 
