@@ -13,9 +13,11 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .gluing import GluingFunction, judge
+from .product import ProductSpace
 from .reports import FAIL, PASS, UNDETERMINED, Tolerances, ValidationReport, worst
 from .sampling import ZERO_FLOOR, rng_stream
-from .spaces import lerp, point_at, stack
+from .spaces import RealLine, lerp, point_at, stack
 
 LEN_FLOOR = 1e-6
 DIVERGENCE_FACTOR = 1e6
@@ -206,13 +208,11 @@ def product_curve_length_check(prod, components: list[Curve], depth: int = 12,
     expected = float(prod.phi(lengths))
     glued = prod.phi(np.column_stack([c[:2 ** (depth + 1) - 1] for c in chords]))
     measured = _length(np.asarray(glued, float), depth)
-    margin = abs(measured.length - expected)
     tol = tau_len(depth, measured.trace[0])
-    return ValidationReport(
-        "product-length", worst(margin, tol)[1],
-        2**depth, margin,
-        {"factor_lengths": lengths, "expected": expected, "measured": measured.length},
-        {"depth": depth, "tolerance": tol})
+    # one margin, so a one-row field: factor_lengths stays a list for one factor too
+    witness = {"factor_lengths": lengths[None], "expected": expected, "measured": measured.length}
+    return judge("product-length", [(abs(measured.length - expected), witness)], 2**depth, tol,
+                 depth=depth, tolerance=tol)
 
 
 def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
@@ -221,7 +221,10 @@ def arclength_check(space, curve: Curve, grid: int = 8, depth: int = 8,
 
     The length of ``[i/grid, j/grid]`` is a difference of prefix sums of one
     chord pass over ``grid * 2^depth`` uniform steps: one resolution for all.
+    A grid below 2, which compares the whole curve with itself, is refused.
     """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
     total = curve_length(space, curve, depth)
     step = 2**depth
     pts = curve.at_many(np.linspace(0.0, 1.0, grid * step + 1))
@@ -249,12 +252,9 @@ def _arclength(space, total: LengthResult, chords: np.ndarray, cuts, grid: int, 
     measured = prefix[j] - prefix[i]
     expected = (j - i) / grid * prefix[-1]
     margins = np.abs(measured - expected) - tau_len(depth, np.maximum(span, expected))
-    k, verdict = worst(margins)
-    return ValidationReport(
-        "arclength-parameterization", verdict, margins.size, margins[k],
-        {"interval": [i[k] / grid, j[k] / grid], "measured": measured[k],
-         "expected": expected[k]},
-        {"total_length": prefix[-1], "depth": depth})
+    witness = {"interval": (i / grid, j / grid), "measured": measured, "expected": expected}
+    return judge("arclength-parameterization", [(margins, witness)], margins.size,
+                 total_length=prefix[-1], depth=depth)
 
 
 def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
@@ -266,10 +266,6 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
     distance at least 1, so each subdivision sum at depth d is at least
     2^d.  The bound is exact integer arithmetic, no tolerance involved.
     """
-    from .product import ProductSpace
-    from .gluing import GluingFunction
-    from .spaces import RealLine
-
     prod = ProductSpace((RealLine(), RealLine()), GluingFunction.two_valued(2))
     try:
         ends = np.asarray(endpoints, float)
@@ -301,11 +297,8 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
     # sums[path, d - 1] is the subdivision sum at depth d, bounded below by 2^d
     sums = np.array([curve_length(prod, path, depth).trace[1:] for path in family])
     slack = 2.0 ** np.arange(1, depth + 1) - sums
-    k, verdict = worst(slack)
-    pi, d = divmod(k, depth)
-    witness = {"path": pi, "depth": d + 1, "subdivision_sum": float(sums[pi, d]),
+    path, d = np.unravel_index(np.arange(slack.size), slack.shape)
+    witness = {"path": path, "depth": d + 1, "subdivision_sum": sums.ravel(),
                "lower_bound": 2 ** (d + 1)}
-    return ValidationReport("non-length-space-demo", verdict, len(family) * depth,
-                            slack.flat[k], witness,
-                            {"mode": "divergence", "max_depth": depth,
-                             "paths": len(family)})
+    return judge("non-length-space-demo", [(slack, witness)], slack.size,
+                 mode="divergence", max_depth=depth, paths=len(family))

@@ -17,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .curves import Curve
-from .gluing import GluingClass
+from .gluing import GluingClass, judge
 from .product import ProductSpace, _Sync
 from .reports import PASS, UNDETERMINED, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, SampleConfig, rng_stream
@@ -154,7 +154,10 @@ def midpoint(space: MetricSpace, x, y, cfg: SampleConfig = DEFAULT_SAMPLES):
 
 def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
                  cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
-    """Definitional check: distances along the path equal parameter gaps."""
+    """Definitional check: distances along the path equal parameter gaps.  A grid
+    below 3, with no interior point, is refused."""
+    if grid < 3:
+        raise ValueError("grid must be at least 3")
     d = geo.length
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
@@ -163,20 +166,17 @@ def geodesy_test(space: MetricSpace, geo: Geodesic, grid: int = 64,
     gaps = np.abs(ts[ii] - ts[jj])
     diffs = np.abs(dist - gaps)
     tol = cfg.tol.scaled(d)
-    k, verdict = worst(diffs, tol)
-    witness = {"s": float(ts[ii[k]]), "t": float(ts[jj[k]]),
-               "distance": float(dist[k]), "gap": float(gaps[k])}
-    return ValidationReport("geodesy", verdict,
-                            len(diffs), float(diffs[k]), witness,
-                            {"length": d, "tolerance": tol,
-                             "descriptor": geo.descriptor})
+    return judge("geodesy", [(diffs, {"s": ts[ii], "t": ts[jj], "distance": dist, "gap": gaps})],
+                 len(diffs), tol, length=d, tolerance=tol, descriptor=geo.descriptor)
 
 
 def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
                              cfg: SampleConfig = DEFAULT_SAMPLES) -> ValidationReport:
     """Factor distances along a product geodesic grow proportionally: the
     i-th component at parameter t sits at fraction t/D of its factor
-    distance."""
+    distance.  A grid below 3, with no interior point, is refused."""
+    if grid < 3:
+        raise ValueError("grid must be at least 3")
     d = geo.length
     ts = np.linspace(0.0, d, grid)
     pts = geo.at_many(ts)
@@ -188,13 +188,11 @@ def component_progress_check(prod: ProductSpace, geo: Geodesic, grid: int = 64,
                          for i, f in enumerate(prod.factors)])
     diffs = np.abs(progress - expected)
     tol = cfg.tol.scaled(d)
-    k, verdict = worst(diffs, tol)
-    i, k = divmod(k, grid)
-    witness = {"factor": i, "t": float(ts[k]),
-               "progress": float(progress[i, k]), "expected": float(expected[i, k])}
-    return ValidationReport("component-progress", verdict,
-                            grid * len(prod.factors), float(diffs[i, k]), witness,
-                            {"length": d, "tolerance": tol})
+    factor, k = np.unravel_index(np.arange(diffs.size), diffs.shape)
+    return judge("component-progress", [(diffs, {"factor": factor, "t": ts[k],
+                                                 "progress": progress.ravel(),
+                                                 "expected": expected.ravel()})],
+                 diffs.size, tol, length=d, tolerance=tol)
 
 
 def _coordinate_directions(n: int) -> list:
@@ -225,8 +223,10 @@ def uniqueness_probe(prod: ProductSpace, x, y, grid: int = 64, perturbations: in
     on the grid: no sup distance above ``1e-6 * max(1, D)``.  Via points and perturbed
     midpoints are screened in batches, and the via routes of the candidates that pass
     are compared with the default route in one more.  A negative ``perturbations``
-    is refused.
+    is refused, and so is a grid below 3: every candidate shares the two endpoints.
     """
+    if grid < 3:
+        raise ValueError("grid must be at least 3")
     if perturbations < 0:
         raise ValueError(f"perturbations must be >= 0, got {perturbations}")
     d = prod.distance(x, y)
@@ -317,22 +317,19 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     # margins[a, b, c, d] = window[a, b, c, d] - (even[a, b] + even[c, d]) / 2 equals its
     # twin margins[c, d, a, b] bit for bit (NaN too), which comes first in C order when c < a;
     # so the first largest has c >= a, and slab a reduces only c in [a, grid), in grid**3 memory
-    buf, slabs = np.empty(grid**3), []
+    # peak[a]: slab a's first largest margin (argmax picks a NaN first), at index at[a]
+    buf, peak, at = np.empty(grid**3), np.empty(grid), np.empty((grid, 4), int)
     for a in range(grid):
         margins = buf[:grid * (grid - a) * grid].reshape(grid, grid - a, grid)
         np.add(even[a, :, None, None], even[None, a:], out=margins)
         np.subtract(window[a, :, a:], np.multiply(margins, 0.5, out=margins), out=margins)
-        k = np.unravel_index(worst(margins)[0], margins.shape)
-        slabs.append((float(margins[k]), (a, k[0], k[1] + a, k[2])))
+        b, c, d = np.unravel_index(np.argmax(margins), margins.shape)
+        peak[a], at[a] = margins[b, c, d], (a, b, c + a, d)
     tol = tau if tau is not None else cfg.tol.scaled(float(dmat.max(initial=0.0)))
-    a, verdict = worst([m for m, _ in slabs], tol)
-    margin, k = slabs[a]
-    step = 1.0 / (grid - 1)
-    witness = {"s": k[0] * step, "t": k[1] * step,
-               "s2": k[2] * step, "t2": k[3] * step}
-    return ValidationReport("busemann-convexity", verdict,
-                            grid**4, margin, witness,
-                            {"tolerance": tol, "scope": "global on the given geodesics"})
+    # times the step: index / (grid - 1) can differ in the last bit
+    witness = dict(zip(("s", "t", "s2", "t2"), (at * (1.0 / (grid - 1))).T))
+    return judge("busemann-convexity", [(peak, witness)], grid**4, tol,
+                 tolerance=tol, scope="global on the given geodesics")
 
 
 def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
@@ -346,8 +343,9 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     for nonzero bounds is out of scope.  The sides, the screen of degenerate
     triangles, the midpoints and their distances are each one batch.
     """
-    if triangles is None:
-        triangles = list(zip(*(space.sample_points(count, [seed, s], radius) for s in (7, 8, 9))))
+    if triangles is None:       # a count of 0 draws no triangle; a negative one is refused
+        draws = [space.sample_points(count, [seed, s], radius) for s in (7, 8, 9)] if count else []
+        triangles = list(zip(*draws))
     else:
         triangles = [tuple(map(space.check, (p, q, r))) for p, q, r in triangles]
     n, rows, scale = len(triangles), np.empty(0, int), 1.0
@@ -369,9 +367,6 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     comparison = (2 * a * a + 2 * b * b - c * c) / 4.0
     comparison = np.sqrt(np.where(comparison > 0.0, comparison, 0.0))
     margins = space.distance_batch(ps, mids) - comparison
-    k, verdict = worst(margins, tol)
-    witness = {name: space.point_to_json(space.point_at(batch, k)) for name, batch in
-               (("p", ps), ("q", qs), ("r", rs), ("midpoint", mids))}
-    witness.update(sides=[float(a[k]), float(b[k]), float(c[k])], comparison=float(comparison[k]))
-    return ValidationReport("cat0-four-point", verdict, len(rows), float(margins[k]), witness,
-                            details)
+    witness = {"p": ps, "q": qs, "r": rs, "midpoint": mids,
+               "sides": np.column_stack([a, b, c]), "comparison": comparison}
+    return judge("cat0-four-point", [(margins, witness)], len(rows), tol, **details)

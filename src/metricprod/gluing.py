@@ -345,6 +345,8 @@ def scan(n: int, draws, kernel, tail=None):
 
 def _kept(kept, margins, fields, k):
     """A row of :func:`scan` after a block of ``k`` rows (``kept`` is ``None`` before the first)."""
+    if not k:
+        raise ValueError("no margins were sampled")
     i = int(np.argmax(margins))
     # a later block wins a row only with a larger margin, or the row's first NaN
     if kept is not None and (np.isnan(kept[0]) or kept[0] >= margins[i]):
@@ -352,10 +354,16 @@ def _kept(kept, margins, fields, k):
     return margins[i], {name: _block(f, [i], k) for name, f in fields.items()}
 
 
-def judge(condition, best, samples, tol=0.0, **details) -> ValidationReport:
-    """The report of ``condition`` on the rows :func:`scan` kept: :func:`worst` of their margins
-    against ``tol``, witnessed by the winning row's fields.  A row whose margin has its own
-    tolerance subtracted carries its raw difference as the field ``margin``, which is shown."""
+def judge(condition, rows, samples, tol=0.0, **details) -> ValidationReport:
+    """The report of ``condition`` on margin rows ``(margins, fields)``: :func:`worst` of their
+    first largest margins (a NaN first) against ``tol``, witnessed by the winning row's fields.
+
+    A row :func:`scan` kept (a scalar margin and one-row fields) passes unchanged; a whole row,
+    its margins of any shape read raveled and its fields batches over them or constants, is
+    reduced by the rule :func:`scan` keeps rows by.  A row whose margin has its own tolerance
+    subtracted carries its raw difference as the field ``margin``, which is shown."""
+    best = [(m, fields) if np.ndim(m) == 0 else _kept(None, np.ravel(m), fields, np.size(m))
+            for m, fields in rows]
     r, verdict = worst([m for m, _ in best], tol)
     margin, fields = best[r]
     witness = {name: _block(f, 0, 1) for name, f in fields.items()}    # row 0 of each

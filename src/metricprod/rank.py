@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gluing import GluingClass, GluingFunction
+from .gluing import GluingClass, GluingFunction, judge
 from .geodesics import Geodesic
 from .product import ProductSpace
-from .reports import FAIL, Tolerances, ValidationReport, worst
+from .reports import Tolerances, ValidationReport, worst
 from .sampling import DEFAULT_SAMPLES, SampleConfig
 from .spaces import CATALOG_NOTE, FiniteMetricSpace, HalfLine, MetricSpace
 
@@ -129,14 +129,9 @@ def counterexample_sum_halflines(T: float = 10.0, grid: int = 101) -> Validation
     dist = prod.distance_batch(prod.take(pts, ii), prod.take(pts, jj))
     gaps = np.abs(params[ii] - params[jj])
     diffs = np.abs(dist - gaps)
-    k, verdict = worst(diffs)
-    witness = {"s": float(params[ii[k]]), "t": float(params[jj[k]]),
-               "distance": float(dist[k]), "gap": float(gaps[k])}
-    return ValidationReport("rank-counterexample", verdict,
-                            len(diffs), float(diffs[k]), witness,
-                            {"T": T, "grid": grid, "exact": True,
-                             "embedded_dimension": 1,
-                             "factor_ranks": [0, 0]})
+    witness = {"s": params[ii], "t": params[jj], "distance": dist, "gap": gaps}
+    return judge("rank-counterexample", [(diffs, witness)], len(diffs), T=T, grid=grid,
+                 exact=True, embedded_dimension=1, factor_ranks=[0, 0])
 
 
 @dataclass
@@ -274,22 +269,16 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     nz = norms > 1e-12
     rel = np.zeros_like(norms)
     rel[nz] = np.abs(glued[nz] - norms[nz]) / norms[nz]
-    k, verdict = worst(rel, cfg.tol.metric)
-    details = {"relative": True}
-    if verdict == FAIL:
-        details["reason"] = "not an isometric embedding"
-    reports.append(ValidationReport(
-        "alpha-isometry", verdict, int(nz.sum()), float(rel[k]),
-        {"v": vecs[k], "glued": float(glued[k]), "norm": float(norms[k])}, details))
+    reports.append(judge("alpha-isometry", [(rel, {"v": vecs, "glued": glued, "norm": norms})],
+                         int(nz.sum()), cfg.tol.metric, relative=True))
+    if reports[-1].failed:
+        reports[-1].details["reason"] = "not an isometric embedding"
 
     diffs = np.abs(gauges_a - gauges_b)
     tol = cfg.tol.scaled(float(gauges_a.max(initial=0.0)))
-    k, verdict = worst(diffs, tol)
-    r, i = np.unravel_index(k, diffs.shape)
-    reports.append(ValidationReport(
-        "alpha-base-independence", verdict,
-        vecs.shape[0] * len(prod.factors), float(diffs.flat[k]),
-        {"v": vecs[r], "factor": int(i)}, {"tolerance": tol}))
+    r, i = np.unravel_index(np.arange(diffs.size), diffs.shape)
+    reports.append(judge("alpha-base-independence", [(diffs, {"v": vecs[r], "factor": i})],
+                         diffs.size, tol, tolerance=tol))
 
     lambdas = (0.5, 2.0, 3.0)
     diffs = np.array([np.abs(_factor_gaps(prod, embedding, a, lam * vecs) - lam * gauges_a)
@@ -310,9 +299,7 @@ def alpha_decompose(embedding, prod: ProductSpace, base_a, base_b, vectors,
     margins = np.array([_factor_gaps(prod, embedding, a, v + sub) - g - gsub
                         for v, g in zip(sub, gsub)])
     tol = cfg.tol.scaled(float(gsub.max(initial=0.0)))
-    k, verdict = worst(margins, tol)
-    r, w, i = np.unravel_index(k, margins.shape)
-    reports.append(ValidationReport(
-        "alpha-triangle", verdict, margins.size, float(margins.flat[k]),
-        {"v": sub[r], "w": sub[w], "factor": int(i)}, {"tolerance": tol}))
+    r, w, i = np.unravel_index(np.arange(margins.size), margins.shape)
+    reports.append(judge("alpha-triangle", [(margins, {"v": sub[r], "w": sub[w], "factor": i})],
+                         margins.size, tol, tolerance=tol))
     return decomp, reports

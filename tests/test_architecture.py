@@ -8,7 +8,7 @@ of space, as a batch.  The weighted p-norm is written
 once, and a short last axis is reduced only by ``gluing.rowwise``.  The checks
 copy no whole sample block with ``vstack`` or ``tile``.  Tolerances
 live in one record, ``reports.Tolerances``.  Margin verdicts go through
-``reports.worst``, where a NaN margin fails; the streamed checks call it only
+``reports.worst``, where a NaN margin fails; every witnessed report calls it
 through ``gluing.judge``.  Every class gate reads
 ``GluingFunction.gluing_class``; only the checks sample a classification.
 Records carry no wall clock, and the benchmark tracer finds every name it wraps.
@@ -160,13 +160,17 @@ def worst_callers(path: Path) -> list[str]:
 
 
 def test_streamed_margin_verdicts_go_through_judge():
-    """Every margin verdict of the ladder rungs, the symmetrized norm axioms and the metric
-    axioms is read by ``gluing.judge`` from the rows ``gluing.scan`` kept.  The named
-    exceptions keep their own rules: the zero-floor rule (``sampling.zero_floor_verdict``) of
-    definiteness and identity of indiscernibles, and the strict rung's tie band."""
-    callers = [caller for name in ("gluing.py", "product.py")
-               for caller in worst_callers(PACKAGE / name)]
-    assert callers == ["gluing.py:judge"]
+    """Every report witnessed by its worst row is built by ``gluing.judge``: the streamed
+    checks from the rows ``gluing.scan`` kept, the in-memory ones from whole margin rows.
+    Four callers read ``worst`` themselves, each for a verdict ``judge`` does not give:
+    ``sampling.zero_floor_verdict`` holds two bounds, the zero floor of definiteness and
+    identity of indiscernibles; ``LengthResult.trace_drop`` reads a verdict with no record;
+    ``uniqueness_probe``'s row for the default route has no witness (``null``); and
+    ``alpha_decompose``'s homogeneity report has none when homogeneity is exact.  The strict
+    rung's tie band reads no ``worst`` at all."""
+    callers = [caller for path in sorted(PACKAGE.glob("*.py")) for caller in worst_callers(path)]
+    assert callers == ["curves.py:trace_drop", "geodesics.py:uniqueness_probe", "gluing.py:judge",
+                       "rank.py:alpha_decompose", "sampling.py:zero_floor_verdict"]
 
 
 def module_names(path: Path) -> list[str]:

@@ -319,6 +319,33 @@ def test_busemann_grid_below_two_is_refused(tmp_path, capsys, grid):
     assert rec["verdict"] == "fail" and rec["error"] == "grid must be at least 2"
 
 
+GRID_CHECKS = {
+    "geodesy": {"space": "plane", "start": [0, 0], "end": [3, 4]},
+    "component-progress": {"space": "plane", "start": [0, 0], "end": [3, 4]},
+    "unique-geodesic": {"product": "taxiplane", "start": [0, 0], "end": [1, 1]},
+    "arclength": {"space": "plane", "curve": "diag"},
+}
+
+
+@pytest.mark.parametrize("check, least, grid", [
+    *((check, 3, grid) for check in ("geodesy", "component-progress", "unique-geodesic")
+      for grid in (2, 1, 0, -3)),
+    *(("arclength", 2, grid) for grid in (1, 0, -3))])
+def test_grid_with_no_interior_point_is_refused(tmp_path, capsys, check, least, grid):
+    """Below 3 grid points a geodesic is compared at its endpoints alone: every taxicab
+    candidate shares them, so the taxicab plane would read unique.  One arclength piece
+    compares the whole curve with itself.  The smallest grid allowed runs."""
+    config = config_with_checks([{"check": check, **GRID_CHECKS[check], "grid": grid}])
+    code, out = run_cli(capsys, "run", write_config(tmp_path, config), "--format", "json")
+    rec = json.loads(out)
+    assert code == EXIT_CHECK_FAILED
+    assert rec["verdict"] == "fail" and rec["error"] == f"grid must be at least {least}"
+    config["checks"][0]["grid"] = least
+    code, out = run_cli(capsys, "run", write_config(tmp_path, config), "--format", "json")
+    assert "error" not in json.loads(out)
+    assert json.loads(out)["verdict"] == ("fail" if check == "unique-geodesic" else "pass")
+
+
 @pytest.mark.parametrize("tau", ["loose", "nan", [1]])
 def test_bad_busemann_tolerance_is_config_error(tmp_path, capsys, tau):
     path = write_config(tmp_path, busemann_config(tau))

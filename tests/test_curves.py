@@ -276,6 +276,7 @@ def product_length_cases():
         [product_curve([zigzag, segment(1.0, -2.0)]), segment(0.0, 4.0)]
     yield plane(GluingFunction.coordinate_power(2, 2.0)), [zigzag, segment(0.0, 4.0)]
     yield plane(), [segment(0.0, 3.0), warped(segment(0.0, 4.0), lambda t: t**2)]
+    yield ProductSpace((RealLine(),), GluingFunction.lp(1, 3.0)), [zigzag]
 
 
 @pytest.mark.parametrize("depth", [1, 5, 10, 11, 12, 13])

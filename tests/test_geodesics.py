@@ -360,6 +360,14 @@ def test_cat0_with_no_triangles_is_undetermined():
                            "reason": "no triangles"}
 
 
+def test_cat0_with_count_zero_is_the_no_triangles_record():
+    space = LpSpace(2, 2.0)
+    rep = cat0_four_point_check(space, count=0)
+    assert rep.to_record() == cat0_four_point_check(space, triangles=[]).to_record()
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        cat0_four_point_check(space, count=-1)
+
+
 def test_cat0_on_plain_lp_factors():
     assert cat0_four_point_check(LpSpace(2, 2.0), count=200, seed=4).passed
     rep = cat0_four_point_check(
