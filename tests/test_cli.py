@@ -332,8 +332,8 @@ GRID_CHECKS = {
       for grid in (2, 1, 0, -3)),
     *(("arclength", 2, grid) for grid in (1, 0, -3))])
 def test_grid_with_no_interior_point_is_refused(tmp_path, capsys, check, least, grid):
-    """Below 3 grid points a geodesic is compared at its endpoints alone: every taxicab
-    candidate shares them, so the taxicab plane would read unique.  One arclength piece
+    """Below 3 grid points a geodesic is compared at no interior point: every taxicab
+    candidate shares the endpoints, so the taxicab plane would read unique.  One arclength piece
     compares the whole curve with itself.  The smallest grid allowed runs."""
     config = config_with_checks([{"check": check, **GRID_CHECKS[check], "grid": grid}])
     code, out = run_cli(capsys, "run", write_config(tmp_path, config), "--format", "json")
