@@ -404,10 +404,13 @@ def _run_non_length_space(ctx, params):
     ends = params.get("endpoints", [[0.0, 0.0], [1.0, 0.0]])
     if not isinstance(ends, list) or len(ends) != 2:
         raise ConfigError(f"'endpoints' must be a list of two points, got {ends!r}")
+    paths = params.number("paths", 5, int)
+    if paths < 1:
+        raise ConfigError(f"field 'paths' must be >= 1, got {paths}")
     plane = ProductSpace((RealLine(), RealLine()), GluingFunction.two_valued(2))
     return non_length_space_demo(
         params.number("depth", 8, int), [ctx.point(plane, e) for e in ends],
-        params.number("paths", 5, int), params.number("seed", ctx.default_seed, int))
+        paths, params.number("seed", ctx.default_seed, int))
 
 
 def _rank_record(rank: RankRecord) -> dict:

@@ -273,6 +273,8 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
         ends = np.empty(0)
     if ends.shape != (2, 2) or not np.isfinite(ends).all():
         raise ValueError(f"endpoints must be two finite points of the plane, got {endpoints!r}")
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     a, b = (tuple(map(float, end)) for end in ends)
     if a == b:
         return ValidationReport("non-length-space-demo", PASS, 0, 0.0,
@@ -286,7 +288,7 @@ def non_length_space_demo(depth: int = 8, endpoints=((0.0, 0.0), (1.0, 0.0)),
     rng = rng_stream(seed, 31)
     family = [segment(a, b)]
     lo, hi = (a[0], b[0]) if a[0] < b[0] else (b[0], a[0])
-    for _ in range(max(0, paths - 1)):
+    for _ in range(paths - 1):
         k = int(rng.integers(1, 4))
         xs = np.sort(rng.uniform(lo, hi, k))
         ys = rng.uniform(min(a[1], b[1]) - 1.0, max(a[1], b[1]) + 1.0, k)

@@ -56,7 +56,7 @@ def rowwise(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 
 #: Rows per block of :func:`by_blocks`: a block's temporaries stay in cache.
-BLOCK_ROWS = 8192
+BLOCK_ROWS = 4096
 
 
 def by_blocks(kernel, n: int, *batches) -> np.ndarray:
@@ -445,18 +445,35 @@ def _norm_conditions(phi: GluingFunction, cfg: SampleConfig,
     n = quadrant_rows(dim, cfg)
 
     # monotonicity: componentwise q <= p must not raise the value; margin row b pairs lower
-    # block b (u p, p, 0, then p with column j zeroed) with p; phi(p) is evaluated once
+    # block b (u p, p, a broadcast zero row, then p with column j zeroed) with p; phi(p) is
+    # evaluated once, and one zeroed-column block is held at a time: its row keeps the column
+    # index, and the witness q is rebuilt from the kept p row
+    zero = np.zeros((1, dim))
+
     def monotone(p, u):
         vp = phi(p)
-        lower = [u * p, p, np.zeros_like(p)] + [p.copy() for _ in range(dim)]
+        rows = []
+        for q in (u * p, p, zero):
+            vq = vp if q is p else phi(q)
+            rows.append((vq - vp, {"q": q, "p": p, "values": (vq, vp)}))
         for j in range(dim):
-            lower[3 + j][:, j] = 0.0
-        vlo = [vp if q is p else phi(q) for q in lower]
-        return [(vq - vp, {"q": q, "p": p, "values": (vq, vp)}) for q, vq in zip(lower, vlo)], [vp]
+            q = p.copy()
+            q[:, j] = 0.0
+            vq = phi(q)
+            rows.append((vq - vp, {"column": j, "p": p, "values": (vq, vp)}))
+        return rows, [vp]
+
+    def lowered(fields):
+        if "column" not in fields:
+            return fields
+        q = fields["p"].copy()
+        q[:, fields["column"]] = 0.0
+        return {"q": q, "p": fields["p"], "values": fields["values"]}
 
     draws = [quadrant_stream(dim, cfg, 4), _uniform(cfg, 404, 0.0, 1.0, dim)]
     best, (vp_peak,) = scan(n, draws, monotone)
-    monotonicity = judge("monotonicity", best, len(best) * n, cfg.tol.scaled(vp_peak))
+    monotonicity = judge("monotonicity", [(m, lowered(f)) for m, f in best], len(best) * n,
+                         cfg.tol.scaled(vp_peak))
 
     # subadditivity: the axis pairs (e_i, e_j) first, then the sampled pairs
     def subadditive(a, b):

@@ -471,12 +471,12 @@ class FiniteMetricSpace(_IndexSpace):
         super().__init__(m.shape[0])
         if not np.isfinite(m).all():
             raise ValueError("distance matrix entries must be finite")
-        if not np.allclose(m, m.T, rtol=0, atol=0):
+        if not np.array_equal(m, m.T):
             raise ValueError("distance matrix must be symmetric")
         if np.abs(np.diag(m)).max(initial=0.0) > 0:
             raise ValueError("distance matrix must have a zero diagonal")
-        off = m + np.eye(self.size)
-        if (off <= 0).any():
+        # the n diagonal zeros are the only entries <= 0 a metric allows
+        if np.count_nonzero(m <= 0) > self.size:
             raise ValueError("off-diagonal distances must be positive")
         # triangle check over every (i, j, k): d_ij <= d_ik + d_kj, one k at a time into
         # one buffer (a fresh n x n temporary per k costs more than the arithmetic)

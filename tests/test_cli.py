@@ -754,6 +754,8 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
      "tolerance": "loose"},
     {"check": "arclength", "space": "plane", "curve": "diag", "depth": None},
     {"check": "non-length-space", "paths": "some"},
+    {"check": "non-length-space", "paths": 0},
+    {"check": "non-length-space", "paths": -2},
     {"check": "non-length-space", "endpoints": [[0, 0], [math.inf, 0]]},
     {"check": "non-length-space", "endpoints": [[0, math.nan], [1, 0]]},
     {"check": "non-length-space", "endpoints": "ab"},
@@ -779,7 +781,7 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
         "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
         "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
         "grid-word", "perturbations-inf", "count-word", "expect-length-nan",
-        "tolerance-word", "depth-null", "paths-word", "endpoints-inf", "endpoints-nan",
+        "tolerance-word", "depth-null", "paths-word", "paths-zero", "paths-negative", "endpoints-inf", "endpoints-nan",
         "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
         "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short",
         "alpha-linspace-negative", "alpha-linspace-zero", "alpha-vectors-empty",

@@ -377,6 +377,18 @@ def test_non_length_space_demo_refuses_bad_endpoints(endpoints):
         non_length_space_demo(4, endpoints)
 
 
+@pytest.mark.parametrize("paths", [0, -2])
+def test_non_length_space_demo_refuses_fewer_than_one_path(paths):
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        non_length_space_demo(depth=4, paths=paths)
+
+
+def test_non_length_space_demo_one_path_is_the_segment():
+    rep = non_length_space_demo(depth=4, paths=1)
+    assert rep.passed
+    assert rep.details["paths"] == 1
+
+
 def test_non_length_space_demo_degenerate_offset():
     rep = non_length_space_demo(depth=4, endpoints=((0.0, 0.0), (1e-12, 0.0)))
     assert rep.verdict == "undetermined"

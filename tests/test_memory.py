@@ -10,7 +10,11 @@ convexity at 11.1 MB.  With streamed reductions they peak at 4.7 MB, 3.3 MB
 and 4.7 MB (5.4 MB for a first call in a fresh process, which warms numpy's
 caches); with witness fields kept by ``scan``, at 5.2 MB, 3.3 MB and 5.2 MB
 (5.9 MB first call), as the monotonicity rung's lower blocks now stay alive
-while its margins are taken.  The bound is the 5.4 MB plus about 30%, and
+while its margins are taken.  With 4096-row blocks and one zeroed-column
+lower block held at a time (its witness rebuilt from the kept row), at
+2.1 MB, 1.8 MB and 1.6 MB (2.8 MB first call; 3.3 MB with the smaller
+blocks alone, 4.8 MB with the one lower block alone).  The bound is the
+2.8 MB plus about 30%, and
 each check's peak must not grow with the sample count past one block.  That
 includes the strict-convexity rung alone on the max gluing in dim 2, where
 about a quarter of the midpoint norms tie at exactly 1: the rung keeps only
@@ -28,7 +32,7 @@ from metricprod import (DiscreteSpace, GluingFunction, LpSpace, ProductSpace, Re
 from metricprod.gluing import BLOCK_ROWS
 from metricprod.product import verify_metric_axioms
 
-PEAK_BYTES = 7e6
+PEAK_BYTES = 3.6e6
 
 
 def traced_peak(fn) -> float:

@@ -249,9 +249,9 @@ def test_monotonicity_evaluates_p_once(phi, eval_rows):
     sub = dim * dim + min(len(quadrant_samples(dim, CFG, stream=s)) for s in (5, 6))
     homogeneity = len(quadrant_samples(dim, CFG, stream=7))
     fixed = 7 * min(homogeneity, 16)
-    # definiteness, monotonicity (phi(p), then each other q block), subadditivity,
-    # homogeneity (the sampled scales, then the fixed scales on the first rows)
-    assert eval_rows == [definite, 1, n, *[n] * (dim + 2), sub, sub, sub,
+    # definiteness, monotonicity (phi(p), u p, the one zero row, then each zeroed column),
+    # subadditivity, homogeneity (the sampled scales, then the fixed scales on the first rows)
+    assert eval_rows == [definite, 1, n, n, 1, *[n] * dim, sub, sub, sub,
                          homogeneity, homogeneity, fixed, fixed]
     monotonicity = next(r for r in reports if r.condition == "monotonicity")
     assert record(monotonicity) == record(stacked_monotonicity(replaced_kernel(phi), CFG))
