@@ -781,8 +781,8 @@ def test_unresolved_polyline_reads_as_not_converged(tmp_path, capsys):
         "busemann-inf-start", "cat0-nan", "oracle-nan", "oracle-inf-index", "segment-nan",
         "arc-nan-center", "arc-inf-radius", "samples-many", "radius-nan", "seed-list",
         "grid-word", "perturbations-inf", "count-word", "expect-length-nan",
-        "tolerance-word", "depth-null", "paths-word", "paths-zero", "paths-negative", "endpoints-inf", "endpoints-nan",
-        "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
+        "tolerance-word", "depth-null", "paths-word", "paths-zero", "paths-negative",
+        "endpoints-inf", "endpoints-nan", "endpoints-word", "endpoints-one", "T-inf", "sample-radius-nan", "alpha-base-nan",
         "alpha-vector-nan", "alpha-linspace-nan", "alpha-linspace-short",
         "alpha-linspace-negative", "alpha-linspace-zero", "alpha-vectors-empty",
         "samples-negative", "exponent-negative", "exponent-nan", "embedding-axis-negative",
