@@ -32,6 +32,7 @@ from .curves import (
     segment,
 )
 from .gluing import (
+    GLUING_KEYS,
     GluingClass,
     GluingFunction,
     check_axis_pythagoras,
@@ -40,6 +41,7 @@ from .gluing import (
     check_quadrant_triangle,
     check_strict_convexity,
     check_symmetrized_norm_axioms,
+    refuse_unread,
     scalar_product_weights,
 )
 from .geodesics import (
@@ -81,30 +83,21 @@ class ConfigError(ValueError):
 # -- object construction -------------------------------------------------------
 
 
-#: Gluing types and the optional keys each reads: ``weights`` (then ``dim`` may be
-#: left out) and ``p``.  ``sum``, ``max`` and ``weighted-euclidean`` are the
-#: weighted-lp gluings at p = 1, oo and 2; ``GluingFunction`` fixes their p.  A key
-#: that its type does not read is refused, not ignored.
-_GLUING_KEYS = {"weighted-lp": ("weights", "p"), "weighted-euclidean": ("weights",),
-                "sum": (), "max": (), "two-valued": (), "coordinate-power": ()}
-
-
 def build_phi(defn) -> GluingFunction:
     if not isinstance(defn, dict) or "type" not in defn:
         raise ConfigError("gluing definition needs a 'type' field")
     kind = defn["type"]
     dim = defn.get("dim")
     try:
-        if kind in _GLUING_KEYS:
-            for key in ("weights", "p"):
-                if defn.get(key) is not None and key not in _GLUING_KEYS[kind]:
-                    raise ConfigError(f"{kind} takes no {key!r}")
+        # a custom gluing's evaluator is a callable, which a config cannot hold
+        if kind in GLUING_KEYS and kind != "custom":
+            refuse_unread(kind, defn.get("weights"), defn.get("p"))
             if kind == "coordinate-power":
                 return GluingFunction.coordinate_power(
                     int(dim), float(defn["exponent"]), int(defn.get("coordinate", 0)))
             weights = defn.get("weights")
             if dim is None and weights is None:
-                fields = "'dim' or 'weights'" if _GLUING_KEYS[kind] else "'dim'"
+                fields = "'dim' or 'weights'" if GLUING_KEYS[kind] else "'dim'"
                 raise ConfigError(f"{kind} needs {fields}")
             dim = len(weights) if dim is None else int(dim)
             if kind != "weighted-lp":
@@ -252,7 +245,7 @@ class RunContext:
         return SampleConfig(
             count=count,
             seed=params.number("seed", self.default_seed, int),
-            radius=params.number("radius", 10.0),
+            radius=params.positive("radius", 10.0),
             tol=self.tol,
         )
 
@@ -277,6 +270,13 @@ class _Fields(dict):
         except (TypeError, ValueError, OverflowError):     # int() of inf raises OverflowError
             pass
         raise ConfigError(f"field {key!r} must be a finite number, got {self[key]!r}")
+
+    def positive(self, key: str, default, kind=float):
+        """Field ``key`` as a finite ``kind`` > 0, ``default`` if absent."""
+        value = self.number(key, default, kind)
+        if not value > 0:
+            raise ConfigError(f"field {key!r} must be > 0, got {value}")
+        return value
 
 
 def _expectation(record: dict, expect, observed) -> dict:
@@ -383,7 +383,7 @@ def _run_cat0(ctx, params):
         triangles = [tuple(ctx.point(space, p) for p in tri) for tri in params["triangles"]]
     return cat0_four_point_check(
         space, params.number("count", 1000, int), params.number("seed", ctx.default_seed, int),
-        params.number("radius", 5.0), triangles, ctx.structure)
+        params.positive("radius", 5.0), triangles, ctx.structure)
 
 
 def _run_embedding_oracle(ctx, params):
@@ -392,9 +392,9 @@ def _run_embedding_oracle(ctx, params):
         points = [ctx.point(space, p) for p in params["points"]]
     else:
         sample = _Fields(_section(params, "sample"))
-        points = space.sample_points(sample.number("count", 32, int),
+        points = space.sample_points(sample.positive("count", 32, int),
                                      sample.number("seed", ctx.default_seed, int),
-                                     sample.number("radius", 5.0))
+                                     sample.positive("radius", 5.0))
     pattern = np.asarray(params["pattern"], float)
     probe = finite_embedding_oracle(pattern, points, space, tau=ctx.tol.embed)
     return dict(probe.to_record(), verdict=PASS)
@@ -404,9 +404,7 @@ def _run_non_length_space(ctx, params):
     ends = params.get("endpoints", [[0.0, 0.0], [1.0, 0.0]])
     if not isinstance(ends, list) or len(ends) != 2:
         raise ConfigError(f"'endpoints' must be a list of two points, got {ends!r}")
-    paths = params.number("paths", 5, int)
-    if paths < 1:
-        raise ConfigError(f"field 'paths' must be >= 1, got {paths}")
+    paths = params.positive("paths", 5, int)
     plane = ProductSpace((RealLine(), RealLine()), GluingFunction.two_valued(2))
     return non_length_space_demo(
         params.number("depth", 8, int), [ctx.point(plane, e) for e in ends],

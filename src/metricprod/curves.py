@@ -59,7 +59,7 @@ def polyline(space, points, constant_speed: bool = True) -> Curve:
     With ``constant_speed`` the parameter is proportional to arclength in
     the given space, so the result is parameterized by (scaled) arclength.
     """
-    if not space.supports_interpolation:
+    if space.coord_dim is None:
         raise ValueError(f"{space.name} does not support interpolated curves")
     pts = [space.check(p) for p in points]
     if len(pts) < 2:

@@ -116,7 +116,7 @@ def _require_geodesic(space: MetricSpace, cfg) -> None:
                 raise ValueError(f"factor {f.name} is not geodesic")
         for f in space.factors:
             _require_geodesic(f, cfg)
-    elif not space.supports_interpolation:
+    elif space.coord_dim is None:
         raise ValueError(f"{space.name} is not a geodesic space in the catalog")
 
 

@@ -28,10 +28,12 @@ from .sampling import (DEFAULT_SAMPLES, SampleConfig, chain, quadrant_rows, quad
                        rng_stream, signed_stream, uniform_stream, zero_floor_verdict)
 
 #: p of the norm-type kinds: ``sum``, ``max`` and ``weighted-euclidean`` are weighted-lp
-#: gluings at p = 1, oo and 2 with their own label and descriptor (and unit weights).
+#: gluings at p = 1, oo and 2 with their own label (``sum`` and ``max`` at unit weights).
 _LP_KINDS = {"weighted-lp": None, "weighted-euclidean": 2.0, "sum": 1.0, "max": math.inf}
-_UNWEIGHTED = ("sum", "max")
-_KINDS = (*_LP_KINDS, "two-valued", "coordinate-power", "custom")
+#: Gluing kinds and the optional keys each reads, ``weights`` and ``p``.  A key that its
+#: kind does not read is refused, not ignored.
+GLUING_KEYS = {"weighted-lp": ("weights", "p"), "weighted-euclidean": ("weights",), "sum": (),
+               "max": (), "two-valued": (), "coordinate-power": (), "custom": ()}
 #: Smallest symmetrized-norm distance between the unit vectors of a strict-convexity pair.
 SEPARATION = 0.1
 
@@ -117,6 +119,13 @@ def pnorm_weights(dim: int, p, weights) -> tuple[np.ndarray, np.ndarray | None]:
     return w, (None if (w == 1.0).all() else w)
 
 
+def refuse_unread(kind: str, weights, p) -> None:
+    """Refuse a ``weights`` or ``p`` that is given and that ``kind`` does not read."""
+    for key, value in (("weights", weights), ("p", p)):
+        if value is not None and key not in GLUING_KEYS[kind]:
+            raise ValueError(f"{kind} takes no {key!r}")
+
+
 class GluingFunction:
     """Evaluator for a distance-combining function on the quadrant.
 
@@ -128,8 +137,9 @@ class GluingFunction:
                  exponent=None, coordinate=0, label=None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if kind not in _KINDS:
+        if kind not in GLUING_KEYS:
             raise ValueError(f"unknown gluing kind {kind!r}")
+        refuse_unread(kind, weights, p)
         self.dim = int(dim)
         self.kind = kind
         self.p = None if p is None else float(p)
@@ -141,8 +151,7 @@ class GluingFunction:
 
         if kind in _LP_KINDS:
             self.p = _LP_KINDS[kind] or self.p
-            self.weights, self._norm_weights = pnorm_weights(
-                self.dim, self.p, None if kind in _UNWEIGHTED else weights)
+            self.weights, self._norm_weights = pnorm_weights(self.dim, self.p, weights)
         elif kind == "coordinate-power":
             if not (self.exponent is not None and self.exponent >= 0):   # NaN included
                 raise ValueError("coordinate-power needs an exponent >= 0")
@@ -157,7 +166,9 @@ class GluingFunction:
 
     @classmethod
     def lp(cls, dim, p, weights=None):
-        return cls(dim, "weighted-euclidean" if p == 2 else "weighted-lp", p=p, weights=weights)
+        if p == 2:
+            return cls(dim, "weighted-euclidean", weights=weights)
+        return cls(dim, "weighted-lp", p=p, weights=weights)
 
     @classmethod
     def euclidean(cls, weights):
@@ -253,25 +264,12 @@ class GluingFunction:
     # -- misc ----------------------------------------------------------------
 
     def _default_label(self):
-        if self.weights is not None and self.kind not in _UNWEIGHTED:
+        if "weights" in GLUING_KEYS[self.kind]:
             w = ",".join(f"{v:g}" for v in self.weights)
             return f"{self.kind}(p={self.p:g}, w=[{w}])"
         if self.kind == "coordinate-power":
             return f"coordinate-power(q[{self.coordinate}]^{self.exponent:g})"
         return f"{self.kind}(n={self.dim})"
-
-    def descriptor(self) -> dict:
-        d = {"type": self.kind, "dim": self.dim}
-        if self.weights is not None and self.kind not in _UNWEIGHTED:
-            d["weights"] = [float(w) for w in self.weights]
-        if self.kind == "weighted-lp":
-            d["p"] = "inf" if self.p == math.inf else self.p
-        if self.kind == "coordinate-power":
-            d["exponent"] = self.exponent
-            d["coordinate"] = self.coordinate
-        if self.kind == "custom":
-            d["label"] = self.label
-        return d
 
     def __repr__(self):
         return f"GluingFunction({self.label})"

@@ -64,10 +64,6 @@ class ProductSpace(MetricSpace):
     # -- classification-driven structure --------------------------------------
 
     @property
-    def supports_interpolation(self) -> bool:
-        return all(f.supports_interpolation for f in self.factors)
-
-    @property
     def properties(self) -> DeclaredProperties:
         cls = self.phi.gluing_class()
         norm = cls.at_least(GluingClass.NORM_INDUCED)
@@ -118,13 +114,6 @@ class ProductSpace(MetricSpace):
                      ells, ds)
 
     # -- (de)serialization -------------------------------------------------------
-
-    def descriptor(self):
-        return {
-            "type": "product",
-            "factors": [f.descriptor() for f in self.factors],
-            "phi": self.phi.descriptor(),
-        }
 
     def point_from_json(self, obj):
         if len(obj) != len(self.factors):

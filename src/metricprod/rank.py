@@ -58,8 +58,7 @@ def declared_rank(space: MetricSpace) -> RankRecord:
     """Rank from catalog metadata; unknown spaces stay unknown."""
     rank = space.properties.known_minkowski_rank
     notes = (CATALOG_NOTE,) if rank is not None else ("rank unknown for this space",)
-    return RankRecord(space.name if rank is not None else repr(space),
-                      rank, "declared", notes=notes)
+    return RankRecord(space.name, rank, "declared", notes=notes)
 
 
 def product_rank(prod: ProductSpace, cfg: SampleConfig = DEFAULT_SAMPLES) -> RankRecord:
@@ -75,19 +74,21 @@ def product_rank(prod: ProductSpace, cfg: SampleConfig = DEFAULT_SAMPLES) -> Ran
              for f in prod.factors]
     label = "product(" + ", ".join(r.space for r in parts) + ")"
     cls = prod.phi.gluing_class(cfg)
+    additive = cls.at_least(GluingClass.STRICTLY_CONVEX_NORM)
     if not cls.at_least(GluingClass.NORM_INDUCED):
         reason = (None if cls.at_least(GluingClass.METRIC_COMPATIBLE)
                   else "the gluing does not make the product a metric space")
-        return RankRecord(label, None, cls.value, additivity_guaranteed=False,
+        return RankRecord(label, None, cls.value, additive,
                           notes=(f"gluing class {cls.value} is below norm-induced: "
                                  "the sum of the factor ranks bounds nothing",), reason=reason)
     if any(r.rank is None for r in parts):
         reason = next((f"factor {r.space}: {r.reason}" for r in parts if r.reason), None)
-        return RankRecord(label, None, "declared", notes=("factor rank unknown",), reason=reason)
+        return RankRecord(label, None, "declared", additive, notes=("factor rank unknown",),
+                          reason=reason)
     total = sum(r.rank for r in parts)
-    if cls.at_least(GluingClass.STRICTLY_CONVEX_NORM):
-        return RankRecord(label, total, "strict-norm-additivity")
-    return RankRecord(label, total, "superadditive-lower-bound", additivity_guaranteed=False,
+    if additive:
+        return RankRecord(label, total, "strict-norm-additivity", additive)
+    return RankRecord(label, total, "superadditive-lower-bound", additive,
                       notes=("additivity not guaranteed: gluing is not strictly convex",
                              "value is the superadditive lower bound"))
 

@@ -30,6 +30,9 @@ class SampleConfig:
         # a stream takes any row count, so a negative one must not reach it
         if self.count < 0:
             raise ValueError(f"sample count must be >= 0, got {self.count}")
+        # at radius 0 every draw is the origin; a negative one draws half-line points below 0
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"sample radius must be finite and > 0, got {self.radius}")
 
 
 DEFAULT_SAMPLES = SampleConfig()

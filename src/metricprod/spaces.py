@@ -27,7 +27,7 @@ are known in closed form; reports that depend on that restriction carry
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,12 +135,8 @@ class MetricSpace:
     """Abstract carrier plus distance; subclasses implement the catalog."""
 
     name: str = "abstract"
-    #: True when points are coordinate vectors that can be interpolated.
-    supports_interpolation: bool = False
-
-    @property
-    def properties(self) -> DeclaredProperties:
-        return self._properties
+    #: The declared flags; a space that declares none has every flag unknown.
+    properties = DeclaredProperties()
 
     # -- core interface ----------------------------------------------------
 
@@ -189,7 +185,8 @@ class MetricSpace:
 
     # -- closed-form geometry ----------------------------------------------------
 
-    #: Number of coordinates of a point; None unless points are coordinate vectors.
+    #: Number of coordinates of a point; None unless points are coordinate vectors,
+    #: which curves and geodesics interpolate.
     coord_dim: int | None = None
 
     def offset(self, point, directions: np.ndarray, scales: np.ndarray):
@@ -215,9 +212,6 @@ class MetricSpace:
 
     # -- (de)serialization ---------------------------------------------------
 
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
     def point_from_json(self, obj):
         raise NotImplementedError
 
@@ -225,13 +219,12 @@ class MetricSpace:
         raise NotImplementedError
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.descriptor()})"
+        return f"{type(self).__name__}({self.name})"
 
 
 class _Line1D(MetricSpace):
     """Shared plumbing for the one-dimensional coordinate spaces."""
 
-    supports_interpolation = True
     coord_dim = 1
 
     def distance_batch(self, xs, ys) -> np.ndarray:
@@ -257,21 +250,12 @@ class RealLine(_Line1D):
     """The real line with its standard metric."""
 
     name = "real-line"
-
-    def __init__(self):
-        self._properties = DeclaredProperties(
-            is_length_space=True,
-            is_geodesic=True,
-            is_uniquely_geodesic=True,
-            is_convex=True,
-            known_minkowski_rank=1,
-        )
+    properties = DeclaredProperties(is_length_space=True, is_geodesic=True,
+                                     is_uniquely_geodesic=True, is_convex=True,
+                                     known_minkowski_rank=1)
 
     def sample_stream(self, seed=0, radius=1.0):
         return uniform_stream(rng_stream(seed, 11), -radius, radius)
-
-    def descriptor(self):
-        return {"type": "real-line"}
 
 
 class HalfLine(_Line1D):
@@ -282,21 +266,10 @@ class HalfLine(_Line1D):
     """
 
     name = "half-line"
-
-    def __init__(self):
-        self._properties = DeclaredProperties(
-            is_length_space=True,
-            is_geodesic=True,
-            is_uniquely_geodesic=True,
-            is_convex=True,
-            known_minkowski_rank=0,
-        )
+    properties = replace(RealLine.properties, known_minkowski_rank=0)
 
     def sample_stream(self, seed=0, radius=1.0):
         return uniform_stream(rng_stream(seed, 12), 0.0, radius)
-
-    def descriptor(self):
-        return {"type": "half-line"}
 
     def offset(self, point, directions, scales):
         return np.maximum(super().offset(point, directions, scales), 0.0)
@@ -318,7 +291,6 @@ class LpSpace(MetricSpace):
     """
 
     name = "lp-space"
-    supports_interpolation = True
 
     def __init__(self, dim: int, p: float = 2.0, weights=None):
         if dim < 1:
@@ -327,7 +299,7 @@ class LpSpace(MetricSpace):
         self.p = float(p)
         self.weights, self._norm_weights = pnorm_weights(self.dim, self.p, weights)
         strictly = 1.0 < self.p < INFINITY
-        self._properties = DeclaredProperties(
+        self.properties = DeclaredProperties(
             is_length_space=True,
             is_geodesic=True,
             is_uniquely_geodesic=strictly,
@@ -395,14 +367,6 @@ class LpSpace(MetricSpace):
             return wander_eval, f"wander({idx})"
         raise ValueError(f"p={self.p:g} factors are uniquely geodesic; corner selector invalid")
 
-    def descriptor(self):
-        return {
-            "type": "lp",
-            "dim": self.dim,
-            "p": "inf" if self.p == INFINITY else self.p,
-            "weights": [float(w) for w in self.weights],
-        }
-
     def point_from_json(self, obj):
         return _finite(self._check(np.asarray(obj, float)))
 
@@ -413,17 +377,14 @@ class LpSpace(MetricSpace):
 class _IndexSpace(MetricSpace):
     """Shared plumbing and declared properties for spaces whose points are integer indices."""
 
+    properties = DeclaredProperties(is_length_space=False, is_geodesic=False,
+                                     is_uniquely_geodesic=False, is_convex=False,
+                                     known_minkowski_rank=0)
+
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("need at least one point")
         self.size = int(size)
-        self._properties = DeclaredProperties(
-            is_length_space=False,
-            is_geodesic=False,
-            is_uniquely_geodesic=False,
-            is_convex=False,
-            known_minkowski_rank=0,
-        )
 
     def _check(self, i) -> int:
         idx = int(i)
@@ -449,9 +410,6 @@ class DiscreteSpace(_IndexSpace):
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         return (np.asarray(xs) != np.asarray(ys)).astype(float)
-
-    def descriptor(self):
-        return {"type": "discrete", "points": self.size}
 
 
 class FiniteMetricSpace(_IndexSpace):
@@ -490,9 +448,6 @@ class FiniteMetricSpace(_IndexSpace):
 
     def distance_batch(self, xs, ys) -> np.ndarray:
         return self.matrix[np.asarray(xs), np.asarray(ys)]
-
-    def descriptor(self):
-        return {"type": "finite", "matrix": [[float(v) for v in row] for row in self.matrix]}
 
 
 def line_pattern(values) -> FiniteMetricSpace:

@@ -41,6 +41,13 @@ PRODUCTS = [ProductSpace(pair, phi) for phi in (EU, TAXI, LP15) for pair in FACT
 NESTED = ProductSpace((ProductSpace((RealLine(), LpSpace(2, 1.5)), LP15), HalfLine()), EU)
 
 
+def space_id(space):
+    """A parameter id: a space's name, or a product's gluing label over its factors' ids."""
+    if isinstance(space, ProductSpace):
+        return f"{space.phi.label}({','.join(map(space_id, space.factors))})"
+    return space.name
+
+
 def record(rep):
     return json.dumps(rep.to_record(), sort_keys=True)
 
@@ -182,7 +189,7 @@ def scalar_uniqueness(prod, x, y, grid=64, perturbations=64, seed=0):
 
 
 @pytest.mark.parametrize("space", PRODUCTS + [NESTED, LpSpace(2, 1.5), RealLine()],
-                         ids=lambda s: json.dumps(s.descriptor()))
+                         ids=space_id)
 def test_cat0_sampled_matches_scalar(space):
     for seed in (0, 3):
         rep = cat0_four_point_check(space, count=60, seed=seed, radius=2.0)
@@ -287,7 +294,7 @@ def test_given_points_are_checked():
         LpSpace(2, 1.5).distance((0.0, 0.0, 1.0), (1.0, 0.0))
 
 
-@pytest.mark.parametrize("space", PRODUCTS + [NESTED], ids=lambda s: json.dumps(s.descriptor()))
+@pytest.mark.parametrize("space", PRODUCTS + [NESTED], ids=space_id)
 def test_product_geodesic_matches_scalar(space):
     # the default route evaluates through the batched sync arithmetic; the reference
     # composes the factor routes, and explicit selectors keep the route objects
@@ -319,7 +326,7 @@ def test_default_geodesic_measures_its_factors_when_built(monkeypatch):
     assert calls == [] and len(NESTED.unstack(pts)) == 64
 
 
-@pytest.mark.parametrize("prod", PRODUCTS + [NESTED], ids=lambda s: json.dumps(s.descriptor()))
+@pytest.mark.parametrize("prod", PRODUCTS + [NESTED], ids=space_id)
 def test_uniqueness_matches_scalar(prod):
     pairs = [prod.sample_points(2, seed=s, radius=3.0) for s in (5, 6)]
     for x, y in pairs:

@@ -424,8 +424,9 @@ def test_validate_phi_refuses_a_flag_its_kind_does_not_read(capsys, flags, messa
     ({"type": "max", "dim": 2, "p": "inf"}, "p"),
     ({"type": "weighted-euclidean", "weights": [1, 2], "p": 2}, "p"),
     ({"type": "coordinate-power", "dim": 1, "exponent": 2, "p": 2}, "p"),
+    ({"type": "sum", "p": 1}, "p"),
 ], ids=["max-weights", "sum-weights", "two-valued-weights", "coordinate-power-weights",
-        "sum-p", "max-p", "weighted-euclidean-p", "coordinate-power-p"])
+        "sum-p", "max-p", "weighted-euclidean-p", "coordinate-power-p", "sum-p-before-dim"])
 def test_gluing_key_its_type_does_not_read_is_config_error(tmp_path, capsys, phi, key):
     space = {"type": "product", "factors": [{"type": "real-line"}] * 2, "phi": phi}
     code = main(["run", write_config(tmp_path, {"version": 1, "spaces": {"s": space}})])
@@ -433,6 +434,15 @@ def test_gluing_key_its_type_does_not_read_is_config_error(tmp_path, capsys, phi
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert f"config error: bad gluing definition: {phi['type']} takes no {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["custom", "cubic"])
+def test_a_gluing_type_a_config_cannot_build_is_config_error(tmp_path, capsys, kind):
+    """A custom gluing's evaluator is a callable, which JSON cannot hold."""
+    code = main(["run", write_config(tmp_path, {"version": 1,
+                                                "phis": {"g": {"type": kind, "dim": 2}}})])
+    assert (code, capsys.readouterr().err) == (
+        EXIT_CONFIG, f"config error: unknown gluing type {kind!r}\n")
 
 
 def test_weighted_kinds_read_their_weights_and_p(capsys):
@@ -793,6 +803,34 @@ def test_refused_point_or_number_is_config_error(tmp_path, capsys, check):
     assert code == EXIT_CONFIG
     assert captured.out == ""
     assert "config error" in captured.err and f"({check['check']})" in captured.err
+
+
+HALF_PLANE = {"type": "product", "factors": [{"type": "half-line"}, {"type": "real-line"}],
+              "phi": "eu"}
+PAIR = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("check, field, value", [
+    ({"check": "metric-axioms", "product": "plane", "radius": 0}, "radius", "0.0"),
+    ({"check": "metric-axioms", "product": HALF_PLANE, "radius": -2}, "radius", "-2.0"),
+    ({"check": "psi-norm-axioms", "phi": "eu", "radius": 0}, "radius", "0.0"),
+    ({"check": "quadrant-triangle", "phi": "eu", "radius": -1}, "radius", "-1.0"),
+    ({"check": "cat0-four-point", "space": "plane", "radius": 0}, "radius", "0.0"),
+    ({"check": "embedding-oracle", "space": "plane", "pattern": PAIR, "sample": {"radius": 0}},
+     "radius", "0.0"),
+    ({"check": "embedding-oracle", "space": "plane", "pattern": PAIR, "sample": {"count": 0}},
+     "count", "0"),
+], ids=["axioms-radius-zero", "axioms-radius-negative", "psi-radius-zero",
+        "triangle-radius-negative", "cat0-radius-zero", "oracle-radius-zero", "oracle-count-zero"])
+def test_a_sample_radius_or_count_not_above_zero_is_config_error(tmp_path, capsys, check, field,
+                                                                 value):
+    """At radius 0 every sample is the origin, and at a negative radius a half-line factor
+    draws points below 0: the checks passed on them, or failed on a refused sample."""
+    code = main(["run", write_config(tmp_path, config_with_checks([check]))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_CONFIG, "")
+    assert captured.err == (f"config error: check #0 ({check['check']}): "
+                            f"field {field!r} must be > 0, got {value}\n")
 
 
 ARC = {"kind": "circle-arc", "center": [0, 0], "radius": 1, "angle_end": math.pi}

@@ -474,6 +474,31 @@ def test_coordinate_power_takes_exponent_zero():
     assert GluingFunction.coordinate_power(2, 0.0)(np.array([0.0, 3.0])) == 1.0
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GluingFunction(2, "sum", weights=[1, 5]), "sum takes no 'weights'"),
+    (lambda: GluingFunction(2, "max", weights=[1, 5]), "max takes no 'weights'"),
+    (lambda: GluingFunction(2, "max", p=3), "max takes no 'p'"),
+    (lambda: GluingFunction(2, "weighted-euclidean", p=3), "weighted-euclidean takes no 'p'"),
+    (lambda: GluingFunction(2, "two-valued", p=3), "two-valued takes no 'p'"),
+    (lambda: GluingFunction(2, "coordinate-power", exponent=1.0, weights=[1, 5]),
+     "coordinate-power takes no 'weights'"),
+    (lambda: GluingFunction(2, "custom", func=np.sum, p=1), "custom takes no 'p'"),
+], ids=["sum-weights", "max-weights", "max-p", "euclidean-p", "two-valued-p",
+        "coordinate-power-weights", "custom-p"])
+def test_a_key_its_kind_does_not_read_is_refused(make, message):
+    """Were it dropped, ``sum`` with weights [1, 5] would read 2 at (1, 1), not 6, and
+    ``max`` with p = 3 would stay the max."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_a_euclidean_lp_is_the_weighted_euclidean_kind():
+    phi = GluingFunction.lp(2, 2.0, [1, 2])
+    assert (phi.kind, phi.p, phi.label) == ("weighted-euclidean", 2.0,
+                                            "weighted-euclidean(p=2, w=[1,2])")
+    assert phi((1.0, 1.0)) == math.sqrt(3.0)
+
+
 def noisy_max(q):
     """The max gluing scaled by 1 + 5e-12 sin(...): many midpoint norms lie within a few
     1e-12 of each other, so the strict rung's tie band decides its witness."""

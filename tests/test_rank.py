@@ -10,6 +10,7 @@ from metricprod import (
     GluingFunction,
     HalfLine,
     LpSpace,
+    MetricSpace,
     ProductSpace,
     RealLine,
     SampleConfig,
@@ -88,6 +89,25 @@ def test_a_class_below_norm_induced_licenses_no_rank(phi, cls):
     metric = cls == "metric-compatible"
     assert (rec.reason is None) == metric
     assert ("reason" in rec.to_record()) == (not metric)
+
+
+@pytest.mark.parametrize("phi, additive", [(GluingFunction.sum(2), False),
+                                         (GluingFunction.euclidean((1.0, 1.0)), True)],
+                         ids=repr)
+def test_additivity_follows_the_gluing_class_with_an_unknown_factor_rank(phi, additive):
+    """The two-valued inner product has no rank; the flag still reads the outer class."""
+    inner = ProductSpace((RealLine(), RealLine()), GluingFunction.two_valued(2))
+    rec = product_rank(ProductSpace((inner, RealLine()), phi), CFG)
+    assert (rec.rank, rec.provenance, rec.additivity_guaranteed) == (None, "declared", additive)
+
+
+def test_declared_rank_names_a_space_of_unknown_rank_by_its_name():
+    class Circle(MetricSpace):
+        name = "circle"
+
+    rec = declared_rank(Circle())
+    assert (rec.space, rec.rank, rec.notes) == ("circle", None, ("rank unknown for this space",))
+    assert repr(Circle()) == "Circle(circle)"
 
 
 def test_a_factor_that_is_not_a_metric_space_fails_the_outer_record():

@@ -128,6 +128,12 @@ def test_negative_sample_count_is_refused():
         SampleConfig(count=-1)
 
 
+@pytest.mark.parametrize("radius", [0.0, -2.0, math.inf, math.nan])
+def test_sample_radius_not_finite_and_above_zero_is_refused(radius):
+    with pytest.raises(ValueError, match="^sample radius must be finite and > 0, got "):
+        SampleConfig(radius=radius)
+
+
 # -- streamed checks against one block -------------------------------------------
 
 
