@@ -124,15 +124,15 @@ def _default_route(space: MetricSpace, xs, ys, ds):
     """The default route between the one-row batches ``xs`` and ``ys``, of length
     ``ds``, and its name."""
     route = space.route(xs, ys, ds)
-    return route, _descriptor(route, ds[0])
+    return route, _route_name(route, ds[0])
 
 
-def _descriptor(route, d: float) -> str:
+def _route_name(route, d: float) -> str:
     """Name of a one-row default route of length ``d``, read off the factor lengths a
     product route measured: a route of length 0 is constant."""
     if d == 0 or not isinstance(route, _Sync):
         return "affine" if d else "constant"
-    names = [_descriptor(r, ell[0]) for r, ell in zip(route.routes, route.lengths)]
+    names = [_route_name(r, ell[0]) for r, ell in zip(route.routes, route.lengths)]
     return "sync[" + ",".join(names) + "]"
 
 
