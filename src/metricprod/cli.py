@@ -91,13 +91,13 @@ def build_phi(defn) -> GluingFunction:
     try:
         # a custom gluing's evaluator is a callable, which a config cannot hold
         if kind in GLUING_KEYS and kind != "custom":
-            refuse_unread(kind, defn.get("weights"), defn.get("p"))
+            refuse_unread(kind, defn)
             if kind == "coordinate-power":
                 return GluingFunction.coordinate_power(
                     int(dim), float(defn["exponent"]), int(defn.get("coordinate", 0)))
             weights = defn.get("weights")
             if dim is None and weights is None:
-                fields = "'dim' or 'weights'" if GLUING_KEYS[kind] else "'dim'"
+                fields = "'dim' or 'weights'" if "weights" in GLUING_KEYS[kind] else "'dim'"
                 raise ConfigError(f"{kind} needs {fields}")
             dim = len(weights) if dim is None else int(dim)
             if kind != "weighted-lp":
@@ -239,11 +239,8 @@ class RunContext:
             raise ConfigError(f"bad point {obj!r}: {exc}") from exc
 
     def sample_config(self, params: _Fields) -> SampleConfig:
-        count = params.number("samples", self.default_samples, int)
-        if count < 0:
-            raise ConfigError(f"field 'samples' must be >= 0, got {count}")
         return SampleConfig(
-            count=count,
+            count=params.count("samples", self.default_samples),
             seed=params.number("seed", self.default_seed, int),
             radius=params.positive("radius", 10.0),
             tol=self.tol,
@@ -270,6 +267,13 @@ class _Fields(dict):
         except (TypeError, ValueError, OverflowError):     # int() of inf raises OverflowError
             pass
         raise ConfigError(f"field {key!r} must be a finite number, got {self[key]!r}")
+
+    def count(self, key: str, default: int) -> int:
+        """Field ``key`` as a finite int >= 0, ``default`` if absent."""
+        value = self.number(key, default, int)
+        if value < 0:
+            raise ConfigError(f"field {key!r} must be >= 0, got {value}")
+        return value
 
     def positive(self, key: str, default, kind=float):
         """Field ``key`` as a finite ``kind`` > 0, ``default`` if absent."""
@@ -382,7 +386,7 @@ def _run_cat0(ctx, params):
     if "triangles" in params:
         triangles = [tuple(ctx.point(space, p) for p in tri) for tri in params["triangles"]]
     return cat0_four_point_check(
-        space, params.number("count", 1000, int), params.number("seed", ctx.default_seed, int),
+        space, params.count("count", 1000), params.number("seed", ctx.default_seed, int),
         params.positive("radius", 5.0), triangles, ctx.structure)
 
 

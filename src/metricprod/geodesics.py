@@ -17,6 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .curves import Curve
+from . import gluing
 from .gluing import GluingClass, judge
 from .product import ProductSpace, _Sync
 from .reports import PASS, UNDETERMINED, ValidationReport, worst
@@ -304,30 +305,39 @@ def busemann_convexity_check(space: MetricSpace, g1: Geodesic, g2: Geodesic,
     an absolute tolerance in place of the scaled ``cfg.tol``.  A grid below
     2 is refused.  The margin of (s, t) against (s2, t2) is that of (s2, t2)
     against (s, t), so only s2 >= s is reduced: the first worst pair is there.
-    """
+
+    Distances are gathered in blocks and margins reduced in chunks of ``16 * gluing.BLOCK_ROWS``,
+    so memory holds one chunk and the fine**2 distances.  A margin ``d - (d1 / 2 + d2 / 2)`` is
+    the float of ``d - (d1 + d2) / 2`` except past about 8.99e307, where ``d1 + d2`` overflowed
+    to a margin of -inf and the halves give the true one, and where a half is subnormal (below
+    about 4.5e-308): there the margin moves by float noise."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
     fine = 2 * grid - 1
     u = np.linspace(0.0, 1.0, fine)
     p1, p2 = g1.at_many(u * g1.length), g2.at_many(u * g2.length)
-    ii, jj = np.divmod(np.arange(fine * fine), fine)
-    dmat = space.distance_batch(space.take(p1, ii), space.take(p2, jj)).reshape(fine, fine)
-    even = np.ascontiguousarray(dmat[::2, ::2])      # values at grid points, contiguous
+    pair = lambda k: space.distance_batch(space.take(p1, k // fine), space.take(p2, k % fine))
+    dmat = gluing.by_blocks(pair, fine * fine, np.arange(fine * fine)).reshape(fine, fine)
+    half = dmat[::2, ::2] * 0.5                     # halved values at grid points, contiguous
     window = np.lib.stride_tricks.sliding_window_view(dmat, (grid, grid))  # dmat[a + c, b + d]
-    # margins[a, b, c, d] = window[a, b, c, d] - (even[a, b] + even[c, d]) / 2 equals its
-    # twin margins[c, d, a, b] bit for bit (NaN too), which comes first in C order when c < a;
-    # so the first largest has c >= a, and slab a reduces only c in [a, grid), in grid**3 memory
-    # peak[a]: slab a's first largest margin (argmax picks a NaN first), at index at[a]
-    buf, peak, at = np.empty(grid**3), np.empty(grid), np.empty((grid, 4), int)
+    # margins[a, b, c, d] = window[a, b, c, d] - (half[a, b] + half[c, d]) equals its twin
+    # margins[c, d, a, b] bit for bit (NaN too), which comes first in C order when c < a; so
+    # the first largest has c >= a, and slab a reduces only c in [a, grid), in chunks of b rows
+    # peak: each chunk's first largest margin (argmax picks a NaN first), at index at, C order
+    budget = 16 * gluing.BLOCK_ROWS
+    buf, peak, at = np.empty(min(grid**3, max(budget, grid**2))), [], []
     for a in range(grid):
-        margins = buf[:grid * (grid - a) * grid].reshape(grid, grid - a, grid)
-        np.add(even[a, :, None, None], even[None, a:], out=margins)
-        np.subtract(window[a, :, a:], np.multiply(margins, 0.5, out=margins), out=margins)
-        b, c, d = np.unravel_index(np.argmax(margins), margins.shape)
-        peak[a], at[a] = margins[b, c, d], (a, b, c + a, d)
+        step = max(1, budget // ((grid - a) * grid))
+        for b in range(0, grid, step):
+            margins = buf[:min(step, grid - b) * (grid - a) * grid].reshape(-1, grid - a, grid)
+            np.add(half[a, b:b + step, None, None], half[None, a:], out=margins)
+            np.subtract(window[a, b:b + step, a:], margins, out=margins)
+            i, c, d = np.unravel_index(np.argmax(margins), margins.shape)
+            peak.append(margins[i, c, d])
+            at.append((a, b + i, c + a, d))
     tol = tau if tau is not None else cfg.tol.scaled(float(dmat.max(initial=0.0)))
     # times the step: index / (grid - 1) can differ in the last bit
-    witness = dict(zip(("s", "t", "s2", "t2"), (at * (1.0 / (grid - 1))).T))
+    witness = dict(zip(("s", "t", "s2", "t2"), (np.array(at) * (1.0 / (grid - 1))).T))
     return judge("busemann-convexity", [(peak, witness)], grid**4, tol,
                  tolerance=tol, scope="global on the given geodesics")
 
@@ -343,7 +353,9 @@ def cat0_four_point_check(space: MetricSpace, count: int = 1000, seed: int = 0,
     for nonzero bounds is out of scope.  The sides, the screen of degenerate
     triangles, the midpoints and their distances are each one batch.
     """
-    if triangles is None:       # a count of 0 draws no triangle; a negative one is refused
+    if triangles is None:       # a count of 0 draws no triangle
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         draws = [space.sample_points(count, [seed, s], radius) for s in (7, 8, 9)] if count else []
         triangles = list(zip(*draws))
     else:

@@ -30,10 +30,11 @@ from .sampling import (DEFAULT_SAMPLES, SampleConfig, chain, quadrant_rows, quad
 #: p of the norm-type kinds: ``sum``, ``max`` and ``weighted-euclidean`` are weighted-lp
 #: gluings at p = 1, oo and 2 with their own label (``sum`` and ``max`` at unit weights).
 _LP_KINDS = {"weighted-lp": None, "weighted-euclidean": 2.0, "sum": 1.0, "max": math.inf}
-#: Gluing kinds and the optional keys each reads, ``weights`` and ``p``.  A key that its
-#: kind does not read is refused, not ignored.
+#: Gluing kinds and the optional keys each reads, of ``weights``, ``p``, ``exponent``,
+#: ``coordinate`` and ``func``.  A key that its kind does not read is refused, not ignored.
 GLUING_KEYS = {"weighted-lp": ("weights", "p"), "weighted-euclidean": ("weights",), "sum": (),
-               "max": (), "two-valued": (), "coordinate-power": (), "custom": ()}
+               "max": (), "two-valued": (), "coordinate-power": ("exponent", "coordinate"),
+               "custom": ("func",)}
 #: Smallest symmetrized-norm distance between the unit vectors of a strict-convexity pair.
 SEPARATION = 0.1
 
@@ -119,10 +120,11 @@ def pnorm_weights(dim: int, p, weights) -> tuple[np.ndarray, np.ndarray | None]:
     return w, (None if (w == 1.0).all() else w)
 
 
-def refuse_unread(kind: str, weights, p) -> None:
-    """Refuse a ``weights`` or ``p`` that is given and that ``kind`` does not read."""
-    for key, value in (("weights", weights), ("p", p)):
-        if value is not None and key not in GLUING_KEYS[kind]:
+def refuse_unread(kind: str, keys: dict) -> None:
+    """Refuse an optional key of a gluing that ``keys`` gives (not ``None``) and that ``kind``
+    does not read; other entries of ``keys`` are not looked at."""
+    for key in ("weights", "p", "exponent", "coordinate", "func"):
+        if keys.get(key) is not None and key not in GLUING_KEYS[kind]:
             raise ValueError(f"{kind} takes no {key!r}")
 
 
@@ -134,19 +136,20 @@ class GluingFunction:
     """
 
     def __init__(self, dim, kind, p=None, weights=None, func=None,
-                 exponent=None, coordinate=0, label=None):
+                 exponent=None, coordinate=None, label=None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if kind not in GLUING_KEYS:
             raise ValueError(f"unknown gluing kind {kind!r}")
-        refuse_unread(kind, weights, p)
+        refuse_unread(kind, dict(weights=weights, p=p, exponent=exponent,
+                                 coordinate=coordinate, func=func))
         self.dim = int(dim)
         self.kind = kind
         self.p = None if p is None else float(p)
         self.weights = None
         self.func = func
         self.exponent = None if exponent is None else float(exponent)
-        self.coordinate = int(coordinate)
+        self.coordinate = int(coordinate or 0)      # coordinate-power reads None as 0
         self._class_cache: dict = {}
 
         if kind in _LP_KINDS:

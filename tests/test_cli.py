@@ -425,8 +425,13 @@ def test_validate_phi_refuses_a_flag_its_kind_does_not_read(capsys, flags, messa
     ({"type": "weighted-euclidean", "weights": [1, 2], "p": 2}, "p"),
     ({"type": "coordinate-power", "dim": 1, "exponent": 2, "p": 2}, "p"),
     ({"type": "sum", "p": 1}, "p"),
+    ({"type": "sum", "dim": 2, "exponent": 3, "coordinate": 1}, "exponent"),
+    ({"type": "sum", "dim": 2, "func": "x"}, "func"),
+    ({"type": "max", "coordinate": 0}, "coordinate"),
+    ({"type": "weighted-lp", "p": 3, "weights": [1, 2], "exponent": 2}, "exponent"),
 ], ids=["max-weights", "sum-weights", "two-valued-weights", "coordinate-power-weights",
-        "sum-p", "max-p", "weighted-euclidean-p", "coordinate-power-p", "sum-p-before-dim"])
+        "sum-p", "max-p", "weighted-euclidean-p", "coordinate-power-p", "sum-p-before-dim",
+        "sum-exponent", "sum-func", "max-coordinate-before-dim", "weighted-lp-exponent"])
 def test_gluing_key_its_type_does_not_read_is_config_error(tmp_path, capsys, phi, key):
     space = {"type": "product", "factors": [{"type": "real-line"}] * 2, "phi": phi}
     code = main(["run", write_config(tmp_path, {"version": 1, "spaces": {"s": space}})])
@@ -831,6 +836,17 @@ def test_a_sample_radius_or_count_not_above_zero_is_config_error(tmp_path, capsy
     assert (code, captured.out) == (EXIT_CONFIG, "")
     assert captured.err == (f"config error: check #0 ({check['check']}): "
                             f"field {field!r} must be > 0, got {value}\n")
+
+
+def test_a_negative_four_point_count_is_config_error(tmp_path, capsys):
+    """Count 0 draws no triangle and gives the "no triangles" record; a negative count gave
+    a fail record, exit 1."""
+    check = {"check": "cat0-four-point", "space": "plane", "count": -1}
+    code = main(["run", write_config(tmp_path, config_with_checks([check]))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_CONFIG, "")
+    assert captured.err == ("config error: check #0 (cat0-four-point): "
+                            "field 'count' must be >= 0, got -1\n")
 
 
 ARC = {"kind": "circle-arc", "center": [0, 0], "radius": 1, "angle_end": math.pi}

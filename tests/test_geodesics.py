@@ -22,6 +22,7 @@ from metricprod import (
     product_geodesic,
     uniqueness_probe,
 )
+from metricprod import gluing
 
 def plane(phi=None):
     return ProductSpace((RealLine(), RealLine()),
@@ -301,6 +302,44 @@ def test_busemann_matches_dense_reduction(grid):
     assert margins[3] == 1.0 and math.isnan(margins[4]) and math.isnan(margins[5])
 
 
+@pytest.mark.parametrize("grid", [8, 16])
+def test_busemann_matches_dense_reduction_in_chunks(grid, monkeypatch):
+    """Chunks of 16 * 4 = 64 margins split every slab; the worst margin of case 0 and the
+    first NaN of case 5 lie past the first chunk of their slab."""
+    monkeypatch.setattr(gluing, "BLOCK_ROWS", 4)
+    test_busemann_matches_dense_reduction(grid)
+    with np.errstate(all="ignore"):
+        cases = dense_reference_cases()
+        for space, g1, g2 in (cases[0], cases[5]):
+            s, t = dense_busemann_margin(space, g1, g2, grid)[1][:2]
+            a, b = round(s * (grid - 1)), round(t * (grid - 1))
+            assert b >= max(1, 64 // ((grid - a) * grid))    # b rows per chunk of slab a
+
+
+def test_busemann_margin_of_huge_distances_does_not_overflow():
+    """At distance 1e308, d1 + d2 overflows to inf and read the margin as -inf; the halved
+    terms d1 / 2 + d2 / 2 give the true margin 0, with no overflow."""
+    line = RealLine()
+    g1, g2 = geodesic_between(line, 0.0, 0.0), geodesic_between(line, 1e308, 1e308)
+    with np.errstate(over="raise"):
+        rep = busemann_convexity_check(line, g1, g2, grid=4, tau=0.0)
+    assert (rep.margin, rep.verdict) == (0.0, "pass")
+
+
+def test_busemann_holds_one_chunk_and_the_distance_matrix():
+    """At grid 64 a chunk is 512 KiB and the fine**2 distances 126 KiB; a whole
+    grid**3 slab buffer would be 2 MiB."""
+    space, pairs = sup_norm_geodesics()
+    g1, g2 = pairs[0]
+    tracemalloc.start()
+    try:
+        busemann_convexity_check(space, g1, g2, grid=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_busemann_memory_is_cubic_in_grid():
     space, pairs = sup_norm_geodesics()
     g1, g2 = pairs[0]
@@ -364,7 +403,7 @@ def test_cat0_with_count_zero_is_the_no_triangles_record():
     space = LpSpace(2, 2.0)
     rep = cat0_four_point_check(space, count=0)
     assert rep.to_record() == cat0_four_point_check(space, triangles=[]).to_record()
-    with pytest.raises(ValueError, match="count must be >= 1"):
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
         cat0_four_point_check(space, count=-1)
 
 

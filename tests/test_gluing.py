@@ -470,6 +470,11 @@ def test_coordinate_power_refuses_a_negative_or_nan_exponent(exponent):
         GluingFunction.coordinate_power(2, exponent)
 
 
+def test_coordinate_power_reads_no_coordinate_as_coordinate_zero():
+    phi = GluingFunction(2, "coordinate-power", exponent=2.0)
+    assert (phi.coordinate, phi((3.0, 1.0)), phi.label) == (0, 9.0, "coordinate-power(q[0]^2)")
+
+
 def test_coordinate_power_takes_exponent_zero():
     assert GluingFunction.coordinate_power(2, 0.0)(np.array([0.0, 3.0])) == 1.0
 
@@ -483,11 +488,21 @@ def test_coordinate_power_takes_exponent_zero():
     (lambda: GluingFunction(2, "coordinate-power", exponent=1.0, weights=[1, 5]),
      "coordinate-power takes no 'weights'"),
     (lambda: GluingFunction(2, "custom", func=np.sum, p=1), "custom takes no 'p'"),
+    (lambda: GluingFunction(2, "sum", exponent=3, coordinate=1), "sum takes no 'exponent'"),
+    (lambda: GluingFunction(2, "sum", coordinate=0), "sum takes no 'coordinate'"),
+    (lambda: GluingFunction(2, "max", func=np.max), "max takes no 'func'"),
+    (lambda: GluingFunction(2, "weighted-lp", p=3, exponent=2), "weighted-lp takes no 'exponent'"),
+    (lambda: GluingFunction(2, "custom", func=np.sum, coordinate=1),
+     "custom takes no 'coordinate'"),
+    (lambda: GluingFunction(2, "coordinate-power", exponent=1.0, func=np.sum),
+     "coordinate-power takes no 'func'"),
 ], ids=["sum-weights", "max-weights", "max-p", "euclidean-p", "two-valued-p",
-        "coordinate-power-weights", "custom-p"])
+        "coordinate-power-weights", "custom-p", "sum-exponent", "sum-coordinate", "max-func",
+        "lp-exponent", "custom-coordinate", "coordinate-power-func"])
 def test_a_key_its_kind_does_not_read_is_refused(make, message):
-    """Were it dropped, ``sum`` with weights [1, 5] would read 2 at (1, 1), not 6, and
-    ``max`` with p = 3 would stay the max."""
+    """Were it dropped, ``sum`` with weights [1, 5] would read 2 at (1, 1), not 6, ``max``
+    with p = 3 would stay the max, and ``sum`` with exponent 3 on coordinate 1 would read 2
+    at (1, 1), not 1."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
 
