@@ -16,8 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .curves import Curve
 from . import gluing
+from .curves import Curve
 from .gluing import GluingClass, judge
 from .product import ProductSpace, _Sync
 from .reports import PASS, UNDETERMINED, ValidationReport, worst

@@ -317,8 +317,8 @@ def test_busemann_matches_dense_reduction_in_chunks(grid, monkeypatch):
 
 
 def test_busemann_margin_of_huge_distances_does_not_overflow():
-    """At distance 1e308, d1 + d2 overflows to inf and read the margin as -inf; the halved
-    terms d1 / 2 + d2 / 2 give the true margin 0, with no overflow."""
+    """At distance 1e308 the sum d1 + d2 overflows to inf, so d - (d1 + d2) / 2 reads -inf;
+    the halved terms d1 / 2 + d2 / 2 give the true margin 0, with no overflow."""
     line = RealLine()
     g1, g2 = geodesic_between(line, 0.0, 0.0), geodesic_between(line, 1e308, 1e308)
     with np.errstate(over="raise"):
